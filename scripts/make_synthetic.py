@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Generate a synthetic binary-classification CSV (label first, no header).
 
-The signal is a noisy linear combination of a few informative features, so
-boosted stumps reach a mid-0.7 AUC band: handy for offline pipeline runs.
+The signal is a noisy linear combination of a few informative features.
+With the defaults, 100 boosted stumps (scripts/run_higgs.py) reach a maximum
+per-tree validation AUC of about 0.67: handy for offline pipeline runs.
 """
 
 import argparse

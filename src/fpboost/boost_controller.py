@@ -6,6 +6,7 @@ score and gradients from the finished tree.  All engines share the feature
 matrix and sample state; each owns an index table over its shard.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from .data_parallel import merged_node_histogram, shard
 from .engine_memory import EngineMemory, init_index_table, load, node_slice
 from .fixed_point import FRAC_BITS, dequantize, quantize, sigmoid
-from .node_trainer import TrainConfig, find_best_split, leaf_weight, split_child_totals
+from .node_trainer import GradientHistogram, TrainConfig, find_best_split, leaf_weight, split_child_totals
 from .quantizer import QuantizedMatrix
 from .splitter import TreeModel, TreeNode, apply_tree_update, partition, tree_increment
 
@@ -93,20 +94,45 @@ def _log_loss(scores_raw, labels, frac_bits: int) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
+def _node_histogram(engines: list, depth: int, node_id: int) -> GradientHistogram:
+    return merged_node_histogram(engines, [node_slice(e.table, depth, node_id) for e in engines])
+
+
+def _children(engines: list, depth: int, parent_id: int, parent_hist: GradientHistogram,
+              child_totals: tuple) -> list:
+    """(node id, histogram, totals) of both children of one split node.
+
+    Only the child with fewer samples is built from the index tables; the
+    other is the parent's histogram minus it, exact because bins hold
+    integer sums.
+    """
+    ids = (2 * parent_id, 2 * parent_id + 1)
+    small = 0 if child_totals[0][2] <= child_totals[1][2] else 1
+    built = _node_histogram(engines, depth, ids[small])
+    sibling = parent_hist.minus(built)
+    hists = (built, sibling) if small == 0 else (sibling, built)
+    return list(zip(ids, hists, child_totals))
+
+
+def _level(engines: list, depth: int, parents: deque):
+    """Nodes to train at one depth, children of the split nodes one level up.
+
+    Each parent histogram is released as soon as both its children exist.
+    """
+    while parents:
+        yield from _children(engines, depth, *parents.popleft())
+
+
 def _grow_tree(engines: list, config: TrainConfig, tree_log_depths: list) -> TreeModel:
     """Train one tree depth-synchronously over the engines' index tables."""
     tree = TreeModel()
-    live = [0]
+    root = _node_histogram(engines, 0, 0)
+    nodes = [(0, root, root.totals())]
     for d in range(config.max_depth):
-        if not live:
-            break
         trained_sizes = []
         split_sizes = []
-        next_live = []
-        for node_id in live:
-            ranges = [node_slice(e.table, d, node_id) for e in engines]
-            hist = merged_node_histogram(engines, ranges)
-            totals = hist.totals()
+        parents = deque()       # (node id, histogram, child totals) of nodes whose children train
+        for node_id, hist, totals in nodes:
             decision = find_best_split(hist, totals, d, config)
             trained_sizes.append(totals[2])
             if decision.is_leaf:
@@ -121,20 +147,23 @@ def _grow_tree(engines: list, config: TrainConfig, tree_log_depths: list) -> Tre
             for e in engines:
                 partition(e, node_slice(e.table, d, node_id), decision, depth=d, node_id=node_id)
             split_sizes.append(totals[2])
-            left_tot, right_tot = split_child_totals(hist, decision, totals)
+            child_totals = split_child_totals(hist, decision, totals)
             if d + 1 == config.max_depth:
-                for child, (g, h, _c) in ((2 * node_id, left_tot), (2 * node_id + 1, right_tot)):
+                for child, (g, h, _c) in zip((2 * node_id, 2 * node_id + 1), child_totals):
                     w = leaf_weight(dequantize(g, config.frac_bits),
                                     dequantize(h, config.frac_bits),
                                     config.lam, config.frac_bits)
                     tree.put(d + 1, child, TreeNode(is_leaf=True, leaf_weight_raw=w))
             else:
-                next_live.extend((2 * node_id, 2 * node_id + 1))
+                parents.append((node_id, hist, child_totals))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))
         if split_sizes:
             for e in engines:
                 e.table.toggle()
-        live = next_live
+        if not parents:
+            break
+        # built lazily, after the toggle makes the children's ranges active
+        nodes = _level(engines, d + 1, parents)
     return tree
 
 
@@ -142,6 +171,12 @@ def train(matrix: QuantizedMatrix, labels, config: TrainConfig) -> tuple:
     """Train a boosted model; returns (Model, TrainingLog)."""
     if matrix.n_samples == 0:
         raise ValueError("empty training set")
+    # a raw gradient reaches 2**frac_bits in magnitude; node totals are int64
+    if matrix.n_samples << config.frac_bits >= 1 << 63:
+        raise ValueError(
+            f"n_samples={matrix.n_samples} with frac_bits={config.frac_bits} can overflow "
+            "int64 node totals: need n_samples * 2**frac_bits < 2**63"
+        )
     base = load(matrix, labels, BASE_SCORE, config.frac_bits)
     state = base.state
     model = Model(base_score=BASE_SCORE)

@@ -9,7 +9,7 @@ trained model is bitwise identical for any engine count.
 
 import numpy as np
 
-from .node_trainer import GradientHistogram, SplitDecision, TrainConfig, build_histogram, find_best_split
+from .node_trainer import GradientHistogram, build_histogram
 
 
 def shard(active_indices, n_engines: int) -> list:
@@ -43,9 +43,3 @@ def merged_node_histogram(memories: list, ranges: list) -> GradientHistogram:
         raise ValueError("one range per engine required")
     return merge_histograms([build_histogram(m, r) for m, r in zip(memories, ranges)])
 
-
-def train_node_parallel(memories: list, ranges: list, config: TrainConfig,
-                        depth: int = 0) -> SplitDecision:
-    """Per-engine histograms, merge, and one split decision for all engines."""
-    hist = merged_node_histogram(memories, ranges)
-    return find_best_split(hist, hist.totals(), depth, config)

@@ -14,6 +14,7 @@ from .fixed_point import FRAC_BITS, dequantize, quantize, scale
 from .quantizer import MISSING_BIN
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
+_LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,15 @@ class GradientHistogram:
     def n_features(self) -> int:
         return self.sum_g.shape[0]
 
+    def minus(self, other: "GradientHistogram") -> "GradientHistogram":
+        """Bin-wise integer difference; a parent minus one child is exactly the other child."""
+        return GradientHistogram(
+            sum_g=self.sum_g - other.sum_g,
+            sum_h=self.sum_h - other.sum_h,
+            count=self.count - other.count,
+            frac_bits=self.frac_bits,
+        )
+
     def totals(self) -> tuple:
         """Node totals (g_raw, h_raw, count) read off feature 0 (all agree)."""
         return (
@@ -93,23 +103,38 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> GradientHistogra
     """Accumulate (grad, hess, count) of one node's samples into feature bins."""
     start, end = node_range
     n_features = memory.matrix.n_features
-    hist = GradientHistogram.zeros(n_features, memory.state.frac_bits)
+    frac_bits = memory.state.frac_bits
+    hist = GradientHistogram.zeros(n_features, frac_bits)
     idx = memory.table.active()[start:end]
     m = idx.size
     if m == 0:
         return hist
-    # float64 bincount adds integers exactly while partial sums stay < 2**53
-    if m >= (1 << 28):
+    # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
+    # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
+    single_pass = (m << frac_bits) < (1 << 53)
+    if not single_pass and m >= (1 << (53 - _LIMB_BITS)):
         raise ValueError("node too large for exact histogram accumulation")
     bins = memory.matrix.columns[:, idx].astype(np.int64)
     flat = (np.arange(n_features, dtype=np.int64)[:, None] * N_BINS + bins).ravel()
-    size = n_features * N_BINS
-    gw = np.broadcast_to(memory.state.grads_raw[idx].astype(np.float64), (n_features, m)).ravel()
-    hw = np.broadcast_to(memory.state.hess_raw[idx].astype(np.float64), (n_features, m)).ravel()
-    hist.sum_g[:] = np.bincount(flat, weights=gw, minlength=size).astype(np.int64).reshape(n_features, N_BINS)
-    hist.sum_h[:] = np.bincount(flat, weights=hw, minlength=size).astype(np.int64).reshape(n_features, N_BINS)
-    hist.count[:] = np.bincount(flat, minlength=size).astype(np.int64).reshape(n_features, N_BINS)
+    shape = (n_features, N_BINS)
+    hist.sum_g[:] = _bin_sums(flat, memory.state.grads_raw[idx], shape, single_pass)
+    hist.sum_h[:] = _bin_sums(flat, memory.state.hess_raw[idx], shape, single_pass)
+    hist.count[:] = np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
     return hist
+
+
+def _bin_sums(flat, raw, shape: tuple, single_pass: bool) -> np.ndarray:
+    """Exact int64 per-bin sums of raw values repeated once per feature."""
+    def float_pass(values):
+        weights = np.broadcast_to(values.astype(np.float64), (shape[0], values.size)).ravel()
+        return np.bincount(flat, weights=weights, minlength=shape[0] * shape[1]).astype(np.int64)
+
+    if single_pass:
+        return float_pass(raw).reshape(shape)
+    # value = high * 2**24 + low with 0 <= low < 2**24 and |high| <= 2**24;
+    # float64 adds either limb exactly for fewer than 2**29 samples
+    low = float_pass(raw & ((1 << _LIMB_BITS) - 1))
+    return (float_pass(raw >> _LIMB_BITS) * (1 << _LIMB_BITS) + low).reshape(shape)
 
 
 def split_gain(gl, hl, gr, hr, lam: float, gamma: float):
@@ -145,7 +170,7 @@ def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
 
     Sweeps ordered bins 0..254 as thresholds with the predicate "go left iff
     bin <= threshold"; the missing bin joins either side.  Candidates leaving
-    a side empty are not eligible.  Ties resolve to the lowest feature, then
+    a side empty, or with a NaN gain, are not eligible.  Ties resolve to the lowest feature, then
     the lowest threshold, then missing-left.  Declares a leaf when no eligible
     candidate has gain > 0 or the depth limit is reached.
     """
@@ -154,46 +179,33 @@ def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
     if depth >= config.max_depth or c_tot == 0:
         return _node_leaf(node_totals, config.lam, fb)
 
+    # one (feature, threshold, side) block: side 0 groups the missing bin
+    # left, side 1 right; row-major order is the tie order
     sc = scale(fb)
-    best_gain = -np.inf
-    best = None                 # (feature, threshold, missing_left)
-    for f in range(hist.n_features):
-        counts = hist.count[f]
-        if counts.max() == c_tot:
-            # every sample in a single bin: no eligible candidate here
-            continue
-        cg = np.cumsum(hist.sum_g[f, :MISSING_BIN])
-        ch = np.cumsum(hist.sum_h[f, :MISSING_BIN])
-        cc = np.cumsum(counts[:MISSING_BIN])
-        gm = int(hist.sum_g[f, MISSING_BIN])
-        hm = int(hist.sum_h[f, MISSING_BIN])
-        cm = int(counts[MISSING_BIN])
+    cg = np.cumsum(hist.sum_g[:, :MISSING_BIN], axis=1)
+    ch = np.cumsum(hist.sum_h[:, :MISSING_BIN], axis=1)
+    cc = np.cumsum(hist.count[:, :MISSING_BIN], axis=1)
+    gl = np.stack([cg + hist.sum_g[:, MISSING_BIN:], cg], axis=2) / sc
+    hl = np.stack([ch + hist.sum_h[:, MISSING_BIN:], ch], axis=2) / sc
+    cl = np.stack([cc + hist.count[:, MISSING_BIN:], cc], axis=2)
+    gr = g_tot / sc - gl
+    hr = h_tot / sc - hl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma)
+    # an empty side (0/0 when lam = 0) or any NaN gain is not eligible
+    gains[(cl == 0) | (cl == c_tot) | np.isnan(gains)] = -np.inf
 
-        # candidate left-side stats, missing grouped left then right
-        gl = np.stack([cg + gm, cg], axis=1) / sc
-        hl = np.stack([ch + hm, ch], axis=1) / sc
-        cl = np.stack([cc + cm, cc], axis=1)
-        gr = g_tot / sc - gl
-        hr = h_tot / sc - hl
-        cr = c_tot - cl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma)
-        gains[(cl == 0) | (cr == 0)] = -np.inf
-
-        flat = gains.ravel()    # order: (t=0,L), (t=0,R), (t=1,L), ...
-        k = int(np.argmax(flat))
-        if flat[k] > best_gain:
-            best_gain = float(flat[k])
-            best = (f, k // 2, k % 2 == 0)
-
-    if best is None or best_gain <= 0.0:
+    k = int(np.argmax(gains))
+    best_gain = float(gains.flat[k])
+    if best_gain <= 0.0:
         return _node_leaf(node_totals, config.lam, fb)
-    feature, threshold, missing_left = best
+    feature, rest = divmod(k, 2 * MISSING_BIN)
+    threshold, side = divmod(rest, 2)
     return SplitDecision(
         is_leaf=False,
         feature=feature,
         threshold_bin=threshold,
-        missing_left=missing_left,
+        missing_left=side == 0,
         gain=best_gain,
     )
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from fpboost import boost_controller
 from fpboost.boost_controller import Model, predict_raw, subsample_indices, train
-from fpboost.engine_memory import load
+from fpboost.engine_memory import EngineMemory, init_index_table, load, node_slice
 from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize
-from fpboost.node_trainer import TrainConfig, leaf_weight
-from fpboost.quantizer import BinMap, QuantizedMatrix, RawDataset, fit_bin_map, transform
+from fpboost.node_trainer import TrainConfig, build_histogram, leaf_weight
+from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix, RawDataset, fit_bin_map, transform
 from conftest import random_quantized
 from reference import py_subsample, ref_train, assert_trees_match
 
@@ -165,3 +166,72 @@ class TestTrain:
             for d in tree_log.depths:
                 assert sum(d.split_sizes) <= sum(d.trained_sizes)
             assert tree_log.train_loss > 0
+
+    def test_rejects_sizes_that_overflow_node_totals(self):
+        def matrix_of(n):
+            return QuantizedMatrix(columns=np.zeros((1, n), dtype=np.uint8),
+                                   bin_map=BinMap([np.array([0.0])]))
+
+        cfg = TrainConfig(n_trees=1, frac_bits=48, n_engines=1)
+        with pytest.raises(ValueError, match=r"n_samples=32768 with frac_bits=48"):
+            train(matrix_of(1 << 15), np.zeros(1 << 15, dtype=np.int8), cfg)
+        model, _ = train(matrix_of((1 << 15) - 1), np.zeros((1 << 15) - 1, dtype=np.int8), cfg)
+        assert model.n_trees == 1
+
+    def test_engine_count_invariance_at_high_frac_bits(self, rng):
+        # at 46 fractional bits one engine builds the root by 24-bit limbs, while
+        # 64 engines build it from shards small enough for a single float64 pass
+        matrix, labels = random_quantized(rng, 400, 3, missing_frac=0.05)
+        models = [
+            train(matrix, labels, TrainConfig(n_trees=4, max_depth=3, subsample=0.8,
+                                              n_engines=e, frac_bits=46, seed=2))[0]
+            for e in (1, 3, 64)
+        ]
+        assert models[0].trees == models[1].trees == models[2].trees
+        assert any(tree.depth > 0 for tree in models[0].trees)
+
+
+def _with_all_missing_feature(matrix):
+    n = matrix.n_samples
+    return QuantizedMatrix(
+        columns=np.vstack([matrix.columns, np.full((1, n), MISSING_BIN, dtype=np.uint8)]),
+        bin_map=BinMap(list(matrix.bin_map.centroids) + [np.array([0.0])]),
+    )
+
+
+class TestSiblingSubtraction:
+    @pytest.mark.parametrize("n_engines", [1, 3, 64])
+    def test_every_child_histogram_equals_direct_build(self, rng, monkeypatch, n_engines):
+        raw_matrix, labels = random_quantized(rng, 300, 4, missing_frac=0.05)
+        matrix = _with_all_missing_feature(raw_matrix)
+        seen = {"children": 0, "empty_engine_ranges": 0}
+        children = boost_controller._children
+
+        def checked(engines, depth, parent_id, parent_hist, child_totals):
+            out = children(engines, depth, parent_id, parent_hist, child_totals)
+            for node_id, hist, totals in out:
+                parts = [e.table.active()[slice(*node_slice(e.table, depth, node_id))]
+                         for e in engines]
+                seen["empty_engine_ranges"] += sum(p.size == 0 for p in parts)
+                idx = np.concatenate(parts)
+                direct = build_histogram(
+                    EngineMemory(matrix, engines[0].state, init_index_table(idx)), (0, idx.size))
+                assert np.array_equal(hist.sum_g, direct.sum_g)
+                assert np.array_equal(hist.sum_h, direct.sum_h)
+                assert np.array_equal(hist.count, direct.count)
+                assert totals == direct.totals()
+                seen["children"] += 1
+            return out
+
+        monkeypatch.setattr(boost_controller, "_children", checked)
+        cfg = TrainConfig(n_trees=4, max_depth=4, subsample=0.7, n_engines=n_engines, seed=5)
+        model, log = train(matrix, labels, cfg)
+        assert seen["children"] == sum(len(d.trained_sizes) for t in log.trees for d in t.depths[1:])
+        assert seen["children"] > 0
+        if n_engines > 1:
+            assert seen["empty_engine_ranges"] > 0
+        all_missing = matrix.n_features - 1
+        for tree in model.trees:
+            assert all(node.feature != all_missing for level in tree.levels for node in level.values())
+        monkeypatch.undo()
+        assert train(matrix, labels, cfg)[0].trees == model.trees

@@ -118,6 +118,19 @@ def test_missing_file_is_single_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+
+def test_overflowing_frac_bits_is_single_line_error(tmp_path, capsys):
+    # 2**15 samples at 48 fractional bits can overflow int64 node totals
+    p = tmp_path / "big.csv"
+    p.write_text("0,1\n1,2\n" * (1 << 14))
+    rc = main(["train", "--data", str(p), "--format", "csv", "--frac-bits", "48",
+               "--model-out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_samples=32768 with frac_bits=48")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
 def test_bad_data_error_mentions_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.5\n0,zzz\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpboost.data_parallel import merge_histograms, merged_node_histogram, shard, train_node_parallel
+from fpboost.data_parallel import merge_histograms, merged_node_histogram, shard
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.node_trainer import GradientHistogram, TrainConfig, build_histogram, find_best_split
 from conftest import random_quantized
@@ -88,26 +88,34 @@ class TestMerge:
         assert np.array_equal(merged.count, reference.count)
 
 
+def _node_decision(engines, ranges, config, depth=0):
+    """The controller's per-node path: merged per-engine histograms, one split scan."""
+    hist = merged_node_histogram(engines, ranges)
+    return find_best_split(hist, hist.totals(), depth, config)
+
+
 class TestTrainNodeParallel:
+    """One split decision from the merged per-engine histograms of a node."""
+
     def test_single_engine_equals_node_trainer(self, rng):
         matrix, labels = random_quantized(rng, 90, 3)
         config = TrainConfig(max_depth=2, n_engines=1)
         (engine,) = _engines_over(matrix, labels, np.arange(90), 1)
         hist = build_histogram(engine, (0, 90))
         direct = find_best_split(hist, hist.totals(), 0, config)
-        parallel = train_node_parallel([engine], [(0, 90)], config, depth=0)
+        parallel = _node_decision([engine], [(0, 90)], config, depth=0)
         assert direct == parallel
 
     @pytest.mark.parametrize("n_engines", [2, 4, 64])
     def test_any_engine_count_matches_single(self, rng, n_engines):
         matrix, labels = random_quantized(rng, 130, 4, missing_frac=0.1)
         config = TrainConfig(max_depth=2, n_engines=n_engines)
-        single = train_node_parallel(
+        single = _node_decision(
             _engines_over(matrix, labels, np.arange(130), 1), [(0, 130)],
             config, depth=0,
         )
         engines = _engines_over(matrix, labels, np.arange(130), n_engines)
-        many = train_node_parallel(
+        many = _node_decision(
             engines, [(0, e.table.n_active) for e in engines], config, depth=0,
         )
         assert single == many
@@ -116,7 +124,7 @@ class TestTrainNodeParallel:
         matrix, labels = random_quantized(rng, 10, 2)
         config = TrainConfig(n_engines=3, lam=1.0)
         engines = _engines_over(matrix, labels, np.array([], dtype=np.int64), 3)
-        decision = train_node_parallel(engines, [(0, 0)] * 3, config, depth=0)
+        decision = _node_decision(engines, [(0, 0)] * 3, config, depth=0)
         assert decision.is_leaf and decision.leaf_weight_raw == 0
 
     def test_range_count_must_match(self, rng):

@@ -1,12 +1,16 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fpboost.engine_memory import init_index_table, load
+from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, quantize
 from fpboost.node_trainer import (
+    MISSING_BIN,
     GradientHistogram,
     TrainConfig,
     build_histogram,
@@ -15,6 +19,7 @@ from fpboost.node_trainer import (
     split_child_totals,
     split_gain,
 )
+from fpboost.quantizer import BinMap, QuantizedMatrix
 from conftest import random_quantized
 from reference import exact_gain_fraction, ref_best_split, ref_leaf_weight
 
@@ -107,6 +112,68 @@ class TestBuildHistogram:
             assert int(hist.count[f].sum()) == c
 
 
+@settings(max_examples=80, deadline=None)
+@given(frac_bits=st.integers(1, 48), n=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
+@example(frac_bits=48, n=3000, seed=0, extreme=True)
+@example(frac_bits=42, n=2047, seed=1, extreme=True)     # largest single float64 pass
+@example(frac_bits=42, n=2048, seed=1, extreme=True)     # smallest 24-bit limb pass
+def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme):
+    """Bin sums equal Python-int sums for any accepted frac_bits."""
+    rng = np.random.default_rng(seed)
+    one = 1 << frac_bits
+    h_max = max(one // 4, 1)
+    if extreme:
+        # near the largest magnitudes the state holds (|grad| = 1, hess = 1/4),
+        # one sign, low bits set: partial sums grow past 2**53 fastest
+        grads = (one - rng.integers(0, 1024, size=n, dtype=np.int64)) * int(rng.choice([-1, 1]))
+        hess = h_max - rng.integers(0, min(h_max, 1024), size=n, dtype=np.int64)
+    else:
+        grads = rng.integers(-one, one + 1, size=n, dtype=np.int64)
+        hess = rng.integers(1, h_max + 1, size=n, dtype=np.int64)
+    columns = rng.choice(np.array([0, 1, 2, MISSING_BIN], dtype=np.uint8), size=(2, n))
+    matrix = QuantizedMatrix(columns=columns, bin_map=BinMap([np.arange(3.0)] * 2))
+    state = StateMemory(np.zeros(n, dtype=np.int64), grads, hess,
+                        np.zeros(n, dtype=np.int8), frac_bits)
+    hist = build_histogram(EngineMemory(matrix, state, init_index_table(np.arange(n))), (0, n))
+    g_list, h_list = grads.tolist(), hess.tolist()
+    for f in range(2):
+        for b in (0, 1, 2, MISSING_BIN):
+            rows = np.flatnonzero(columns[f] == b).tolist()
+            assert int(hist.sum_g[f, b]) == sum(g_list[i] for i in rows)
+            assert int(hist.sum_h[f, b]) == sum(h_list[i] for i in rows)
+            assert int(hist.count[f, b]) == len(rows)
+    assert hist.frac_bits == frac_bits
+
+
+class TestHistogramSubtraction:
+    def test_parent_minus_child_is_sibling(self, rng):
+        mem = _memory(rng, 300, 4, missing_frac=0.05)
+        parent = build_histogram(mem, (0, 300))
+        decision = find_best_split(parent, parent.totals(), 0, TrainConfig(max_depth=2))
+        assert not decision.is_leaf
+        b = mem.matrix.columns[decision.feature]
+        left = (b <= decision.threshold_bin) | ((b == MISSING_BIN) & decision.missing_left)
+        children = []
+        for side in (left, ~left):
+            mem.table = init_index_table(np.flatnonzero(side), 300)
+            children.append(build_histogram(mem, (0, int(side.sum()))))
+        for built, other in ((children[0], children[1]), (children[1], children[0])):
+            sibling = parent.minus(built)
+            assert np.array_equal(sibling.sum_g, other.sum_g)
+            assert np.array_equal(sibling.sum_h, other.sum_h)
+            assert np.array_equal(sibling.count, other.count)
+            assert sibling.frac_bits == parent.frac_bits
+
+    def test_minus_empty_child_is_parent(self, rng):
+        mem = _memory(rng, 50, 3)
+        parent = build_histogram(mem, (0, 50))
+        same = parent.minus(build_histogram(mem, (7, 7)))
+        assert np.array_equal(same.sum_g, parent.sum_g)
+        assert np.array_equal(same.sum_h, parent.sum_h)
+        assert np.array_equal(same.count, parent.count)
+
+
 class TestSplitGain:
     def test_antisymmetric_gradients(self):
         assert split_gain(-2.0, 1.0, 2.0, 1.0, 1.0, 0.0) == 2.0
@@ -195,6 +262,65 @@ class TestFindBestSplit:
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
         decision = find_best_split(hist, hist.totals(), 0, cfg)
         assert decision.feature == 0
+
+
+    def test_mirrored_thresholds_tie_to_lowest(self):
+        # bins 0 and 2 carry equal stats, so t=0 and t=1 mirror each other
+        hist = _hist_from_bins([0, 1, 2], [-SCALE, SCALE // 2, -SCALE], [SCALE] * 3)
+        cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
+        g_tot, h_tot, _ = hist.totals()
+        gains = [split_gain(gl / SCALE, hl / SCALE, (g_tot - gl) / SCALE,
+                            (h_tot - hl) / SCALE, 1.0, 0.0)
+                 for gl, hl in ((-SCALE, SCALE), (-SCALE // 2, 2 * SCALE))]
+        assert gains[0] == gains[1] > 0
+        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        assert (decision.threshold_bin, decision.missing_left) == (0, True)
+        assert decision.gain == gains[0]
+
+    def test_missing_directions_tie_to_left(self):
+        # a missing sample with zero grad and hess leaves both directions equal
+        hist = _hist_from_bins([0, 1, MISSING_BIN], [-SCALE, SCALE, 0], [SCALE, SCALE, 0])
+        decision = find_best_split(hist, hist.totals(), 0, TrainConfig(max_depth=1))
+        assert (decision.threshold_bin, decision.missing_left) == (0, True)
+
+    def test_missing_right_wins_when_strictly_better(self):
+        hist = _hist_from_bins([0, 1, MISSING_BIN], [-SCALE, SCALE, SCALE], [SCALE] * 3)
+        decision = find_best_split(hist, hist.totals(), 0, TrainConfig(max_depth=1))
+        assert (decision.threshold_bin, decision.missing_left) == (0, False)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_single_bin_and_all_missing_features_never_win(self, lam):
+        hist = GradientHistogram.zeros(3)
+        grads = [-SCALE, SCALE, -SCALE, SCALE]
+        for f, bins in enumerate(([3] * 4, [MISSING_BIN] * 4, [0, 1, 0, 1])):
+            for b, g in zip(bins, grads):
+                hist.sum_g[f, b] += g
+                hist.sum_h[f, b] += SCALE // 4
+                hist.count[f, b] += 1
+        cfg = TrainConfig(max_depth=1, lam=lam, gamma=0.0)
+        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        assert decision.feature == 2
+        for f in range(2):
+            only = GradientHistogram(hist.sum_g[f:f + 1], hist.sum_h[f:f + 1], hist.count[f:f + 1])
+            assert find_best_split(only, only.totals(), 0, cfg).is_leaf
+
+    def test_lam_zero_empty_side_no_nan_no_split(self):
+        cfg = TrainConfig(max_depth=1, lam=0.0, gamma=0.0)
+        cases = [
+            _hist_from_bins([5, 5, 5], [SCALE, -SCALE, SCALE], [SCALE] * 3),    # one bin
+            _hist_from_bins([0, 1, 2], [0, 0, 0], [SCALE] * 3),                 # zero gain
+            _hist_from_bins([0, 1], [0, SCALE], [0, SCALE]),                    # 0/0 on a side
+        ]
+        for hist in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                decision = find_best_split(hist, hist.totals(), 0, cfg)
+            assert decision.is_leaf
+            assert not math.isnan(decision.gain)
+        # a real split at lam=0 still has its finite scalar gain
+        hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
+        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        assert not decision.is_leaf and decision.gain == split_gain(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
 
     def test_depth_limit_forces_leaf(self):
         hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
