@@ -18,6 +18,6 @@ from .node_trainer import (
     split_gain,
 )
 from .quantizer import BinMap, QuantizedMatrix, RawDataset, fit_bin_map, fit_bins, transform
-from .splitter import TreeModel, TreeNode, apply_tree_update, partition, route_to_leaf
+from .splitter import TreeModel, TreeNode, apply_tree_update, partition
 
 __version__ = "0.1.0"

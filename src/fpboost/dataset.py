@@ -1,21 +1,52 @@
 """Dataset ingestion: dense CSV and sparse libsvm-style text files.
 
+CSV grammar.  A file (gzip-compressed when its name ends in ``.gz``) is a
+sequence of physical lines, each ended by ``\n``, ``\r\n`` or ``\r``.  A
+line holding only whitespace is skipped; every other line is one row of
+comma-separated cells, and every row has as many cells as the first.  There
+is no header, quoting or comment syntax.  A cell is read with Python's
+``float`` after stripping whitespace, and a blank, whitespace-only or
+``nan`` (any case) cell is missing (NaN).  The label cell must read as 0 or
+1 (any value > 0 counts as 1 when strict labels are off); a blank label is
+an error.  Non-finite values such as ``inf`` or ``1e400`` are rejected with
+their row and feature (see ``RawDataset``).  A bad line is reported by its
+physical line number, and the first bad line in the file is the one reported.
+
+CSV files are read in chunks of CSV_CHUNK_LINES physical lines, and each
+chunk is parsed with one ``np.loadtxt`` call.  A chunk that call cannot take
+as it is (a bad or ragged line, or a spelling only ``float`` accepts, such as
+whitespace-only cells, ``1_000`` or non-ASCII digits) is parsed line by line
+instead, which gives the same values or the same first error.
+
 In libsvm files an absent feature is treated as MISSING (it lands in the
 reserved bin), not as zero.  This differs from libraries that densify
 sparse inputs with zeros; callers relying on zero-fill must densify first.
 """
 
 import gzip
+import io
+import itertools
 
 import numpy as np
 
 from .quantizer import RawDataset
+
+# Physical lines per CSV chunk.  Larger chunks parse no faster and raise the
+# loader's peak memory.
+CSV_CHUNK_LINES = 1024
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 def _open_text(path: str):
     if str(path).endswith(".gz"):
         return gzip.open(path, "rt")
     return open(path, "r")
+
+
+def _open_binary(path: str):
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "rb")
+    return open(path, "rb")
 
 
 def _parse_label(token: str, line_no: int, strict: bool) -> int:
@@ -30,43 +61,127 @@ def _parse_label(token: str, line_no: int, strict: bool) -> int:
     return 1 if v > 0 else 0
 
 
-def _load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
+def _parse_lines(lines, line_no: int, width, label_col: int, want, strict_labels: bool):
+    """Parse text lines numbered from line_no + 1 cell by cell, stopping
+    before the first kept line past `want` rows.
+
+    Returns (values or None, labels, width, number of the last line read).
+    """
     rows = []
     labels = []
-    width = None
-    with _open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if max_rows is not None and len(rows) >= max_rows:
-                break
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError(f"line {line_no}: expected {width} columns, got {len(cells)}")
-            if label_col >= 0:
-                if label_col >= len(cells):
-                    raise ValueError(f"line {line_no}: no label column {label_col}")
-                labels.append(_parse_label(cells[label_col], line_no, strict_labels))
-                cells = cells[:label_col] + cells[label_col + 1:]
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        line = line.strip()
+        if not line:
+            continue
+        if want is not None and len(rows) >= want:
+            break
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ValueError(f"line {line_no}: expected {width} columns, got {len(cells)}")
+        if label_col >= 0:
+            if label_col >= len(cells):
+                raise ValueError(f"line {line_no}: no label column {label_col}")
+            labels.append(_parse_label(cells[label_col], line_no, strict_labels))
+            cells = cells[:label_col] + cells[label_col + 1:]
+        else:
+            labels.append(0)
+        row = np.empty(len(cells), dtype=np.float64)
+        for j, cell in enumerate(cells):
+            cell = cell.strip()
+            if cell == "" or cell.lower() == "nan":
+                row[j] = np.nan
             else:
-                labels.append(0)
-            row = np.empty(len(cells), dtype=np.float64)
-            for j, cell in enumerate(cells):
-                cell = cell.strip()
-                if cell == "" or cell.lower() == "nan":
-                    row[j] = np.nan
-                else:
-                    try:
-                        row[j] = float(cell)
-                    except ValueError:
-                        raise ValueError(f"line {line_no}: bad value {cell!r}")
-            rows.append(row)
+                try:
+                    row[j] = float(cell)
+                except ValueError:
+                    raise ValueError(f"line {line_no}: bad value {cell!r}")
+        rows.append(row)
+    values = np.vstack(rows) if rows else None
+    return values, np.asarray(labels, dtype=np.int8), width, line_no
+
+
+def _parse_block(chunk: list, line_no: int, width, label_col: int, want, strict_labels: bool):
+    """Parse a chunk of binary lines numbered from line_no + 1 with one
+    np.loadtxt call; None when the chunk needs the line parser.
+
+    Same return value as _parse_lines.
+    """
+    whole = b"".join(chunk)
+    if not whole.isascii():
+        return None         # the text decoder and str.strip() see more than bytes do
+    crlf = b"\r" in whole
+    if crlf and b"\r" in whole.replace(b"\r\n", b""):
+        return None         # a lone CR ends a physical line too
+    rows = [line for line in chunk if not line.isspace()][:want]
+    end_no = line_no + len(chunk)
     if not rows:
+        return None, np.zeros(0, dtype=np.int8), width, end_no
+    if width is None:
+        width = rows[0].count(b",") + 1
+    if label_col >= width:
+        return None
+    buf = whole if len(rows) == len(chunk) else b"".join(rows)
+    if crlf:
+        buf = buf.replace(b"\r\n", b"\n")
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    byte = np.frombuffer(buf, dtype=np.uint8)
+    n_tabs = buf.count(b"\t") if b"\t" in buf else 0
+    if np.count_nonzero(byte < 32) != len(rows) + n_tabs:
+        return None         # a control byte, which float() and loadtxt read apart
+    # a cell is empty where a delimiter follows a delimiter or the chunk start
+    delim = (byte == _COMMA) | (byte == _NEWLINE)
+    empty = np.flatnonzero(delim & np.concatenate(([True], delim[:-1])))
+    if empty.size:
+        cuts = [0, *empty.tolist(), len(buf)]
+        buf = b"nan".join([buf[a:b] for a, b in zip(cuts, cuts[1:])])
+    try:
+        table = np.loadtxt(io.BytesIO(buf), delimiter=",", dtype=np.float64,
+                           ndmin=2, comments=None)
+    except ValueError:
+        return None         # a bad cell, or a row whose width differs from the first's
+    if table.shape != (len(rows), width):
+        return None         # loadtxt matched rows to this chunk's first, not the file's
+    if label_col < 0:
+        return table, np.zeros(len(rows), dtype=np.int8), width, end_no
+    raw_labels = table[:, label_col]
+    binary = (raw_labels == 0.0) | (raw_labels == 1.0)
+    labels = np.where(binary, raw_labels, 0.0).astype(np.int8)
+    odd = np.flatnonzero(~binary)
+    if odd.size:
+        kept_at = [k for k, line in enumerate(chunk) if not line.isspace()]
+        for i in odd.tolist():
+            token = rows[i].strip().split(b",")[label_col].decode()
+            labels[i] = _parse_label(token, line_no + kept_at[i] + 1, strict_labels)
+    return np.delete(table, label_col, axis=1), labels, width, end_no
+
+
+def _load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
+    value_blocks = []
+    label_blocks = []
+    n_rows = 0
+    width = None
+    line_no = 0
+    with _open_binary(path) as fh:
+        while max_rows is None or n_rows < max_rows:
+            chunk = list(itertools.islice(fh, CSV_CHUNK_LINES))
+            if not chunk:
+                break
+            want = None if max_rows is None else max_rows - n_rows
+            parsed = _parse_block(chunk, line_no, width, label_col, want, strict_labels)
+            if parsed is None:
+                text = io.TextIOWrapper(io.BytesIO(b"".join(chunk)))
+                parsed = _parse_lines(text, line_no, width, label_col, want, strict_labels)
+            values, labels, width, line_no = parsed
+            if values is not None:
+                value_blocks.append(values)
+                label_blocks.append(labels)
+                n_rows += labels.size
+    if not n_rows:
         raise ValueError("no samples")
-    return np.vstack(rows), np.asarray(labels, dtype=np.int8)
+    return np.concatenate(value_blocks), np.concatenate(label_blocks)
 
 
 def _load_libsvm(path: str, n_features, max_rows):

@@ -6,19 +6,11 @@ a whole depth level has been split.  Node address ranges are half open.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .fixed_point import FRAC_BITS, logistic_grad_hess, quantize
 from .quantizer import QuantizedMatrix
-
-
-class StateRecord(NamedTuple):
-    score: int
-    grad: int
-    hess: int
-    label: int
 
 
 @dataclass
@@ -34,11 +26,6 @@ class StateMemory:
     @property
     def n_samples(self) -> int:
         return self.scores_raw.shape[0]
-
-    def record(self, i: int) -> StateRecord:
-        return StateRecord(
-            int(self.scores_raw[i]), int(self.grads_raw[i]), int(self.hess_raw[i]), int(self.labels[i])
-        )
 
 
 @dataclass

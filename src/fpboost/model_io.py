@@ -7,19 +7,21 @@ integers next to the frac_bits that scale them.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boost_controller import DepthLog, Model, TrainingLog, TreeLog
 from .node_trainer import TrainConfig
-from .quantizer import BinMap
+from .quantizer import MISSING_BIN, BinMap
 from .splitter import TreeModel, TreeNode
 
 MODEL_FORMAT = "fpboost-model"
 BINMAP_FORMAT = "fpboost-binmap"
 LOG_FORMAT = "fpboost-log"
 FORMAT_VERSION = 1
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @dataclass
@@ -82,15 +84,31 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _node_from_dict(doc, where: str, n_features: int) -> TreeNode:
+    if not isinstance(doc, dict) or not isinstance(doc.get("is_leaf"), bool):
+        raise ValueError(f"{where}: a node needs a boolean 'is_leaf'")
     if doc["is_leaf"]:
-        return TreeNode(is_leaf=True, leaf_weight_raw=int(doc["leaf_weight_raw"]))
-    return TreeNode(
-        is_leaf=False,
-        feature=int(doc["feature"]),
-        threshold_bin=int(doc["threshold_bin"]),
-        missing_left=bool(doc["missing_left"]),
-    )
+        weight = doc.get("leaf_weight_raw")
+        if not (_is_int(weight) and INT64_MIN <= weight <= INT64_MAX):
+            raise ValueError(f"{where}: leaf_weight_raw must be an int64 integer, got {weight!r}")
+        return TreeNode(is_leaf=True, leaf_weight_raw=weight)
+    feature = doc.get("feature")
+    if not (_is_int(feature) and 0 <= feature < n_features):
+        raise ValueError(f"{where}: feature must be an integer in [0, {n_features}), got {feature!r}")
+    threshold = doc.get("threshold_bin")
+    if not (_is_int(threshold) and 0 <= threshold < MISSING_BIN):
+        raise ValueError(
+            f"{where}: threshold_bin must be an integer in [0, {MISSING_BIN - 1}], got {threshold!r}"
+        )
+    missing_left = doc.get("missing_left")
+    if not isinstance(missing_left, bool):
+        raise ValueError(f"{where}: missing_left must be true or false, got {missing_left!r}")
+    return TreeNode(is_leaf=False, feature=feature, threshold_bin=threshold,
+                    missing_left=missing_left)
 
 
 def _tree_to_doc(tree: TreeModel) -> list:
@@ -98,11 +116,44 @@ def _tree_to_doc(tree: TreeModel) -> list:
             for level in tree.levels]
 
 
-def _tree_from_doc(doc: list) -> TreeModel:
-    return TreeModel(levels=[
-        {int(node_id): _node_from_dict(n) for node_id, n in level.items()}
-        for level in doc
-    ])
+def _tree_from_doc(doc, index: int, n_features: int) -> TreeModel:
+    """Rebuild one tree, checking that every sample can be routed through it:
+    the root is node 0, each split has both children one level down, and
+    each node below the root hangs off a split."""
+    if not isinstance(doc, list) or not doc or not isinstance(doc[0], dict) or "0" not in doc[0]:
+        raise ValueError(f"tree {index}: expected a list of levels starting with root node 0")
+    tree = TreeModel(levels=[])
+    for depth, level in enumerate(doc):
+        if not isinstance(level, dict):
+            raise ValueError(f"tree {index}, depth {depth}: expected an object of nodes")
+        nodes = {}
+        for key, node_doc in level.items():
+            where = f"tree {index}, depth {depth}, node {key}"
+            try:
+                node_id = int(key)
+            except ValueError:
+                raise ValueError(f"{where}: node id is not an integer") from None
+            if depth == 0:
+                orphan = node_id != 0
+            else:
+                parent = tree.levels[depth - 1].get(node_id // 2)
+                orphan = parent is None or parent.is_leaf
+            if orphan:
+                raise ValueError(f"{where}: orphan node, no split above it")
+            nodes[node_id] = _node_from_dict(node_doc, where, n_features)
+        tree.levels.append(nodes)
+    for depth, level in enumerate(tree.levels):
+        below = tree.levels[depth + 1] if depth + 1 < len(tree.levels) else {}
+        for node_id, node in level.items():
+            if node.is_leaf:
+                continue
+            for child in (2 * node_id, 2 * node_id + 1):
+                if child not in below:
+                    raise ValueError(
+                        f"tree {index}, depth {depth}, node {node_id}: "
+                        f"split without child {child} at depth {depth + 1}"
+                    )
+    return tree
 
 
 def _bin_map_to_doc(bin_map: BinMap) -> dict:
@@ -133,11 +184,15 @@ def load_model(path: str) -> ModelBundle:
         raise ValueError(
             f"frac_bits mismatch: document says {doc['frac_bits']}, config says {config.frac_bits}"
         )
+    bin_map = _bin_map_from_doc(doc["bin_map"])
+    base_score = doc["base_score"]
+    if not (isinstance(base_score, (int, float)) and math.isfinite(base_score)):
+        raise ValueError(f"base_score must be a finite number, got {base_score!r}")
     model = Model(
-        trees=[_tree_from_doc(t) for t in doc["trees"]],
-        base_score=float(doc["base_score"]),
+        trees=[_tree_from_doc(t, i, bin_map.n_features) for i, t in enumerate(doc["trees"])],
+        base_score=float(base_score),
     )
-    return ModelBundle(model=model, bin_map=_bin_map_from_doc(doc["bin_map"]), config=config)
+    return ModelBundle(model=model, bin_map=bin_map, config=config)
 
 
 def save_bin_map(bin_map: BinMap, path: str) -> None:

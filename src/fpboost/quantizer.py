@@ -36,6 +36,8 @@ class BinMap:
             c = np.asarray(cents, dtype=np.float64)
             if c.ndim != 1 or not (1 <= c.size <= MAX_BINS):
                 raise ValueError(f"feature {f}: need 1..{MAX_BINS} centroids, got shape {c.shape}")
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"feature {f}: centroids must be finite")
             if c.size > 1 and not np.all(np.diff(c) > 0):
                 raise ValueError(f"feature {f}: centroids must be strictly ascending")
             c.flags.writeable = False
@@ -52,7 +54,11 @@ class BinMap:
 
 @dataclass
 class RawDataset:
-    """Dense real-valued samples with NaN as the missing marker."""
+    """Dense real-valued samples with NaN as the missing marker.
+
+    Every other value must be finite: quantization has no bin for +-inf, and
+    model files could not store such a centroid as JSON.
+    """
 
     values: np.ndarray          # (n_samples, n_features) float64
     labels: np.ndarray          # (n_samples,) in {0, 1}
@@ -67,6 +73,13 @@ class RawDataset:
         bad = ~np.isin(self.labels, (0, 1))
         if bad.any():
             raise ValueError(f"labels must be 0 or 1; offending row {int(np.argmax(bad))}")
+        infinite = np.isinf(self.values)
+        if infinite.any():
+            row, feature = divmod(int(np.argmax(infinite)), self.values.shape[1])
+            raise ValueError(
+                f"row {row}, feature {feature}: non-finite value {self.values[row, feature]}; "
+                "values must be finite, with NaN for missing"
+            )
 
     @property
     def n_samples(self) -> int:
@@ -102,10 +115,6 @@ class QuantizedMatrix:
 
     def column(self, feature: int) -> np.ndarray:
         return self.columns[feature]
-
-    def sample_bins(self, sample: int) -> np.ndarray:
-        """Bin vector of one sample across all features."""
-        return self.columns[:, sample]
 
 
 def fit_bins(column, max_bins: int = MAX_BINS) -> np.ndarray:

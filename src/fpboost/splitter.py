@@ -50,12 +50,6 @@ class TreeModel:
         return sum(1 for level in self.levels for n in level.values() if n.is_leaf)
 
 
-def goes_left(node: TreeNode, bin_value: int) -> bool:
-    if bin_value == MISSING_BIN:
-        return bool(node.missing_left)
-    return bin_value <= node.threshold_bin
-
-
 def partition(memory: EngineMemory, node_range: tuple, decision: SplitDecision,
               depth: int | None = None, node_id: int | None = None) -> int:
     """Stably split one node's index range into the inactive bank.
@@ -82,17 +76,6 @@ def partition(memory: EngineMemory, node_range: tuple, decision: SplitDecision,
         memory.table.record_range(depth + 1, 2 * node_id, start, mid)
         memory.table.record_range(depth + 1, 2 * node_id + 1, mid, end)
     return mid
-
-
-def route_to_leaf(tree: TreeModel, sample_bins) -> int:
-    """Descend from the root on one sample's bin vector; return the leaf weight."""
-    depth, node_id = 0, 0
-    while True:
-        node = tree.node(depth, node_id)
-        if node.is_leaf:
-            return int(node.leaf_weight_raw)
-        node_id = 2 * node_id + (0 if goes_left(node, int(sample_bins[node.feature])) else 1)
-        depth += 1
 
 
 def route_weights(tree: TreeModel, columns: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 Everything here recomputes results along a different path than the library:
 splits by direct sample partitioning (no histograms, no prefix sums, no
 index tables), sigmoid in arbitrary precision, gain in exact rationals,
-AUC by pair counting, and the subsample generator in pure-Python integers.
+AUC by pair counting, the subsample generator in pure-Python integers, and
+CSV parsing one cell at a time through Python's float().
 The scalar gain/weight formulas and the fixed-point state update are shared
 with the library on purpose: the oracles exercise the accumulation and
 search machinery around them.
 """
 
+import gzip
 import math
 from fractions import Fraction
 
@@ -229,3 +231,58 @@ def assert_trees_match(tree_model, ref_root, frac_bits, ulp_tol=1):
         assert node.missing_left == ref_node["missing_left"], (depth, node_id)
         stack.append((depth + 1, 2 * node_id, ref_node["left"]))
         stack.append((depth + 1, 2 * node_id + 1, ref_node["right"]))
+
+
+# ---------------------------------------------------------------- dataset
+
+def _ref_parse_label(token: str, line_no: int, strict: bool) -> int:
+    try:
+        v = float(token)
+    except ValueError:
+        raise ValueError(f"line {line_no}: bad label {token!r}")
+    if v in (0.0, 1.0):
+        return int(v)
+    if strict:
+        raise ValueError(f"line {line_no}: non-binary label {token!r}")
+    return 1 if v > 0 else 0
+
+
+def ref_load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
+    """CSV loading one text line and one cell at a time: (values, labels)."""
+    rows = []
+    labels = []
+    width = None
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if max_rows is not None and len(rows) >= max_rows:
+                break
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ValueError(f"line {line_no}: expected {width} columns, got {len(cells)}")
+            if label_col >= 0:
+                if label_col >= len(cells):
+                    raise ValueError(f"line {line_no}: no label column {label_col}")
+                labels.append(_ref_parse_label(cells[label_col], line_no, strict_labels))
+                cells = cells[:label_col] + cells[label_col + 1:]
+            else:
+                labels.append(0)
+            row = np.empty(len(cells), dtype=np.float64)
+            for j, cell in enumerate(cells):
+                cell = cell.strip()
+                if cell == "" or cell.lower() == "nan":
+                    row[j] = np.nan
+                else:
+                    try:
+                        row[j] = float(cell)
+                    except ValueError:
+                        raise ValueError(f"line {line_no}: bad value {cell!r}")
+            rows.append(row)
+    if not rows:
+        raise ValueError("no samples")
+    return np.vstack(rows), np.asarray(labels, dtype=np.int8)

@@ -131,6 +131,18 @@ def test_overflowing_frac_bits_is_single_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "m.json").exists()
 
+def test_non_finite_value_is_single_line_error(tmp_path, capsys):
+    p = tmp_path / "inf.csv"
+    p.write_text("1,0.5\n0,1e400\n1,2.0\n")
+    rc = main(["train", "--data", str(p), "--format", "csv",
+               "--model-out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 1, feature 0: non-finite value inf")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_bad_data_error_mentions_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.5\n0,zzz\n")

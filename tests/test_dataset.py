@@ -1,9 +1,15 @@
 import gzip
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from fpboost.dataset import load_dataset
+from fpboost import dataset
+from fpboost.dataset import CSV_CHUNK_LINES, load_dataset
+from fpboost.quantizer import RawDataset
+from reference import ref_load_csv
 
 
 def _write(tmp_path, name, text):
@@ -135,3 +141,128 @@ def test_deterministic_reload(tmp_path, rng):
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(np.isnan(a.values), np.isnan(b.values))
     assert np.array_equal(a.values[~np.isnan(a.values)], b.values[~np.isnan(b.values)])
+
+
+# ---------------------------------------------------------------- chunked CSV vs the reference
+
+def _outcome(load):
+    """A RawDataset, or the message of the ValueError raised instead."""
+    try:
+        return load()
+    except ValueError as err:
+        return f"error: {err}"
+
+
+def _assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.values.shape == want.values.shape
+    nan = np.isnan(want.values)
+    assert np.array_equal(np.isnan(got.values), nan)
+    assert np.array_equal(got.values[~nan].view(np.int64), want.values[~nan].view(np.int64))
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+
+
+def _check_against_reference(path, label_col=0, max_rows=None, strict_labels=True):
+    got = _outcome(lambda: load_dataset(str(path), "csv", label_col=label_col,
+                                        max_rows=max_rows, strict_labels=strict_labels))
+    want = _outcome(lambda: RawDataset(*ref_load_csv(str(path), label_col, max_rows,
+                                                     strict_labels)))
+    _assert_same(got, want)
+    return got
+
+
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:+.6e}"),
+    st.integers(-1000, 1000).map(str),
+)
+_odd_cell = st.sampled_from(["", " ", "\t", "nan", "NaN", "-nan", " 2.5 ", "1_0", "oops",
+                             "inf", "1e400", "\u0663"])
+_cell = st.one_of(_number, _number, _odd_cell)
+_label = st.sampled_from(["0", "1", "1.0", "2", "-1", "", "nan"])
+
+
+@st.composite
+def _csv_text(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        n = width if draw(st.integers(0, 19)) else draw(st.integers(1, width + 1))
+        cells = [draw(_cell) for _ in range(n)]
+        cells[draw(st.integers(0, n - 1))] = draw(_label)
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_text(), label_col=st.sampled_from([-1, 0, 1, 4]),
+       max_rows=st.one_of(st.none(), st.integers(1, 6)), strict_labels=st.booleans(),
+       chunk_lines=st.integers(1, 4))
+@example(text="1, ,2\n", label_col=0, max_rows=None, strict_labels=True, chunk_lines=4)
+@example(text="1,2\n0,3\n2,oops\n", label_col=0, max_rows=None, strict_labels=True,
+         chunk_lines=4)
+def test_chunked_loader_matches_reference(tmp_path, text, label_col, max_rows, strict_labels,
+                                          chunk_lines):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(dataset, "CSV_CHUNK_LINES", chunk_lines):
+        _check_against_reference(path, label_col, max_rows, strict_labels)
+
+
+def _rows(n, start=0):
+    return [f"{(i + start) % 2},{i * 0.25:.17g},{-i / 3:.17g},{'' if i % 5 else 'nan'}"
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_CHUNK_LINES - 1, CSV_CHUNK_LINES,
+                                    CSV_CHUNK_LINES + 1])
+def test_kept_line_counts_around_the_chunk_size(tmp_path, n_rows):
+    path = tmp_path / "d.csv"
+    path.write_text("".join(line + "\n" for line in _rows(n_rows)))
+    got = _check_against_reference(path)
+    if n_rows == 0:
+        assert got == "error: no samples"
+    else:
+        assert got.n_samples == n_rows
+
+
+def test_blank_lines_straddling_a_chunk_boundary(tmp_path):
+    c = CSV_CHUNK_LINES
+    lines = _rows(c - 2) + ["", "  ", "", ""] + _rows(3, start=c) + [""]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert _check_against_reference(path).n_samples == c + 1
+
+
+@pytest.mark.parametrize("bad", ["0,1.0,oops,2", "2,1.0,1.5,2", "1,1.0,2", " ,1.0,1.5,2"])
+def test_error_after_the_first_chunk_names_its_physical_line(tmp_path, bad):
+    c = CSV_CHUNK_LINES
+    lines = _rows(c) + ["", ""] + _rows(2) + [bad] + _rows(3)
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = _check_against_reference(path)
+    assert got.startswith(f"error: line {c + 5}: ")
+
+
+def test_malformed_tail_after_max_rows_is_never_parsed(tmp_path):
+    c = CSV_CHUNK_LINES
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(_rows(c + 10) + ["2,oops", "x"]) + "\n")
+    got = _check_against_reference(path, max_rows=c + 10)
+    assert got.n_samples == c + 10
+    assert isinstance(_check_against_reference(path), str)
+
+
+def test_gzip_input_spans_chunks(tmp_path):
+    path = tmp_path / "d.csv.gz"
+    with gzip.open(path, "wt") as fh:
+        fh.write("\r\n".join(_rows(CSV_CHUNK_LINES + 7)) + "\r\n")
+    assert _check_against_reference(path).n_samples == CSV_CHUNK_LINES + 7

@@ -33,10 +33,9 @@ class TestLoad:
     def test_record_accessor(self, rng):
         matrix, labels = random_quantized(rng, 5, 2)
         mem = load(matrix, labels, 0.0)
-        rec = mem.state.record(3)
-        assert rec.score == 0
-        assert rec.label == labels[3]
-        assert rec.hess > 0
+        assert mem.state.scores_raw[3] == 0
+        assert mem.state.labels[3] == labels[3]
+        assert mem.state.hess_raw[3] > 0
 
 
 class TestIndexTable:

@@ -123,3 +123,90 @@ def test_training_log_round_trip(rng, tmp_path):
     a = estimate(log, log.n_samples, log.config, params)
     b = estimate(loaded, loaded.n_samples, loaded.config, params)
     assert a == b
+
+
+def _rewrite(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc, sort_keys=True))
+    assert "Infinity" in path.read_text()
+
+
+def test_non_finite_numbers_fail_at_load(rng, tmp_path):
+    model, bins, config, _, _ = _trained(rng)
+    path = tmp_path / "m.json"
+    save_model(model, bins, config, str(path))
+    saved = path.read_text()
+    _rewrite(path, lambda doc: doc["bin_map"]["centroids"][0].__setitem__(-1, float("inf")))
+    with pytest.raises(ValueError, match="feature 0: centroids must be finite"):
+        load_model(str(path))
+    path.write_text(saved)
+    _rewrite(path, lambda doc: doc.__setitem__("base_score", float("-inf")))
+    with pytest.raises(ValueError, match="base_score must be a finite number"):
+        load_model(str(path))
+    bins_path = tmp_path / "bins.json"
+    save_bin_map(bins, str(bins_path))
+    _rewrite(bins_path, lambda doc: doc["centroids"][-1].insert(0, float("-inf")))
+    with pytest.raises(ValueError, match="centroids must be finite"):
+        load_bin_map(str(bins_path))
+
+
+_SPLIT_FIELD_MUTATIONS = {
+    "feature": [-1, "n_features", 1.5, "0", None, True],
+    "threshold_bin": [-1, 255, 300, 2.0, None],
+    "missing_left": [0, 1, "true", None],
+    "is_leaf": [True, None, 0],
+}
+_LEAF_FIELD_MUTATIONS = {
+    "leaf_weight_raw": [1.5, "7", None, True, 1 << 63, -(1 << 63) - 1, float("inf")],
+    "is_leaf": [False, None, 1],
+}
+_DELETED = object()
+
+
+def _one_field_mutants(doc, n_features):
+    """Every saved model that differs from doc in one node field, one node
+    or one added node, with the place the load error must name."""
+    for t, tree in enumerate(doc["trees"]):
+        for d, level in enumerate(tree):
+            for key, node in level.items():
+                where = f"tree {t}, depth {d}, node {key}"
+                table = _LEAF_FIELD_MUTATIONS if node["is_leaf"] else _SPLIT_FIELD_MUTATIONS
+                for field, values in table.items():
+                    for value in values + [_DELETED]:
+                        mutant = json.loads(json.dumps(doc))
+                        target = mutant["trees"][t][d][key]
+                        if value is _DELETED:
+                            del target[field]
+                        else:
+                            target[field] = n_features if value == "n_features" else value
+                        yield mutant, where
+                mutant = json.loads(json.dumps(doc))
+                del mutant["trees"][t][d][key]
+                yield mutant, f"tree {t}"
+                if node["is_leaf"]:
+                    mutant = json.loads(json.dumps(doc))
+                    if d + 1 == len(tree):
+                        mutant["trees"][t].append({})
+                    mutant["trees"][t][d + 1][str(2 * int(key))] = dict(node)
+                    yield mutant, f"tree {t}, depth {d + 1}, node {2 * int(key)}: orphan"
+        mutant = json.loads(json.dumps(doc))
+        mutant["trees"][t][0]["1"] = {"is_leaf": True, "leaf_weight_raw": 0}
+        yield mutant, f"tree {t}, depth 0, node 1: orphan"
+
+
+def test_one_field_mutations_fail_at_load(rng, tmp_path):
+    path = tmp_path / "m.json"
+    n_mutants = 0
+    for _ in range(3):
+        model, bins, config, matrix, _ = _trained(rng, n_trees=2, max_depth=3, gamma=0.0)
+        save_model(model, bins, config, str(path))
+        doc = json.loads(path.read_text())
+        assert any(not n["is_leaf"] for tree in doc["trees"] for n in tree[0].values())
+        for mutant, where in _one_field_mutants(doc, bins.n_features):
+            path.write_text(json.dumps(mutant, sort_keys=True))
+            with pytest.raises(ValueError) as err:
+                load_model(str(path))
+            assert str(err.value).startswith(where), (where, str(err.value))
+            n_mutants += 1
+    assert n_mutants > 100

@@ -131,6 +131,20 @@ def test_bin_map_validation():
         BinMap([np.array([])])
     with pytest.raises(ValueError):
         BinMap([np.arange(256, dtype=np.float64)])
+    for bad in ([1.0, np.inf], [-np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            BinMap([np.array([0.5]), np.array(bad)])
+
+
+def test_raw_dataset_rejects_non_finite_values():
+    # fit_bins would keep +-inf as centroids and transform would bin -inf
+    # above the lowest finite value
+    values = np.array([[1.0], [2.0], [np.inf], [-np.inf], [3.0]])
+    with pytest.raises(ValueError, match=r"^row 2, feature 0: non-finite value inf"):
+        RawDataset(values=values, labels=np.zeros(5, dtype=np.int8))
+    values = np.array([[0.0, np.nan], [np.nan, -np.inf]])
+    with pytest.raises(ValueError, match=r"^row 1, feature 1: non-finite value -inf"):
+        RawDataset(values=values, labels=np.zeros(2, dtype=np.int8))
 
 
 def test_bin_map_equality():

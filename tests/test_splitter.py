@@ -10,12 +10,11 @@ from fpboost.splitter import (
     TreeNode,
     apply_tree_update,
     partition,
-    route_to_leaf,
     route_weights,
     tree_increment,
 )
 from conftest import random_quantized
-from reference import mp_grad_hess
+from reference import mp_grad_hess, ref_route
 
 SCALE = 1 << FRAC_BITS
 
@@ -99,26 +98,44 @@ def _stump(feature=0, threshold=5, missing_left=False, wl=100, wr=-200):
     return tree
 
 
+def _nested(tree, depth=0, node_id=0):
+    """The reference's nested-dict form of a TreeModel."""
+    node = tree.node(depth, node_id)
+    if node.is_leaf:
+        return {"weight": node.leaf_weight_raw}
+    return {"feature": node.feature, "threshold": node.threshold_bin,
+            "missing_left": node.missing_left,
+            "left": _nested(tree, depth + 1, 2 * node_id),
+            "right": _nested(tree, depth + 1, 2 * node_id + 1)}
+
+
+def _route_one(tree, sample_bins):
+    """route_weights on a one-sample column matrix."""
+    columns = np.asarray(sample_bins, dtype=np.uint8).reshape(-1, 1)
+    return int(route_weights(tree, columns)[0])
+
+
 class TestRouting:
     def test_single_leaf(self):
         tree = TreeModel()
         tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=42))
-        assert route_to_leaf(tree, [7, 9]) == 42
+        assert _route_one(tree, [7, 9]) == ref_route(_nested(tree), [7, 9]) == 42
 
     def test_stump_boundary(self):
         tree = _stump(feature=1, threshold=5)
-        assert route_to_leaf(tree, [0, 5]) == 100
-        assert route_to_leaf(tree, [0, 6]) == -200
+        for bins, weight in (([0, 5], 100), ([0, 6], -200)):
+            assert _route_one(tree, bins) == ref_route(_nested(tree), bins) == weight
 
     def test_missing_direction(self):
-        assert route_to_leaf(_stump(missing_left=False), [255]) == -200
-        assert route_to_leaf(_stump(missing_left=True), [255]) == 100
+        for missing_left, weight in ((False, -200), (True, 100)):
+            tree = _stump(missing_left=missing_left)
+            assert _route_one(tree, [255]) == ref_route(_nested(tree), [255]) == weight
 
     def test_malformed_tree(self):
         tree = TreeModel()
         tree.put(0, 0, TreeNode(is_leaf=False, feature=0, threshold_bin=1, missing_left=True))
         with pytest.raises(ValueError, match="malformed"):
-            route_to_leaf(tree, [0])
+            _route_one(tree, [0])
 
     def test_route_weights_matches_scalar(self, rng):
         matrix, labels = random_quantized(rng, 150, 4, missing_frac=0.15)
@@ -128,7 +145,7 @@ class TestRouting:
                                                      subsample=1.0, n_engines=1))
         for tree in model.trees:
             vec = route_weights(tree, matrix.columns)
-            scalar = [route_to_leaf(tree, matrix.columns[:, i]) for i in range(150)]
+            scalar = [ref_route(_nested(tree), matrix.columns[:, i]) for i in range(150)]
             assert list(vec) == scalar
 
 
