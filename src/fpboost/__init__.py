@@ -2,7 +2,7 @@
 
 from .boost_controller import Model, predict_raw, subsample_indices, train
 from .cost_model import CostParams, CostReport, estimate, to_wall_time
-from .data_parallel import merge_histograms, shard
+from .data_parallel import shard
 from .dataset import load_dataset
 from .engine_memory import EngineMemory, IndexTable, StateMemory, init_index_table, load, node_slice
 from .fixed_point import FRAC_BITS, dequantize, quantize, sigmoid

@@ -1,9 +1,10 @@
 """Boosting driver: subsampling, per-depth node training, tree bookkeeping.
 
-One tree per round: initialize an index table over the subsampled rows,
+One tree per round: initialize one index table over the subsampled rows,
 train and split nodes depth-synchronously, then refresh every sample's
-score and gradients from the finished tree.  All engines share the feature
-matrix and sample state; each owns an index table over its shard.
+score and gradients from the finished tree.  Histograms are exact integer
+sums, so the engine count cannot change a split; it reaches only the
+training log, where the cost model reads it.
 """
 
 from collections import deque
@@ -11,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_parallel import merged_node_histogram, shard
 from .engine_memory import EngineMemory, init_index_table, load, node_slice
-from .fixed_point import FRAC_BITS, dequantize, quantize, sigmoid
-from .node_trainer import GradientHistogram, TrainConfig, find_best_split, leaf_weight, split_child_totals
+from .fixed_point import FRAC_BITS, dequantize, sigmoid
+from .node_trainer import (GradientHistogram, TrainConfig, build_histogram, find_best_split,
+                           leaf_weight, split_child_totals)
 from .quantizer import QuantizedMatrix
-from .splitter import TreeModel, TreeNode, apply_tree_update, partition, tree_increment
+from .splitter import TreeModel, TreeNode, apply_tree_update, partition, replay_scores
 
 BASE_SCORE = 0.0
 
@@ -94,39 +95,39 @@ def _log_loss(scores_raw, labels, frac_bits: int) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def _node_histogram(engines: list, depth: int, node_id: int) -> GradientHistogram:
-    return merged_node_histogram(engines, [node_slice(e.table, depth, node_id) for e in engines])
+def _node_histogram(memory: EngineMemory, depth: int, node_id: int) -> GradientHistogram:
+    return build_histogram(memory, node_slice(memory.table, depth, node_id))
 
 
-def _children(engines: list, depth: int, parent_id: int, parent_hist: GradientHistogram,
+def _children(memory: EngineMemory, depth: int, parent_id: int, parent_hist: GradientHistogram,
               child_totals: tuple) -> list:
     """(node id, histogram, totals) of both children of one split node.
 
-    Only the child with fewer samples is built from the index tables; the
+    Only the child with fewer samples is built from the index table; the
     other is the parent's histogram minus it, exact because bins hold
     integer sums.
     """
     ids = (2 * parent_id, 2 * parent_id + 1)
     small = 0 if child_totals[0][2] <= child_totals[1][2] else 1
-    built = _node_histogram(engines, depth, ids[small])
+    built = _node_histogram(memory, depth, ids[small])
     sibling = parent_hist.minus(built)
     hists = (built, sibling) if small == 0 else (sibling, built)
     return list(zip(ids, hists, child_totals))
 
 
-def _level(engines: list, depth: int, parents: deque):
+def _level(memory: EngineMemory, depth: int, parents: deque):
     """Nodes to train at one depth, children of the split nodes one level up.
 
     Each parent histogram is released as soon as both its children exist.
     """
     while parents:
-        yield from _children(engines, depth, *parents.popleft())
+        yield from _children(memory, depth, *parents.popleft())
 
 
-def _grow_tree(engines: list, config: TrainConfig, tree_log_depths: list) -> TreeModel:
-    """Train one tree depth-synchronously over the engines' index tables."""
+def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list) -> TreeModel:
+    """Train one tree depth-synchronously over the memory's index table."""
     tree = TreeModel()
-    root = _node_histogram(engines, 0, 0)
+    root = _node_histogram(memory, 0, 0)
     nodes = [(0, root, root.totals())]
     for d in range(config.max_depth):
         trained_sizes = []
@@ -144,8 +145,7 @@ def _grow_tree(engines: list, config: TrainConfig, tree_log_depths: list) -> Tre
                 threshold_bin=decision.threshold_bin,
                 missing_left=decision.missing_left,
             ))
-            for e in engines:
-                partition(e, node_slice(e.table, d, node_id), decision, depth=d, node_id=node_id)
+            partition(memory, node_slice(memory.table, d, node_id), decision, depth=d, node_id=node_id)
             split_sizes.append(totals[2])
             child_totals = split_child_totals(hist, decision, totals)
             if d + 1 == config.max_depth:
@@ -158,12 +158,11 @@ def _grow_tree(engines: list, config: TrainConfig, tree_log_depths: list) -> Tre
                 parents.append((node_id, hist, child_totals))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))
         if split_sizes:
-            for e in engines:
-                e.table.toggle()
+            memory.table.toggle()
         if not parents:
             break
         # built lazily, after the toggle makes the children's ranges active
-        nodes = _level(engines, d + 1, parents)
+        nodes = _level(memory, d + 1, parents)
     return tree
 
 
@@ -177,26 +176,22 @@ def train(matrix: QuantizedMatrix, labels, config: TrainConfig) -> tuple:
             f"n_samples={matrix.n_samples} with frac_bits={config.frac_bits} can overflow "
             "int64 node totals: need n_samples * 2**frac_bits < 2**63"
         )
-    base = load(matrix, labels, BASE_SCORE, config.frac_bits)
-    state = base.state
+    memory = load(matrix, labels, BASE_SCORE, config.frac_bits)
     model = Model(base_score=BASE_SCORE)
     log = TrainingLog(n_samples=matrix.n_samples, n_features=matrix.n_features, config=config)
 
     for t in range(config.n_trees):
         active = subsample_indices(config.seed, t, matrix.n_samples, config.subsample)
-        engines = [
-            EngineMemory(matrix, state, init_index_table(s, matrix.n_samples))
-            for s in shard(active, config.n_engines)
-        ]
+        memory.table = init_index_table(active, matrix.n_samples)
         depths = []
-        tree = _grow_tree(engines, config, depths)
+        tree = _grow_tree(memory, config, depths)
         model.trees.append(tree)
-        apply_tree_update(engines[0], tree, config.eta)
+        apply_tree_update(memory, tree, config.eta)
         log.trees.append(TreeLog(
             n_subsampled=int(active.size),
             depths=depths,
             n_leaves=tree.n_leaves(),
-            train_loss=_log_loss(state.scores_raw, state.labels, config.frac_bits),
+            train_loss=_log_loss(memory.state.scores_raw, memory.state.labels, config.frac_bits),
         ))
     return model, log
 
@@ -204,7 +199,4 @@ def train(matrix: QuantizedMatrix, labels, config: TrainConfig) -> tuple:
 def predict_raw(model: Model, matrix: QuantizedMatrix, eta: float = 1.0,
                 frac_bits: int = FRAC_BITS) -> np.ndarray:
     """Replay the model over a quantized matrix; raw fixed-point margins."""
-    scores = np.full(matrix.n_samples, quantize(model.base_score, frac_bits), dtype=np.int64)
-    for tree in model.trees:
-        scores += tree_increment(tree, matrix.columns, eta, frac_bits)
-    return scores
+    return replay_scores(model.trees, model.base_score, matrix.columns, eta, frac_bits)

@@ -9,8 +9,9 @@ is no header, quoting or comment syntax.  A cell is read with Python's
 ``nan`` (any case) cell is missing (NaN).  The label cell must read as 0 or
 1 (any value > 0 counts as 1 when strict labels are off); a blank label is
 an error.  Non-finite values such as ``inf`` or ``1e400`` are rejected with
-their row and feature (see ``RawDataset``).  A bad line is reported by its
-physical line number, and the first bad line in the file is the one reported.
+their row and feature (see ``RawDataset``).  A bad line, including one with
+bytes the locale's text encoding cannot decode, is reported by its physical
+line number, and the first bad line in the file is the one reported.
 
 CSV files are read in chunks of CSV_CHUNK_LINES physical lines, and each
 chunk is parsed with one ``np.loadtxt`` call.  A chunk that call cannot take
@@ -26,6 +27,7 @@ sparse inputs with zeros; callers relying on zero-fill must densify first.
 import gzip
 import io
 import itertools
+import locale
 
 import numpy as np
 
@@ -37,16 +39,32 @@ CSV_CHUNK_LINES = 1024
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
-def _open_text(path: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt")
-    return open(path, "r")
-
-
 def _open_binary(path: str):
     if str(path).endswith(".gz"):
         return gzip.open(path, "rb")
     return open(path, "rb")
+
+
+def _text_lines(binary_lines, line_no: int):
+    """Decode lines read in binary mode into the lines text mode reads: a
+    CRLF or a lone CR ends a line too, and is read as LF.  An undecodable
+    byte raises a ValueError naming its physical line, numbered from
+    line_no + 1, once the lines before it have been yielded."""
+    encoding = locale.getpreferredencoding(False)
+    for raw in binary_lines:
+        try:
+            text = raw.decode(encoding)
+        except UnicodeDecodeError as err:
+            cut = raw.rfind(b"\r", 0, err.start) + 1      # start of the bad line
+            good = raw[:cut].decode(encoding)
+            yield from io.StringIO(good, newline=None)
+            bad_line = line_no + good.count("\r") + 1
+            err = UnicodeDecodeError(err.encoding, raw[cut:], err.start - cut, err.end - cut,
+                                     err.reason)
+            raise ValueError(f"line {bad_line}: {err}") from None
+        lines = list(io.StringIO(text, newline=None)) if "\r" in text else [text]
+        line_no += len(lines)
+        yield from lines
 
 
 def _parse_label(token: str, line_no: int, strict: bool) -> int:
@@ -172,8 +190,8 @@ def _load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
             want = None if max_rows is None else max_rows - n_rows
             parsed = _parse_block(chunk, line_no, width, label_col, want, strict_labels)
             if parsed is None:
-                text = io.TextIOWrapper(io.BytesIO(b"".join(chunk)))
-                parsed = _parse_lines(text, line_no, width, label_col, want, strict_labels)
+                parsed = _parse_lines(_text_lines(chunk, line_no), line_no, width, label_col,
+                                      want, strict_labels)
             values, labels, width, line_no = parsed
             if values is not None:
                 value_blocks.append(values)
@@ -188,8 +206,8 @@ def _load_libsvm(path: str, n_features, max_rows):
     entries = []
     labels = []
     max_seen = 0
-    with _open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with _open_binary(path) as fh:
+        for line_no, line in enumerate(_text_lines(fh, 0), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

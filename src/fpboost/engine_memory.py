@@ -1,4 +1,4 @@
-"""Per-engine data memories: features, per-sample state, and the index table.
+"""The engine data memory: features, per-sample state, and the index table.
 
 The index table is double banked: node splits stream the active bank and
 write the partitioned order into the other bank, which becomes active once
@@ -22,10 +22,6 @@ class StateMemory:
     hess_raw: np.ndarray        # (n,) int64
     labels: np.ndarray          # (n,) int8
     frac_bits: int = FRAC_BITS
-
-    @property
-    def n_samples(self) -> int:
-        return self.scores_raw.shape[0]
 
 
 @dataclass
@@ -58,10 +54,6 @@ class EngineMemory:
     matrix: QuantizedMatrix
     state: StateMemory
     table: IndexTable | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.n_samples
 
 
 def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from .fixed_point import FRAC_BITS, quantize
+from .fixed_point import FRAC_BITS
 from .quantizer import QuantizedMatrix
-from .splitter import tree_increment
+from .splitter import replay_scores
 
 
 def auc(scores, labels) -> float:
@@ -37,9 +37,7 @@ def evaluate_per_tree(model, matrix: QuantizedMatrix, labels, eta: float = 1.0,
         raise ValueError("empty model")
     if bin_map is not None and bin_map != matrix.bin_map:
         raise ValueError("validation data was quantized with a different bin map")
-    scores = np.full(matrix.n_samples, quantize(model.base_score, frac_bits), dtype=np.int64)
     history = []
-    for tree in model.trees:
-        scores += tree_increment(tree, matrix.columns, eta, frac_bits)
-        history.append(auc(scores, labels))
+    replay_scores(model.trees, model.base_score, matrix.columns, eta, frac_bits,
+                  after_tree=lambda scores: history.append(auc(scores, labels)))
     return history, max(history)

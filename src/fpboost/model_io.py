@@ -8,7 +8,7 @@ integers next to the frac_bits that scale them.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,40 +37,73 @@ def _dump(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _load(path: str, expected_format: str) -> dict:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INT = (_is_int, "an integer")
+_NUMBER = (lambda v: _is_real(v) and math.isfinite(v), "a finite number")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_INT_LIST = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+_CHECKED = (lambda v: True, "")           # a value the caller has checked already
+
+# the keys each saved object holds, with the check on each value
+_HEADER = {"format": _CHECKED, "format_version": _CHECKED}
+# BinMap checks that centroids are finite and names the feature
+_BIN_MAP = {"centroids": (lambda v: isinstance(v, list) and all(
+    isinstance(c, list) and all(map(_is_real, c)) for c in v), "a list of lists of numbers")}
+_MODEL = {"frac_bits": _INT, "base_score": _NUMBER, "config": _OBJECT,
+          "bin_map": _OBJECT, "trees": _LIST}
+_LOG = {"n_samples": _INT, "n_features": _INT, "config": _OBJECT, "trees": _LIST}
+_LOG_TREE = {"n_subsampled": _INT, "n_leaves": _INT, "train_loss": _NUMBER, "depths": _LIST}
+_LOG_DEPTH = {"trained_sizes": _INT_LIST, "split_sizes": _INT_LIST}
+_LOG_CONFIG = {f.name: _INT if f.type is int else _NUMBER for f in fields(TrainConfig)}
+# engine count is an execution knob, not a model property: identical models
+# come out of any engine count, so model files omit it and stay byte-comparable
+# across runs; training logs keep it for the cost model.
+_MODEL_CONFIG = {k: v for k, v in _LOG_CONFIG.items() if k != "n_engines"}
+
+
+def _checked(doc, schema: dict, where: str) -> dict:
+    """doc, once it holds exactly the schema's keys and each value passes its check."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
+    unknown = sorted(doc.keys() - schema.keys())
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    for key, (check, what) in schema.items():
+        if key not in doc:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if not check(doc[key]):
+            raise ValueError(f"{where}: {key} must be {what}, got {doc[key]!r}")
+    return doc
+
+
+def _load(path: str, expected_format: str, schema: dict, where: str) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"malformed document: {err}") from err
-    if doc.get("format") != expected_format:
-        raise ValueError(f"not a {expected_format} file: format={doc.get('format')!r}")
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != expected_format:
+        raise ValueError(f"not a {expected_format} file: format={found!r}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
-    return doc
+    return _checked(doc, {**_HEADER, **schema}, where)
 
 
-def _config_to_dict(config: TrainConfig, include_engines: bool) -> dict:
-    # engine count is an execution knob, not a model property: identical
-    # models come out of any engine count, so model files omit it and stay
-    # byte-comparable across runs; training logs keep it for the cost model.
-    doc = {
-        "lam": config.lam,
-        "gamma": config.gamma,
-        "max_depth": config.max_depth,
-        "n_trees": config.n_trees,
-        "subsample": config.subsample,
-        "eta": config.eta,
-        "seed": config.seed,
-        "frac_bits": config.frac_bits,
-    }
-    if include_engines:
-        doc["n_engines"] = config.n_engines
-    return doc
-
-
-def _config_from_dict(doc: dict) -> TrainConfig:
-    return TrainConfig(**doc)
+def _config_from_dict(doc, schema: dict, where: str) -> TrainConfig:
+    checked = _checked(doc, schema, where)
+    try:
+        return TrainConfig(**checked)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def _node_to_dict(node: TreeNode) -> dict:
@@ -84,31 +117,24 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_LEAF = {"is_leaf": _CHECKED,
+         "leaf_weight_raw": (lambda v: _is_int(v) and INT64_MIN <= v <= INT64_MAX,
+                             "an int64 integer")}
 
 
 def _node_from_dict(doc, where: str, n_features: int) -> TreeNode:
     if not isinstance(doc, dict) or not isinstance(doc.get("is_leaf"), bool):
         raise ValueError(f"{where}: a node needs a boolean 'is_leaf'")
     if doc["is_leaf"]:
-        weight = doc.get("leaf_weight_raw")
-        if not (_is_int(weight) and INT64_MIN <= weight <= INT64_MAX):
-            raise ValueError(f"{where}: leaf_weight_raw must be an int64 integer, got {weight!r}")
-        return TreeNode(is_leaf=True, leaf_weight_raw=weight)
-    feature = doc.get("feature")
-    if not (_is_int(feature) and 0 <= feature < n_features):
-        raise ValueError(f"{where}: feature must be an integer in [0, {n_features}), got {feature!r}")
-    threshold = doc.get("threshold_bin")
-    if not (_is_int(threshold) and 0 <= threshold < MISSING_BIN):
-        raise ValueError(
-            f"{where}: threshold_bin must be an integer in [0, {MISSING_BIN - 1}], got {threshold!r}"
-        )
-    missing_left = doc.get("missing_left")
-    if not isinstance(missing_left, bool):
-        raise ValueError(f"{where}: missing_left must be true or false, got {missing_left!r}")
-    return TreeNode(is_leaf=False, feature=feature, threshold_bin=threshold,
-                    missing_left=missing_left)
+        return TreeNode(**_checked(doc, _LEAF, where))
+    return TreeNode(**_checked(doc, {
+        "is_leaf": _CHECKED,
+        "feature": (lambda v: _is_int(v) and 0 <= v < n_features,
+                    f"an integer in [0, {n_features})"),
+        "threshold_bin": (lambda v: _is_int(v) and 0 <= v < MISSING_BIN,
+                          f"an integer in [0, {MISSING_BIN - 1}]"),
+        "missing_left": (lambda v: isinstance(v, bool), "true or false"),
+    }, where))
 
 
 def _tree_to_doc(tree: TreeModel) -> list:
@@ -170,7 +196,7 @@ def save_model(model: Model, bin_map: BinMap, config: TrainConfig, path: str) ->
         "format_version": FORMAT_VERSION,
         "frac_bits": config.frac_bits,
         "base_score": float(model.base_score),
-        "config": _config_to_dict(config, include_engines=False),
+        "config": {k: v for k, v in asdict(config).items() if k in _MODEL_CONFIG},
         "bin_map": _bin_map_to_doc(bin_map),
         "trees": [_tree_to_doc(t) for t in model.trees],
     }
@@ -178,19 +204,17 @@ def save_model(model: Model, bin_map: BinMap, config: TrainConfig, path: str) ->
 
 
 def load_model(path: str) -> ModelBundle:
-    doc = _load(path, MODEL_FORMAT)
-    config = _config_from_dict(doc["config"])
+    """Read a model file; every key save_model writes must be there, and no other."""
+    doc = _load(path, MODEL_FORMAT, _MODEL, "model")
+    config = _config_from_dict(doc["config"], _MODEL_CONFIG, "model config")
     if doc["frac_bits"] != config.frac_bits:
         raise ValueError(
             f"frac_bits mismatch: document says {doc['frac_bits']}, config says {config.frac_bits}"
         )
-    bin_map = _bin_map_from_doc(doc["bin_map"])
-    base_score = doc["base_score"]
-    if not (isinstance(base_score, (int, float)) and math.isfinite(base_score)):
-        raise ValueError(f"base_score must be a finite number, got {base_score!r}")
+    bin_map = _bin_map_from_doc(_checked(doc["bin_map"], _BIN_MAP, "model bin_map"))
     model = Model(
         trees=[_tree_from_doc(t, i, bin_map.n_features) for i, t in enumerate(doc["trees"])],
-        base_score=float(base_score),
+        base_score=float(doc["base_score"]),
     )
     return ModelBundle(model=model, bin_map=bin_map, config=config)
 
@@ -202,51 +226,25 @@ def save_bin_map(bin_map: BinMap, path: str) -> None:
 
 
 def load_bin_map(path: str) -> BinMap:
-    return _bin_map_from_doc(_load(path, BINMAP_FORMAT))
+    return _bin_map_from_doc(_load(path, BINMAP_FORMAT, _BIN_MAP, "bin map"))
 
 
 def save_training_log(log: TrainingLog, path: str) -> None:
-    doc = {
-        "format": LOG_FORMAT,
-        "format_version": FORMAT_VERSION,
-        "n_samples": log.n_samples,
-        "n_features": log.n_features,
-        "config": _config_to_dict(log.config, include_engines=True),
-        "trees": [
-            {
-                "n_subsampled": t.n_subsampled,
-                "n_leaves": t.n_leaves,
-                "train_loss": t.train_loss,
-                "depths": [
-                    {"trained_sizes": d.trained_sizes, "split_sizes": d.split_sizes}
-                    for d in t.depths
-                ],
-            }
-            for t in log.trees
-        ],
-    }
-    _dump(doc, path)
+    _dump({"format": LOG_FORMAT, "format_version": FORMAT_VERSION, **asdict(log)}, path)
 
 
 def load_training_log(path: str) -> TrainingLog:
-    doc = _load(path, LOG_FORMAT)
+    """Read a training log; every key save_training_log writes must be there, and no other."""
+    doc = _load(path, LOG_FORMAT, _LOG, "log")
+    trees = []
+    for i, t in enumerate(doc["trees"]):
+        t = _checked(t, _LOG_TREE, f"log tree {i}")
+        depths = [DepthLog(**_checked(d, _LOG_DEPTH, f"log tree {i}, depth {k}"))
+                  for k, d in enumerate(t["depths"])]
+        trees.append(TreeLog(**{**t, "depths": depths}))
     return TrainingLog(
-        n_samples=int(doc["n_samples"]),
-        n_features=int(doc["n_features"]),
-        config=_config_from_dict(doc["config"]),
-        trees=[
-            TreeLog(
-                n_subsampled=int(t["n_subsampled"]),
-                n_leaves=int(t["n_leaves"]),
-                train_loss=float(t["train_loss"]),
-                depths=[
-                    DepthLog(
-                        trained_sizes=[int(s) for s in d["trained_sizes"]],
-                        split_sizes=[int(s) for s in d["split_sizes"]],
-                    )
-                    for d in t["depths"]
-                ],
-            )
-            for t in doc["trees"]
-        ],
+        n_samples=doc["n_samples"],
+        n_features=doc["n_features"],
+        config=_config_from_dict(doc["config"], _LOG_CONFIG, "log config"),
+        trees=trees,
     )

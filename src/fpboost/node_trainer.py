@@ -15,6 +15,7 @@ from .quantizer import MISSING_BIN
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
 _LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
+HISTOGRAM_BLOCK = 8192        # samples per histogram accumulation block
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class TrainConfig:
     n_trees: int = 100
     subsample: float = 0.5      # per-tree Bernoulli sample rate
     eta: float = 1.0            # shrinkage on leaf weights
-    n_engines: int = 64
+    n_engines: int = 64         # modelled engines; read by the cost model only
     seed: int = 0
     frac_bits: int = FRAC_BITS
 
@@ -100,26 +101,28 @@ class SplitDecision:
 
 
 def build_histogram(memory: EngineMemory, node_range: tuple) -> GradientHistogram:
-    """Accumulate (grad, hess, count) of one node's samples into feature bins."""
+    """Accumulate (grad, hess, count) of one node's samples into feature bins.
+
+    The range is streamed in blocks of HISTOGRAM_BLOCK samples, which bounds
+    the temporaries.  Block sums are exact and add up in int64, exactly too
+    while n * 2**frac_bits < 2**63, which train() checks.
+    """
     start, end = node_range
     n_features = memory.matrix.n_features
     frac_bits = memory.state.frac_bits
     hist = GradientHistogram.zeros(n_features, frac_bits)
-    idx = memory.table.active()[start:end]
-    m = idx.size
-    if m == 0:
-        return hist
-    # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
-    # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
-    single_pass = (m << frac_bits) < (1 << 53)
-    if not single_pass and m >= (1 << (53 - _LIMB_BITS)):
-        raise ValueError("node too large for exact histogram accumulation")
-    bins = memory.matrix.columns[:, idx].astype(np.int64)
-    flat = (np.arange(n_features, dtype=np.int64)[:, None] * N_BINS + bins).ravel()
+    offsets = np.arange(n_features, dtype=np.int64)[:, None] * N_BINS
     shape = (n_features, N_BINS)
-    hist.sum_g[:] = _bin_sums(flat, memory.state.grads_raw[idx], shape, single_pass)
-    hist.sum_h[:] = _bin_sums(flat, memory.state.hess_raw[idx], shape, single_pass)
-    hist.count[:] = np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
+    active = memory.table.active()
+    for lo in range(start, end, HISTOGRAM_BLOCK):
+        idx = active[lo:min(lo + HISTOGRAM_BLOCK, end)]
+        # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
+        # of one float64 pass stay exact integers while size * 2**frac_bits < 2**53
+        single_pass = (idx.size << frac_bits) < (1 << 53)
+        flat = (offsets + memory.matrix.columns[:, idx]).ravel()
+        hist.sum_g += _bin_sums(flat, memory.state.grads_raw[idx], shape, single_pass)
+        hist.sum_h += _bin_sums(flat, memory.state.hess_raw[idx], shape, single_pass)
+        hist.count += np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
     return hist
 
 

@@ -48,9 +48,6 @@ class BinMap:
     def n_features(self) -> int:
         return len(self.centroids)
 
-    def n_bins(self, feature: int) -> int:
-        return self.centroids[feature].size
-
 
 @dataclass
 class RawDataset:

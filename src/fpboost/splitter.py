@@ -105,6 +105,21 @@ def tree_increment(tree: TreeModel, columns: np.ndarray, eta: float,
     return quantize(eta * (w.astype(np.float64) / scale(frac_bits)), frac_bits)
 
 
+def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
+                  frac_bits: int = FRAC_BITS, after_tree=None) -> np.ndarray:
+    """Raw margins of a tree sequence, accumulated in fixed point as in training.
+
+    One score array is updated in place; after_tree, when given, sees it
+    after every tree.
+    """
+    scores = np.full(columns.shape[1], quantize(base_score, frac_bits), dtype=np.int64)
+    for tree in trees:
+        scores += tree_increment(tree, columns, eta, frac_bits)
+        if after_tree is not None:
+            after_tree(scores)
+    return scores
+
+
 def apply_tree_update(memory: EngineMemory, tree: TreeModel, eta: float = 1.0) -> None:
     """Add the finished tree's (shrunken) leaf weights to every sample's score
     and refresh gradients and hessians from the new margins."""

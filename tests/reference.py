@@ -3,8 +3,9 @@
 Everything here recomputes results along a different path than the library:
 splits by direct sample partitioning (no histograms, no prefix sums, no
 index tables), sigmoid in arbitrary precision, gain in exact rationals,
-AUC by pair counting, the subsample generator in pure-Python integers, and
-CSV parsing one cell at a time through Python's float().
+AUC by pair counting, the subsample generator in pure-Python integers,
+node histograms built engine by engine and merged, and CSV parsing one
+cell at a time through Python's float().
 The scalar gain/weight formulas and the fixed-point state update are shared
 with the library on purpose: the oracles exercise the accumulation and
 search machinery around them.
@@ -18,7 +19,7 @@ import numpy as np
 from mpmath import mp
 
 from fpboost.fixed_point import logistic_grad_hess, quantize
-from fpboost.node_trainer import split_gain
+from fpboost.node_trainer import GradientHistogram, build_histogram, split_gain
 
 MISSING = 255
 
@@ -231,6 +232,30 @@ def assert_trees_match(tree_model, ref_root, frac_bits, ulp_tol=1):
         assert node.missing_left == ref_node["missing_left"], (depth, node_id)
         stack.append((depth + 1, 2 * node_id, ref_node["left"]))
         stack.append((depth + 1, 2 * node_id + 1, ref_node["right"]))
+
+
+# ------------------------------------------------------- data parallelism
+
+def merge_histograms(hists: list) -> GradientHistogram:
+    """Elementwise integer sum of per-engine histograms, engine order ascending."""
+    if not hists:
+        raise ValueError("nothing to merge")
+    first = hists[0]
+    out = GradientHistogram.zeros(first.n_features, first.frac_bits)
+    for h in hists:
+        if h.sum_g.shape != first.sum_g.shape:
+            raise ValueError(f"histogram shape mismatch: {h.sum_g.shape} vs {first.sum_g.shape}")
+        out.sum_g += h.sum_g
+        out.sum_h += h.sum_h
+        out.count += h.count
+    return out
+
+
+def merged_node_histogram(memories: list, ranges: list) -> GradientHistogram:
+    """Build one node's histogram engine by engine, each over its own range, and merge."""
+    if len(memories) != len(ranges):
+        raise ValueError("one range per engine required")
+    return merge_histograms([build_histogram(m, r) for m, r in zip(memories, ranges)])
 
 
 # ---------------------------------------------------------------- dataset

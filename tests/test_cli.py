@@ -152,6 +152,28 @@ def test_bad_data_error_mentions_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_malformed_model_file_is_single_line_error(tmp_path, csv_pair, capsys):
+    train_csv, valid_csv = csv_pair
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
+                 "--model-out", str(model_path)]) == 0
+    saved = json.loads(model_path.read_text())
+    edits = {
+        "error: model config: unknown key 'bogus'": lambda d: d["config"].__setitem__("bogus", 1),
+        "error: model: missing key 'trees'": lambda d: d.pop("trees"),
+        "error: model config: missing key 'lam'": lambda d: d["config"].pop("lam"),
+    }
+    for expected, edit in edits.items():
+        doc = json.loads(json.dumps(saved))
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--data", valid_csv, "--format", "csv", "--model", str(model_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == expected + "\n"
+
+
 def test_predict_without_labels(tmp_path, csv_pair, capsys):
     train_csv, valid_csv = csv_pair
     rc = main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",

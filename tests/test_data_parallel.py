@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fpboost.data_parallel import merge_histograms, merged_node_histogram, shard
+from fpboost.data_parallel import shard
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.node_trainer import GradientHistogram, TrainConfig, build_histogram, find_best_split
 from conftest import random_quantized
+from reference import merge_histograms, merged_node_histogram
 
 
 class TestShard:
@@ -89,7 +90,7 @@ class TestMerge:
 
 
 def _node_decision(engines, ranges, config, depth=0):
-    """The controller's per-node path: merged per-engine histograms, one split scan."""
+    """One split scan over a node's merged per-engine histograms."""
     hist = merged_node_histogram(engines, ranges)
     return find_best_split(hist, hist.totals(), depth, config)
 

@@ -252,6 +252,32 @@ def test_error_after_the_first_chunk_names_its_physical_line(tmp_path, bad):
     assert got.startswith(f"error: line {c + 5}: ")
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_undecodable_byte_names_its_physical_line(tmp_path, newline):
+    c = CSV_CHUNK_LINES
+    lines = [line.encode() for line in _rows(c) + ["", ""] + _rows(2)]
+    lines += [b"0,1.0,\xff,2"] + [line.encode() for line in _rows(3)]
+    path = tmp_path / "d.csv"
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(ValueError, match=rf"^line {c + 5}: .* byte 0xff in position 6"):
+        load_dataset(str(path), "csv")
+    # an earlier bad line is still the one reported
+    path.write_bytes(newline.join(lines[:c + 3] + [b"1,oops,1,1"] + lines[c + 4:]) + newline)
+    with pytest.raises(ValueError, match=rf"^line {c + 4}: bad value 'oops'"):
+        load_dataset(str(path), "csv")
+
+
+def test_undecodable_byte_on_line_two(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"1,0.5\n0,\xff1\n")
+    with pytest.raises(ValueError, match=r"^line 2: .* byte 0xff in position 2"):
+        load_dataset(str(path), "csv")
+    path = tmp_path / "d.libsvm"
+    path.write_bytes(b"1 1:0.5\n1 1:\xff\n")
+    with pytest.raises(ValueError, match=r"^line 2: .* byte 0xff in position 4"):
+        load_dataset(str(path), "libsvm")
+
+
 def test_malformed_tail_after_max_rows_is_never_parsed(tmp_path):
     c = CSV_CHUNK_LINES
     path = tmp_path / "d.csv"

@@ -92,16 +92,13 @@ def test_permutation_preservation_and_address_accounting(rng):
     matrix, labels = random_quantized(rng, 300, 4)
     config = TrainConfig(n_trees=1, max_depth=4, subsample=1.0, n_engines=1,
                          gamma=0.0, seed=5)
-    from fpboost.data_parallel import shard
-    from fpboost.engine_memory import EngineMemory
     from fpboost.boost_controller import _grow_tree, subsample_indices
 
-    base = load(matrix, labels, 0.0)
-    active = subsample_indices(0, 0, 300, 1.0)
-    engine = EngineMemory(matrix, base.state, init_index_table(active, 300))
-    _grow_tree([engine], config, [])
+    memory = load(matrix, labels, 0.0)
+    memory.table = init_index_table(subsample_indices(0, 0, 300, 1.0), 300)
+    _grow_tree(memory, config, [])
 
-    by_depth = _collect_depth_ranges(engine.table)
+    by_depth = _collect_depth_ranges(memory.table)
     assert by_depth[0] == {0: (0, 300)}
     for d, nodes in by_depth.items():
         spans = sorted(nodes.values())

@@ -182,6 +182,9 @@ def _one_field_mutants(doc, n_features):
                             target[field] = n_features if value == "n_features" else value
                         yield mutant, where
                 mutant = json.loads(json.dumps(doc))
+                mutant["trees"][t][d][key]["bogus"] = 0
+                yield mutant, f"{where}: unknown key 'bogus'"
+                mutant = json.loads(json.dumps(doc))
                 del mutant["trees"][t][d][key]
                 yield mutant, f"tree {t}"
                 if node["is_leaf"]:
@@ -195,6 +198,41 @@ def _one_field_mutants(doc, n_features):
         yield mutant, f"tree {t}, depth 0, node 1: orphan"
 
 
+_TOP_LEVEL_TYPE_MUTATIONS = {
+    None: {"frac_bits": [24.0, "24", True], "base_score": ["0", None, float("nan")],
+           "config": [[], None], "bin_map": [[], "x"], "trees": [3, {}, None]},
+    "config": {"lam": ["1", None, float("nan")], "eta": [True, float("inf")],
+               "max_depth": [2.5, "3"], "n_trees": [None], "seed": [1.0],
+               "subsample": [[0.5]]},
+    "bin_map": {"centroids": [{}, 1.0, [1.0], [[0.5, "1"]], [[0.5, None]], [[True]]]},
+}
+_SECTION_NAMES = {None: "model", "config": "model config", "bin_map": "model bin_map"}
+
+
+def _edited(doc, section, edit):
+    mutant = json.loads(json.dumps(doc))
+    edit(mutant if section is None else mutant[section])
+    return mutant
+
+
+def _top_level_mutants(doc):
+    """Every saved model with one top-level, config or bin_map key deleted,
+    added or of a wrong type, with the start of the error load must raise.
+    The format fields have their own tests."""
+    for section, where in _SECTION_NAMES.items():
+        keys = doc if section is None else doc[section]
+        for key in sorted(set(keys) - {"format", "format_version"}):
+            yield _edited(doc, section, lambda d: d.pop(key)), f"{where}: missing key {key!r}"
+        yield (_edited(doc, section, lambda d: d.__setitem__("bogus", 1)),
+               f"{where}: unknown key 'bogus'")
+        for key, values in _TOP_LEVEL_TYPE_MUTATIONS[section].items():
+            for value in values:
+                yield (_edited(doc, section, lambda d: d.__setitem__(key, value)),
+                       f"{where}: {key} must be")
+    # well typed but out of range: TrainConfig's own check, under the section name
+    yield _edited(doc, "config", lambda d: d.__setitem__("eta", 0.0)), "model config: eta must be"
+
+
 def test_one_field_mutations_fail_at_load(rng, tmp_path):
     path = tmp_path / "m.json"
     n_mutants = 0
@@ -203,10 +241,43 @@ def test_one_field_mutations_fail_at_load(rng, tmp_path):
         save_model(model, bins, config, str(path))
         doc = json.loads(path.read_text())
         assert any(not n["is_leaf"] for tree in doc["trees"] for n in tree[0].values())
-        for mutant, where in _one_field_mutants(doc, bins.n_features):
+        mutants = [*_one_field_mutants(doc, bins.n_features), *_top_level_mutants(doc)]
+        for mutant, where in mutants:
             path.write_text(json.dumps(mutant, sort_keys=True))
             with pytest.raises(ValueError) as err:
                 load_model(str(path))
             assert str(err.value).startswith(where), (where, str(err.value))
             n_mutants += 1
     assert n_mutants > 100
+
+
+def test_log_key_mutations_fail_at_load(rng, tmp_path):
+    _, _, _, _, log = _trained(rng, n_trees=2, max_depth=2)
+    path = tmp_path / "log.json"
+    save_training_log(log, str(path))
+    doc = json.loads(path.read_text())
+    places = {"log": lambda d: d, "log config": lambda d: d["config"],
+              "log tree 1": lambda d: d["trees"][1],
+              "log tree 1, depth 0": lambda d: d["trees"][1]["depths"][0]}
+    wrong = {"n_samples": 1.0, "config": [], "trees": {}, "n_engines": None, "lam": "1",
+             "n_leaves": "2", "train_loss": None, "depths": 0,
+             "trained_sizes": [1.5], "split_sizes": "1"}
+    deleted = object()
+    cases = []                      # (place, key, new value or deleted, expected error start)
+    for where, target in places.items():
+        for key in sorted(set(target(doc)) - {"format", "format_version"}):
+            cases.append((where, key, deleted, f"{where}: missing key {key!r}"))
+            if key in wrong:
+                cases.append((where, key, wrong[key], f"{where}: {key} must be"))
+        cases.append((where, "bogus", 0, f"{where}: unknown key 'bogus'"))
+    assert len(cases) > 25
+    for where, key, value, expected in cases:
+        mutant = json.loads(json.dumps(doc))
+        if value is deleted:
+            del places[where](mutant)[key]
+        else:
+            places[where](mutant)[key] = value
+        path.write_text(json.dumps(mutant, sort_keys=True))
+        with pytest.raises(ValueError) as err:
+            load_training_log(str(path))
+        assert str(err.value).startswith(expected), (expected, str(err.value))

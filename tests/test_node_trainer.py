@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fpboost import node_trainer
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, quantize
 from fpboost.node_trainer import (
@@ -114,32 +115,43 @@ class TestBuildHistogram:
 
 @settings(max_examples=80, deadline=None)
 @given(frac_bits=st.integers(1, 48), n=st.integers(1, 3000),
-       seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
-@example(frac_bits=48, n=3000, seed=0, extreme=True)
-@example(frac_bits=42, n=2047, seed=1, extreme=True)     # largest single float64 pass
-@example(frac_bits=42, n=2048, seed=1, extreme=True)     # smallest 24-bit limb pass
-def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme):
-    """Bin sums equal Python-int sums for any accepted frac_bits."""
+       seed=st.integers(0, 2**32 - 1), extreme=st.booleans(),
+       block=st.sampled_from([None, 1, 3, 7]), start=st.integers(0, 9))
+@example(frac_bits=48, n=3000, seed=0, extreme=True, block=None, start=0)
+@example(frac_bits=42, n=2047, seed=1, extreme=True, block=None, start=0)   # largest single float64 pass
+@example(frac_bits=42, n=2048, seed=1, extreme=True, block=None, start=0)   # smallest 24-bit limb pass
+@example(frac_bits=48, n=3000, seed=2, extreme=True, block=7, start=5)     # 428 full blocks and a tail of 4
+@example(frac_bits=30, n=10, seed=3, extreme=False, block=3, start=9)      # tail of one sample
+@example(frac_bits=24, n=1, seed=4, extreme=False, block=1, start=1)
+def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme, block, start):
+    """Bin sums equal Python-int sums for any accepted frac_bits, block size
+    and node range; the node's samples sit between `start` others and three more."""
     rng = np.random.default_rng(seed)
+    total = start + n + 3
     one = 1 << frac_bits
     h_max = max(one // 4, 1)
     if extreme:
         # near the largest magnitudes the state holds (|grad| = 1, hess = 1/4),
         # one sign, low bits set: partial sums grow past 2**53 fastest
-        grads = (one - rng.integers(0, 1024, size=n, dtype=np.int64)) * int(rng.choice([-1, 1]))
-        hess = h_max - rng.integers(0, min(h_max, 1024), size=n, dtype=np.int64)
+        grads = (one - rng.integers(0, 1024, size=total, dtype=np.int64)) * int(rng.choice([-1, 1]))
+        hess = h_max - rng.integers(0, min(h_max, 1024), size=total, dtype=np.int64)
     else:
-        grads = rng.integers(-one, one + 1, size=n, dtype=np.int64)
-        hess = rng.integers(1, h_max + 1, size=n, dtype=np.int64)
-    columns = rng.choice(np.array([0, 1, 2, MISSING_BIN], dtype=np.uint8), size=(2, n))
+        grads = rng.integers(-one, one + 1, size=total, dtype=np.int64)
+        hess = rng.integers(1, h_max + 1, size=total, dtype=np.int64)
+    columns = rng.choice(np.array([0, 1, 2, MISSING_BIN], dtype=np.uint8), size=(2, total))
     matrix = QuantizedMatrix(columns=columns, bin_map=BinMap([np.arange(3.0)] * 2))
-    state = StateMemory(np.zeros(n, dtype=np.int64), grads, hess,
-                        np.zeros(n, dtype=np.int8), frac_bits)
-    hist = build_histogram(EngineMemory(matrix, state, init_index_table(np.arange(n))), (0, n))
+    state = StateMemory(np.zeros(total, dtype=np.int64), grads, hess,
+                        np.zeros(total, dtype=np.int8), frac_bits)
+    table = init_index_table(rng.permutation(total))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(node_trainer, "HISTOGRAM_BLOCK", block)
+        hist = build_histogram(EngineMemory(matrix, state, table), (start, start + n))
+    node = table.active()[start:start + n]
     g_list, h_list = grads.tolist(), hess.tolist()
     for f in range(2):
         for b in (0, 1, 2, MISSING_BIN):
-            rows = np.flatnonzero(columns[f] == b).tolist()
+            rows = node[columns[f, node] == b].tolist()
             assert int(hist.sum_g[f, b]) == sum(g_list[i] for i in rows)
             assert int(hist.sum_h[f, b]) == sum(h_list[i] for i in rows)
             assert int(hist.count[f, b]) == len(rows)
