@@ -4,7 +4,7 @@ from .boost_controller import Model, predict_raw, subsample_indices, train
 from .cost_model import CostParams, CostReport, estimate, to_wall_time
 from .data_parallel import shard
 from .dataset import load_dataset
-from .engine_memory import EngineMemory, IndexTable, StateMemory, init_index_table, load, node_slice
+from .engine_memory import EngineMemory, StateMemory, init_index_table, load
 from .fixed_point import FRAC_BITS, dequantize, quantize, sigmoid
 from .metrics import auc, evaluate_per_tree
 from .model_io import ModelBundle, load_model, save_model

@@ -2,9 +2,11 @@
 
 One tree per round: initialize one index table over the subsampled rows,
 train and split nodes depth-synchronously, then refresh every sample's
-score and gradients from the finished tree.  Histograms are exact integer
-sums, so the engine count cannot change a split; it reaches only the
-training log, where the cost model reads it.
+score and gradients from the finished tree.  Each node carries its own
+half-open range of the table; a split rewrites that range in place, and
+its children own the two halves.  Histograms are exact integer sums, so
+the engine count cannot change a split; it reaches only the training log,
+where the cost model reads it.
 """
 
 from collections import deque
@@ -12,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine_memory import EngineMemory, init_index_table, load, node_slice
-from .fixed_point import FRAC_BITS, dequantize, sigmoid
+from .engine_memory import EngineMemory, init_index_table, load
+from .fixed_point import FRAC_BITS, sigmoid
 from .node_trainer import (GradientHistogram, TrainConfig, build_histogram, find_best_split,
-                           leaf_weight, split_child_totals)
+                           node_leaf, split_child_totals)
 from .quantizer import QuantizedMatrix
 from .splitter import TreeModel, TreeNode, apply_tree_update, partition, replay_scores
 
@@ -95,13 +97,9 @@ def _log_loss(scores_raw, labels, frac_bits: int) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def _node_histogram(memory: EngineMemory, depth: int, node_id: int) -> GradientHistogram:
-    return build_histogram(memory, node_slice(memory.table, depth, node_id))
-
-
-def _children(memory: EngineMemory, depth: int, parent_id: int, parent_hist: GradientHistogram,
-              child_totals: tuple) -> list:
-    """(node id, histogram, totals) of both children of one split node.
+def _children(memory: EngineMemory, parent_id: int, parent_hist: GradientHistogram,
+              child_totals: tuple, child_ranges: tuple) -> list:
+    """(node id, range, histogram, totals) of both children of one split node.
 
     Only the child with fewer samples is built from the index table; the
     other is the parent's histogram minus it, exact because bins hold
@@ -109,31 +107,33 @@ def _children(memory: EngineMemory, depth: int, parent_id: int, parent_hist: Gra
     """
     ids = (2 * parent_id, 2 * parent_id + 1)
     small = 0 if child_totals[0][2] <= child_totals[1][2] else 1
-    built = _node_histogram(memory, depth, ids[small])
+    built = build_histogram(memory, child_ranges[small])
     sibling = parent_hist.minus(built)
     hists = (built, sibling) if small == 0 else (sibling, built)
-    return list(zip(ids, hists, child_totals))
+    return list(zip(ids, child_ranges, hists, child_totals))
 
 
-def _level(memory: EngineMemory, depth: int, parents: deque):
+def _level(memory: EngineMemory, parents: deque):
     """Nodes to train at one depth, children of the split nodes one level up.
 
     Each parent histogram is released as soon as both its children exist.
     """
     while parents:
-        yield from _children(memory, depth, *parents.popleft())
+        yield from _children(memory, *parents.popleft())
 
 
 def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list) -> TreeModel:
     """Train one tree depth-synchronously over the memory's index table."""
     tree = TreeModel()
-    root = _node_histogram(memory, 0, 0)
-    nodes = [(0, root, root.totals())]
+    root_range = (0, memory.table.size)
+    root = build_histogram(memory, root_range)
+    nodes = [(0, root_range, root, root.totals())]
     for d in range(config.max_depth):
         trained_sizes = []
         split_sizes = []
-        parents = deque()       # (node id, histogram, child totals) of nodes whose children train
-        for node_id, hist, totals in nodes:
+        # (node id, histogram, child totals, child ranges) of nodes whose children train
+        parents = deque()
+        for node_id, (start, end), hist, totals in nodes:
             decision = find_best_split(hist, totals, d, config)
             trained_sizes.append(totals[2])
             if decision.is_leaf:
@@ -145,24 +145,19 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
                 threshold_bin=decision.threshold_bin,
                 missing_left=decision.missing_left,
             ))
-            partition(memory, node_slice(memory.table, d, node_id), decision, depth=d, node_id=node_id)
+            mid = partition(memory, (start, end), decision)
             split_sizes.append(totals[2])
             child_totals = split_child_totals(hist, decision, totals)
             if d + 1 == config.max_depth:
-                for child, (g, h, _c) in zip((2 * node_id, 2 * node_id + 1), child_totals):
-                    w = leaf_weight(dequantize(g, config.frac_bits),
-                                    dequantize(h, config.frac_bits),
-                                    config.lam, config.frac_bits)
+                for child, child_total in zip((2 * node_id, 2 * node_id + 1), child_totals):
+                    w = node_leaf(child_total, config.lam, config.frac_bits).leaf_weight_raw
                     tree.put(d + 1, child, TreeNode(is_leaf=True, leaf_weight_raw=w))
             else:
-                parents.append((node_id, hist, child_totals))
+                parents.append((node_id, hist, child_totals, ((start, mid), (mid, end))))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))
-        if split_sizes:
-            memory.table.toggle()
         if not parents:
             break
-        # built lazily, after the toggle makes the children's ranges active
-        nodes = _level(memory, d + 1, parents)
+        nodes = _level(memory, parents)
     return tree
 
 

@@ -81,7 +81,7 @@ def _parse_label(token: str, line_no: int, strict: bool) -> int:
 
 def _parse_lines(lines, line_no: int, width, label_col: int, want, strict_labels: bool):
     """Parse text lines numbered from line_no + 1 cell by cell, stopping
-    before the first kept line past `want` rows.
+    after the `want`-th row without reading the line that follows it.
 
     Returns (values or None, labels, width, number of the last line read).
     """
@@ -91,8 +91,6 @@ def _parse_lines(lines, line_no: int, width, label_col: int, want, strict_labels
         line = line.strip()
         if not line:
             continue
-        if want is not None and len(rows) >= want:
-            break
         cells = line.split(",")
         if width is None:
             width = len(cells)
@@ -116,6 +114,8 @@ def _parse_lines(lines, line_no: int, width, label_col: int, want, strict_labels
                 except ValueError:
                     raise ValueError(f"line {line_no}: bad value {cell!r}")
         rows.append(row)
+        if len(rows) == want:
+            break
     values = np.vstack(rows) if rows else None
     return values, np.asarray(labels, dtype=np.int8), width, line_no
 
@@ -211,8 +211,6 @@ def _load_libsvm(path: str, n_features, max_rows):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if max_rows is not None and len(entries) >= max_rows:
-                break
             tokens = line.split()
             # libsvm labels follow the sign convention: anything > 0 is positive
             labels.append(_parse_label(tokens[0], line_no, strict=False))
@@ -229,6 +227,8 @@ def _load_libsvm(path: str, n_features, max_rows):
                 row[idx - 1] = val
                 max_seen = max(max_seen, idx)
             entries.append(row)
+            if len(entries) == max_rows:
+                break           # before the next line is read and decoded
     if not entries:
         raise ValueError("no samples")
     width = n_features if n_features is not None else max_seen
@@ -251,7 +251,11 @@ def load_dataset(path: str, fmt: str, label_col: int = 0, n_features=None,
     means the file has no label column and labels are set to 0.
     libsvm: leading token is the label (any value > 0 counts as 1 when
     strict_labels is off); feature ids are 1-based; absent ids are missing.
+    With max_rows, reading stops after that many rows: later lines are never
+    read, so they cannot fail the load.
     """
+    if max_rows is not None and max_rows < 1:
+        raise ValueError(f"max_rows must be >= 1, got {max_rows}")
     if fmt == "csv":
         values, labels = _load_csv(path, label_col, max_rows, strict_labels)
     elif fmt == "libsvm":

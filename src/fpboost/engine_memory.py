@@ -1,11 +1,12 @@
 """The engine data memory: features, per-sample state, and the index table.
 
-The index table is double banked: node splits stream the active bank and
-write the partitioned order into the other bank, which becomes active once
-a whole depth level has been split.  Node address ranges are half open.
+The index table is one array of the active sample ids of a tree.  Every
+node owns a half-open address range of it, the root the whole table;
+splitting a node stably rewrites its own range in place, left branch
+first, so its children own the two halves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,35 +26,10 @@ class StateMemory:
 
 
 @dataclass
-class IndexTable:
-    """Double-banked sample-index table with per-(depth, node) address ranges."""
-
-    banks: np.ndarray                       # (2, n_active) int64
-    active_bank: int = 0
-    node_ranges: dict = field(default_factory=dict)
-
-    @property
-    def n_active(self) -> int:
-        return self.banks.shape[1]
-
-    def active(self) -> np.ndarray:
-        return self.banks[self.active_bank]
-
-    def inactive(self) -> np.ndarray:
-        return self.banks[1 - self.active_bank]
-
-    def record_range(self, depth: int, node: int, start: int, end: int) -> None:
-        self.node_ranges[(depth, node)] = (start, end)
-
-    def toggle(self) -> None:
-        self.active_bank = 1 - self.active_bank
-
-
-@dataclass
 class EngineMemory:
     matrix: QuantizedMatrix
     state: StateMemory
-    table: IndexTable | None = None
+    table: np.ndarray | None = None     # int64 active sample ids of the current tree
 
 
 def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,
@@ -71,9 +47,9 @@ def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,
     return EngineMemory(matrix=matrix, state=state)
 
 
-def init_index_table(active_indices, n_samples: int | None = None) -> IndexTable:
-    """Start a tree: bank 0 holds the active samples in order, root covers all."""
-    idx = np.asarray(active_indices, dtype=np.int64)
+def init_index_table(active_indices, n_samples: int | None = None) -> np.ndarray:
+    """Start a tree: a fresh table of the active samples in order; the root covers it all."""
+    idx = np.array(active_indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError("active_indices must be 1-d")
     if np.unique(idx).size != idx.size:
@@ -82,16 +58,4 @@ def init_index_table(active_indices, n_samples: int | None = None) -> IndexTable
         raise ValueError("negative sample index")
     if n_samples is not None and idx.size and idx.max() >= n_samples:
         raise ValueError("sample index out of range")
-    banks = np.zeros((2, idx.size), dtype=np.int64)
-    banks[0] = idx
-    table = IndexTable(banks=banks, active_bank=0)
-    table.record_range(0, 0, 0, idx.size)
-    return table
-
-
-def node_slice(table: IndexTable, depth: int, node: int) -> tuple:
-    """Half-open (start, end) address range recorded for one node."""
-    key = (depth, node)
-    if key not in table.node_ranges:
-        raise KeyError(f"no range recorded for depth {depth}, node {node}")
-    return table.node_ranges[key]
+    return idx

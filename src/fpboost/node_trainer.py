@@ -113,9 +113,8 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> GradientHistogra
     hist = GradientHistogram.zeros(n_features, frac_bits)
     offsets = np.arange(n_features, dtype=np.int64)[:, None] * N_BINS
     shape = (n_features, N_BINS)
-    active = memory.table.active()
     for lo in range(start, end, HISTOGRAM_BLOCK):
-        idx = active[lo:min(lo + HISTOGRAM_BLOCK, end)]
+        idx = memory.table[lo:min(lo + HISTOGRAM_BLOCK, end)]
         # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
         # of one float64 pass stay exact integers while size * 2**frac_bits < 2**53
         single_pass = (idx.size << frac_bits) < (1 << 53)
@@ -158,7 +157,8 @@ def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> i
     return int(quantize(-(g / (h + lam)), frac_bits))
 
 
-def _node_leaf(node_totals, lam: float, frac_bits: int) -> SplitDecision:
+def node_leaf(node_totals, lam: float, frac_bits: int) -> SplitDecision:
+    """Leaf decision for node totals (g_raw, h_raw, count); an empty node weighs 0."""
     g_raw, h_raw, count = node_totals
     if count == 0:
         w = 0
@@ -180,7 +180,7 @@ def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
     g_tot, h_tot, c_tot = node_totals
     fb = hist.frac_bits
     if depth >= config.max_depth or c_tot == 0:
-        return _node_leaf(node_totals, config.lam, fb)
+        return node_leaf(node_totals, config.lam, fb)
 
     # one (feature, threshold, side) block: side 0 groups the missing bin
     # left, side 1 right; row-major order is the tie order
@@ -201,7 +201,7 @@ def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
     k = int(np.argmax(gains))
     best_gain = float(gains.flat[k])
     if best_gain <= 0.0:
-        return _node_leaf(node_totals, config.lam, fb)
+        return node_leaf(node_totals, config.lam, fb)
     feature, rest = divmod(k, 2 * MISSING_BIN)
     threshold, side = divmod(rest, 2)
     return SplitDecision(

@@ -1,7 +1,8 @@
 """Sample routing: index-table partitioning and per-sample score updates.
 
-Partitioning is stable: both sides keep the relative order they had in the
-parent range, so the banks stay bit-reproducible run to run.
+Partitioning rewrites a node's own range of the index table in place and is
+stable: both sides keep the relative order they had in the parent range, so
+the table stays bit-reproducible run to run.
 """
 
 from dataclasses import dataclass, field
@@ -50,32 +51,24 @@ class TreeModel:
         return sum(1 for level in self.levels for n in level.values() if n.is_leaf)
 
 
-def partition(memory: EngineMemory, node_range: tuple, decision: SplitDecision,
-              depth: int | None = None, node_id: int | None = None) -> int:
-    """Stably split one node's index range into the inactive bank.
+def partition(memory: EngineMemory, node_range: tuple, decision: SplitDecision) -> int:
+    """Stably split one node's range of the index table in place; returns mid.
 
     Left-branch indices land at start..mid, right-branch at mid..end, both in
-    parent order.  When (depth, node_id) are given the child ranges are
-    recorded in the table; the caller toggles the bank once the whole depth
-    level is done.
+    parent order, so the children's ranges are (start, mid) and (mid, end).
     """
     if decision.is_leaf:
         raise ValueError("cannot partition on a leaf decision")
     start, end = node_range
-    src = memory.table.active()[start:end]
-    bins = memory.matrix.columns[decision.feature][src]
+    ids = memory.table[start:end]
+    bins = memory.matrix.columns[decision.feature][ids]
     go_left = bins <= decision.threshold_bin
     if decision.missing_left:
         go_left |= bins == MISSING_BIN
-    left = src[go_left]
-    mid = start + left.size
-    dst = memory.table.inactive()
-    dst[start:mid] = left
-    dst[mid:end] = src[~go_left]
-    if depth is not None and node_id is not None:
-        memory.table.record_range(depth + 1, 2 * node_id, start, mid)
-        memory.table.record_range(depth + 1, 2 * node_id + 1, mid, end)
-    return mid
+    left, right = ids[go_left], ids[~go_left]
+    ids[:left.size] = left
+    ids[left.size:] = right
+    return start + left.size
 
 
 def route_weights(tree: TreeModel, columns: np.ndarray) -> np.ndarray:

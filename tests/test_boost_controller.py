@@ -3,7 +3,7 @@ import pytest
 
 from fpboost import boost_controller
 from fpboost.boost_controller import Model, predict_raw, subsample_indices, train
-from fpboost.engine_memory import EngineMemory, init_index_table, load, node_slice
+from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize
 from fpboost.node_trainer import TrainConfig, build_histogram, leaf_weight
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix, RawDataset, fit_bin_map, transform
@@ -200,32 +200,52 @@ def _with_all_missing_feature(matrix):
     )
 
 
+def _assert_features_agree(hist, totals):
+    """Every feature's bins sum to the node totals, not only feature 0's."""
+    for f in range(hist.n_features):
+        assert (int(hist.sum_g[f].sum()), int(hist.sum_h[f].sum()), int(hist.count[f].sum())) == totals
+
+
 class TestSiblingSubtraction:
     @pytest.mark.parametrize("n_engines", [1, 3, 64])
     def test_every_child_histogram_equals_direct_build(self, rng, monkeypatch, n_engines):
         raw_matrix, labels = random_quantized(rng, 300, 4, missing_frac=0.05)
         matrix = _with_all_missing_feature(raw_matrix)
-        seen = {"children": 0}
+        seen = {"children": 0, "built": 0}
         children = boost_controller._children
+        build = boost_controller.build_histogram
 
-        def checked(memory, depth, parent_id, parent_hist, child_totals):
-            out = children(memory, depth, parent_id, parent_hist, child_totals)
-            for node_id, hist, totals in out:
-                idx = memory.table.active()[slice(*node_slice(memory.table, depth, node_id))]
-                direct = build_histogram(
-                    EngineMemory(matrix, memory.state, init_index_table(idx)), (0, idx.size))
+        def checked_build(memory, node_range):
+            hist = build(memory, node_range)
+            idx = memory.table[slice(*node_range)]
+            state = memory.state
+            _assert_features_agree(hist, (int(state.grads_raw[idx].sum()),
+                                          int(state.hess_raw[idx].sum()), idx.size))
+            seen["built"] += 1
+            return hist
+
+        def checked(memory, parent_id, parent_hist, child_totals, child_ranges):
+            out = children(memory, parent_id, parent_hist, child_totals, child_ranges)
+            for node_id, node_range, hist, totals in out:
+                idx = memory.table[slice(*node_range)]
+                direct = build(EngineMemory(matrix, memory.state, init_index_table(idx)),
+                               (0, idx.size))
                 assert np.array_equal(hist.sum_g, direct.sum_g)
                 assert np.array_equal(hist.sum_h, direct.sum_h)
                 assert np.array_equal(hist.count, direct.count)
                 assert totals == direct.totals()
+                _assert_features_agree(hist, totals)
                 seen["children"] += 1
             return out
 
+        monkeypatch.setattr(boost_controller, "build_histogram", checked_build)
         monkeypatch.setattr(boost_controller, "_children", checked)
         cfg = TrainConfig(n_trees=4, max_depth=4, subsample=0.7, n_engines=n_engines, seed=5)
         model, log = train(matrix, labels, cfg)
         assert seen["children"] == sum(len(d.trained_sizes) for t in log.trees for d in t.depths[1:])
         assert seen["children"] > 0
+        # one root per tree and one smaller child per split parent
+        assert seen["built"] == cfg.n_trees + seen["children"] // 2
         all_missing = matrix.n_features - 1
         for tree in model.trees:
             assert all(node.feature != all_missing for level in tree.levels for node in level.values())

@@ -61,7 +61,7 @@ class TestMerge:
     def test_merge_order_irrelevant(self, rng):
         matrix, labels = random_quantized(rng, 80, 2)
         engines = _engines_over(matrix, labels, np.arange(80), 2)
-        hists = [build_histogram(e, (0, e.table.n_active)) for e in engines]
+        hists = [build_histogram(e, (0, e.table.size)) for e in engines]
         ab = merge_histograms(hists)
         ba = merge_histograms(hists[::-1])
         assert np.array_equal(ab.sum_g, ba.sum_g)
@@ -83,7 +83,7 @@ class TestMerge:
         (whole,) = _engines_over(matrix, labels, active, 1)
         reference = build_histogram(whole, (0, 110))
         engines = _engines_over(matrix, labels, active, n_engines)
-        merged = merged_node_histogram(engines, [(0, e.table.n_active) for e in engines])
+        merged = merged_node_histogram(engines, [(0, e.table.size) for e in engines])
         assert np.array_equal(merged.sum_g, reference.sum_g)
         assert np.array_equal(merged.sum_h, reference.sum_h)
         assert np.array_equal(merged.count, reference.count)
@@ -117,7 +117,7 @@ class TestTrainNodeParallel:
         )
         engines = _engines_over(matrix, labels, np.arange(130), n_engines)
         many = _node_decision(
-            engines, [(0, e.table.n_active) for e in engines], config, depth=0,
+            engines, [(0, e.table.size) for e in engines], config, depth=0,
         )
         assert single == many
 

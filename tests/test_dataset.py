@@ -278,6 +278,31 @@ def test_undecodable_byte_on_line_two(tmp_path):
         load_dataset(str(path), "libsvm")
 
 
+@pytest.mark.parametrize("fmt, data", [
+    ("csv", b"1,0.5\n0,\xff1\n"),
+    ("csv", b"1,0.5\r0,\xff1\n"),          # one binary line, two physical lines
+    ("csv", b"1,0.5\n\n0,oops\n"),
+    ("libsvm", b"1 1:0.5\n1 1:\xff\n"),
+    ("libsvm", b"1 1:0.5\n\n1 1:oops\n"),
+])
+def test_bad_line_after_max_rows_is_never_read(tmp_path, fmt, data):
+    path = tmp_path / f"d.{fmt}"
+    path.write_bytes(data)
+    raw = load_dataset(str(path), fmt, max_rows=1)
+    assert raw.n_samples == 1 and raw.values[0, 0] == 0.5 and raw.labels[0] == 1
+    with pytest.raises(ValueError, match=r"^line [23]: "):
+        load_dataset(str(path), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+@pytest.mark.parametrize("max_rows", [0, -1])
+def test_max_rows_below_one_is_rejected(tmp_path, fmt, max_rows):
+    path = tmp_path / f"d.{fmt}"
+    path.write_text("1,0.5\n" if fmt == "csv" else "1 1:0.5\n")
+    with pytest.raises(ValueError, match=f"max_rows must be >= 1, got {max_rows}"):
+        load_dataset(str(path), fmt, max_rows=max_rows)
+
+
 def test_malformed_tail_after_max_rows_is_never_parsed(tmp_path):
     c = CSV_CHUNK_LINES
     path = tmp_path / "d.csv"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fpboost.engine_memory import init_index_table, load, node_slice
+from fpboost import boost_controller
+from fpboost.engine_memory import init_index_table, load
 from fpboost.fixed_point import FRAC_BITS
 from fpboost.node_trainer import SplitDecision, TrainConfig
 from fpboost.splitter import partition
-from fpboost.boost_controller import train
 from conftest import random_quantized
 
 SCALE = 1 << FRAC_BITS
@@ -41,14 +41,20 @@ class TestLoad:
 class TestIndexTable:
     def test_init_identity(self):
         table = init_index_table([0, 1, 2, 3])
-        assert list(table.active()) == [0, 1, 2, 3]
-        assert node_slice(table, 0, 0) == (0, 4)
-        assert table.active_bank == 0
+        assert list(table) == [0, 1, 2, 3]
+        assert table.size == 4          # the root's range is (0, 4)
+        assert table.dtype == np.int64 and table.ndim == 1
 
     def test_init_preserves_order(self):
         table = init_index_table([7, 3, 5])
-        assert list(table.active()) == [7, 3, 5]
-        assert node_slice(table, 0, 0) == (0, 3)
+        assert list(table) == [7, 3, 5]
+        assert table.size == 3
+
+    def test_init_copies_its_input(self):
+        active = np.array([2, 0, 1])
+        table = init_index_table(active)
+        table[:] = [0, 1, 2]
+        assert list(active) == [2, 0, 1]
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -60,11 +66,6 @@ class TestIndexTable:
         with pytest.raises(ValueError):
             init_index_table([-1])
 
-    def test_unknown_range_is_lookup_error(self):
-        table = init_index_table([0, 1, 2])
-        with pytest.raises(KeyError):
-            node_slice(table, 5, 0)
-
     def test_child_ranges_after_partition(self, rng):
         matrix, labels = random_quantized(rng, 30, 2, missing_frac=0.0)
         mem = load(matrix, labels, 0.0)
@@ -73,45 +74,77 @@ class TestIndexTable:
         t = int(np.median(column))
         decision = SplitDecision(is_leaf=False, feature=0, threshold_bin=t,
                                  missing_left=True, gain=1.0)
-        mid = partition(mem, node_slice(mem.table, 0, 0), decision, depth=0, node_id=0)
-        assert node_slice(mem.table, 1, 0) == (0, mid)
-        assert node_slice(mem.table, 1, 1) == (mid, 30)
+        mid = partition(mem, (0, 30), decision)
+        # the children own (0, mid) and (mid, 30)
+        assert list(mem.table[:mid]) == list(np.flatnonzero(column <= t))
+        assert list(mem.table[mid:30]) == list(np.flatnonzero(column > t))
         expected_left = int(np.count_nonzero(column <= t))
         assert mid == expected_left
 
 
-def _collect_depth_ranges(table):
-    by_depth = {}
-    for (d, node), rng_ in table.node_ranges.items():
-        by_depth.setdefault(d, {})[node] = rng_
+def _recording_partition(monkeypatch):
+    """Wrap the partition the tree loop calls; returns the list of
+    (node range, mid, node slice before, node slice after) it fills."""
+    calls = []
+
+    def recorded(memory, node_range, decision):
+        before = memory.table[slice(*node_range)].copy()
+        mid = partition(memory, node_range, decision)
+        calls.append((node_range, mid, before, memory.table[slice(*node_range)].copy()))
+        return mid
+
+    monkeypatch.setattr(boost_controller, "partition", recorded)
+    return calls
+
+
+def _is_subsequence(part, whole):
+    position = {int(i): k for k, i in enumerate(whole)}
+    places = [position[int(i)] for i in part]
+    return places == sorted(places)
+
+
+def _check_split_ranges(calls, root_range, root_ids):
+    """Ranges at each depth tile their parent's range, each child's slice is
+    a stable sub-sequence of its parent's and still holds it when the child
+    is split; returns {depth: [ranges]}."""
+    depth_of = {root_range: 0}
+    ids_of = {root_range: root_ids}
+    by_depth = {0: [root_range]}
+    for (start, end), mid, before, after in calls:
+        d = depth_of[(start, end)]      # a split node is the root or a recorded child
+        assert np.array_equal(before, ids_of[(start, end)])
+        assert start < mid < end, "a split leaves both children non-empty"
+        assert sorted(after) == sorted(before)
+        for child in ((start, mid), (mid, end)):
+            child_ids = after[child[0] - start:child[1] - start]
+            assert _is_subsequence(child_ids, before)
+            depth_of[child] = d + 1
+            ids_of[child] = child_ids
+            by_depth.setdefault(d + 1, []).append(child)
+    for ranges in by_depth.values():
+        spans = sorted(ranges)
+        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
+            assert e1 <= s2, "ranges overlap"
     return by_depth
 
 
-def test_permutation_preservation_and_address_accounting(rng):
-    # train for real, then audit the final tree's table directly
+def test_permutation_preservation_and_address_accounting(rng, monkeypatch):
+    # train for real, recording every split's range through the tree loop
     matrix, labels = random_quantized(rng, 300, 4)
     config = TrainConfig(n_trees=1, max_depth=4, subsample=1.0, n_engines=1,
                          gamma=0.0, seed=5)
-    from fpboost.boost_controller import _grow_tree, subsample_indices
+    calls = _recording_partition(monkeypatch)
 
     memory = load(matrix, labels, 0.0)
-    memory.table = init_index_table(subsample_indices(0, 0, 300, 1.0), 300)
-    _grow_tree(memory, config, [])
+    memory.table = init_index_table(boost_controller.subsample_indices(0, 0, 300, 1.0), 300)
+    root_ids = memory.table.copy()
+    boost_controller._grow_tree(memory, config, [])
 
-    by_depth = _collect_depth_ranges(memory.table)
-    assert by_depth[0] == {0: (0, 300)}
-    for d, nodes in by_depth.items():
-        spans = sorted(nodes.values())
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            assert e1 <= s2, "ranges overlap"
-        if d == 0:
-            continue
-        for node, (start, end) in nodes.items():
-            parent = node // 2
-            ps, pe = by_depth[d - 1][parent]
-            assert ps <= start <= end <= pe
-            sibling = nodes[node ^ 1]
-            assert (end - start) + (sibling[1] - sibling[0]) == pe - ps
+    assert calls and calls[0][0] == (0, 300)
+    by_depth = _check_split_ranges(calls, (0, 300), root_ids)
+    assert by_depth[0] == [(0, 300)]
+    assert len(by_depth) > 2
+    assert sorted(memory.table) == list(range(300))
 
 
 def test_feature_memory_is_read_only(rng):

@@ -92,9 +92,7 @@ class TestBuildHistogram:
         mem = load(matrix, labels, 0.0)
         mem.table = init_index_table(np.arange(40), 40)
         single = build_histogram(mem, (0, 40))
-        doubled_idx = np.concatenate([np.arange(40), np.arange(40)])
-        mem.table.banks = np.zeros((2, 80), dtype=np.int64)
-        mem.table.banks[0] = doubled_idx
+        mem.table = np.concatenate([np.arange(40), np.arange(40)])
         double = build_histogram(mem, (0, 80))
         assert np.array_equal(double.sum_g, 2 * single.sum_g)
         assert np.array_equal(double.sum_h, 2 * single.sum_h)
@@ -147,7 +145,7 @@ def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme, block, 
         if block is not None:
             mp.setattr(node_trainer, "HISTOGRAM_BLOCK", block)
         hist = build_histogram(EngineMemory(matrix, state, table), (start, start + n))
-    node = table.active()[start:start + n]
+    node = table[start:start + n]
     g_list, h_list = grads.tolist(), hess.tolist()
     for f in range(2):
         for b in (0, 1, 2, MISSING_BIN):

@@ -19,7 +19,7 @@ from reference import mp_grad_hess, ref_route
 SCALE = 1 << FRAC_BITS
 
 
-def _engine_from_bins(bins_by_sample, n_active=None):
+def _engine_from_bins(bins_by_sample):
     """One-feature engine whose column is given per sample id."""
     columns = np.asarray(bins_by_sample, dtype=np.uint8).reshape(1, -1)
     n = columns.shape[1]
@@ -44,7 +44,7 @@ class TestPartition:
                                  missing_left=True, gain=1.0)
         mid = partition(mem, (0, 4), decision)
         assert mid == 3
-        assert list(mem.table.inactive()[:4]) == [5, 7, 9, 2]
+        assert list(mem.table) == [5, 7, 9, 2]
 
     def test_threshold_254_sends_all_non_missing_left(self):
         mem = _engine_from_bins([10, 200, 254, 0])
@@ -79,7 +79,7 @@ class TestPartition:
             decision = SplitDecision(is_leaf=False, feature=f, threshold_bin=t,
                                      missing_left=ml, gain=1.0)
             mid = partition(mem, (0, n), decision)
-            out = mem.table.inactive()
+            out = mem.table
             bins = matrix.columns[f]
             pred = lambda i: (ml if bins[i] == 255 else bins[i] <= t)
             expected_left = [i for i in order if pred(i)]
