@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine_memory import EngineMemory, init_index_table, load
-from .fixed_point import FRAC_BITS, sigmoid
+from .fixed_point import FRAC_BITS
 from .node_trainer import (GradientHistogram, TrainConfig, build_histogram, find_best_split,
                            node_leaf, split_child_totals)
 from .quantizer import QuantizedMatrix
@@ -90,8 +90,8 @@ def subsample_indices(seed: int, tree_index: int, n: int, rate: float) -> np.nda
     return np.nonzero(u < np.uint64(threshold))[0].astype(np.int64)
 
 
-def _log_loss(scores_raw, labels, frac_bits: int) -> float:
-    p = sigmoid(np.asarray(scores_raw, dtype=np.float64) / float(1 << frac_bits))
+def _log_loss(p, labels) -> float:
+    """Mean cross-entropy of probabilities p, clipped away from 0 and 1."""
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
     y = np.asarray(labels, dtype=np.float64)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
@@ -179,14 +179,17 @@ def train(matrix: QuantizedMatrix, labels, config: TrainConfig) -> tuple:
         active = subsample_indices(config.seed, t, matrix.n_samples, config.subsample)
         memory.table = init_index_table(active, matrix.n_samples)
         depths = []
-        tree = _grow_tree(memory, config, depths)
+        try:
+            tree = _grow_tree(memory, config, depths)
+            p = apply_tree_update(memory, tree, config.eta)
+        except ValueError as err:
+            raise ValueError(f"tree {t}: {err}") from None
         model.trees.append(tree)
-        apply_tree_update(memory, tree, config.eta)
         log.trees.append(TreeLog(
             n_subsampled=int(active.size),
             depths=depths,
             n_leaves=tree.n_leaves(),
-            train_loss=_log_loss(memory.state.scores_raw, memory.state.labels, config.frac_bits),
+            train_loss=_log_loss(p, memory.state.labels),
         ))
     return model, log
 

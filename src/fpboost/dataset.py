@@ -177,8 +177,9 @@ def _parse_block(chunk: list, line_no: int, width, label_col: int, want, strict_
 
 
 def _load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
-    value_blocks = []
-    label_blocks = []
+    # the rows fill one array, doubled in place when full and cut to size at
+    # the end, so a load never holds its values twice
+    values = labels = None
     n_rows = 0
     width = None
     line_no = 0
@@ -192,14 +193,28 @@ def _load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
             if parsed is None:
                 parsed = _parse_lines(_text_lines(chunk, line_no), line_no, width, label_col,
                                       want, strict_labels)
-            values, labels, width, line_no = parsed
-            if values is not None:
-                value_blocks.append(values)
-                label_blocks.append(labels)
-                n_rows += labels.size
+            block_values, block_labels, width, line_no = parsed
+            if block_values is None:
+                continue
+            end = n_rows + block_labels.size
+            if values is None:
+                values = np.empty((max(end, CSV_CHUNK_LINES), block_values.shape[1]))
+                labels = np.empty(values.shape[0], dtype=np.int8)
+            elif end > values.shape[0]:
+                _resize(values, labels, max(end, 2 * values.shape[0]))
+            values[n_rows:end] = block_values
+            labels[n_rows:end] = block_labels
+            n_rows = end
     if not n_rows:
         raise ValueError("no samples")
-    return np.concatenate(value_blocks), np.concatenate(label_blocks)
+    _resize(values, labels, n_rows)
+    return values, labels
+
+
+def _resize(values: np.ndarray, labels: np.ndarray, n_rows: int) -> None:
+    """Grow or cut both arrays to n_rows rows in place; no view of them may exist."""
+    values.resize((n_rows, values.shape[1]), refcheck=False)
+    labels.resize(n_rows, refcheck=False)
 
 
 def _load_libsvm(path: str, n_features, max_rows):

@@ -9,6 +9,7 @@ final gain/weight ratios are evaluated in double precision.
 import numpy as np
 
 FRAC_BITS = 24
+_INT64_LIMIT = float(1 << 63)     # raw values lie in [-2**63, 2**63)
 
 
 def scale(frac_bits: int = FRAC_BITS) -> float:
@@ -19,9 +20,17 @@ def quantize(value, frac_bits: int = FRAC_BITS):
     """Round a real value to the nearest fixed-point grid step, ties to even.
 
     Accepts scalars or numpy arrays; returns int64.  Multiplying by a power
-    of two is exact in binary64, so the only rounding happens in rint.
+    of two is exact in binary64, so the only rounding happens in rint.  A
+    rounded value that is NaN or outside [-2**63, 2**63) raises ValueError:
+    casting it to int64 would give a platform-dependent integer.
     """
     raw = np.rint(np.asarray(value, dtype=np.float64) * scale(frac_bits))
+    if raw.size:
+        lo, hi = raw.min(), raw.max()       # NaN propagates into both
+        if not (lo >= -_INT64_LIMIT and hi < _INT64_LIMIT):
+            bad = hi if lo >= -_INT64_LIMIT else lo
+            raise ValueError(f"fixed-point value {float(bad) / scale(frac_bits)!r} "
+                             f"does not fit int64 at frac_bits={frac_bits}")
     out = raw.astype(np.int64)
     return out if out.ndim else np.int64(out)
 
@@ -32,28 +41,34 @@ def dequantize(raw, frac_bits: int = FRAC_BITS):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    With ex = exp(-|x|), 1 / (1 + ex) for x >= 0 and ex / (1 + ex) below:
+    exp never overflows, and no branch splits the array.  minimum(x, -x) is
+    -|x| that keeps a NaN's sign and payload, as exp(x) does.
+    """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 0
-    if single:
-        x = x.reshape(1)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if single else out
+    ex = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    return float(out) if out.ndim == 0 else out
 
 
 def logistic_grad_hess(scores_raw, labels, frac_bits: int = FRAC_BITS):
-    """Quantized cross-entropy gradient and hessian for raw margin scores.
+    """Quantized cross-entropy gradient and hessian for raw margin scores."""
+    return grad_hess(margin_probability(scores_raw, frac_bits), labels, frac_bits)
 
-    grad = p - y and hess = p * (1 - p) with p computed in double precision
-    from the dequantized margin.  The hessian is floored at one fixed-point
-    step before quantization so it can never round to zero; every stored
-    hessian is therefore >= 1 raw unit.
+
+def margin_probability(scores_raw, frac_bits: int = FRAC_BITS) -> np.ndarray:
+    """p = sigmoid of the dequantized margins, in double precision."""
+    return sigmoid(np.asarray(scores_raw, dtype=np.float64) / scale(frac_bits))
+
+
+def grad_hess(p, labels, frac_bits: int = FRAC_BITS):
+    """Quantized grad = p - y and hess = p * (1 - p) from probabilities p.
+
+    The hessian is floored at one fixed-point step before quantization so it
+    can never round to zero; every stored hessian is therefore >= 1 raw unit.
     """
-    p = sigmoid(np.asarray(scores_raw, dtype=np.float64) / scale(frac_bits))
     y = np.asarray(labels, dtype=np.float64)
     ulp = 1.0 / scale(frac_bits)
     grad = quantize(p - y, frac_bits)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine_memory import EngineMemory
-from .fixed_point import FRAC_BITS, logistic_grad_hess, quantize, scale
+from .fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize, scale
 from .node_trainer import MISSING_BIN, SplitDecision
 
 
@@ -71,8 +71,10 @@ def partition(memory: EngineMemory, node_range: tuple, decision: SplitDecision) 
     return start + left.size
 
 
-def route_weights(tree: TreeModel, columns: np.ndarray) -> np.ndarray:
-    """Leaf weight (raw) reached by every sample of a column-major bin matrix."""
+def route_weights(tree: TreeModel, columns: np.ndarray,
+                  leaf_values: dict | None = None) -> np.ndarray:
+    """Raw leaf value reached by every sample of a column-major bin matrix:
+    the leaf weight, or leaf_values[depth, node_id] when given."""
     n = columns.shape[1]
     out = np.zeros(n, dtype=np.int64)
     stack = [(0, 0, np.arange(n, dtype=np.int64))]
@@ -80,7 +82,7 @@ def route_weights(tree: TreeModel, columns: np.ndarray) -> np.ndarray:
         depth, node_id, idx = stack.pop()
         node = tree.node(depth, node_id)
         if node.is_leaf:
-            out[idx] = node.leaf_weight_raw
+            out[idx] = node.leaf_weight_raw if leaf_values is None else leaf_values[depth, node_id]
             continue
         bins = columns[node.feature][idx]
         go_left = bins <= node.threshold_bin
@@ -93,9 +95,28 @@ def route_weights(tree: TreeModel, columns: np.ndarray) -> np.ndarray:
 
 def tree_increment(tree: TreeModel, columns: np.ndarray, eta: float,
                    frac_bits: int = FRAC_BITS) -> np.ndarray:
-    """Raw score increment per sample: quantize(eta * leaf weight)."""
-    w = route_weights(tree, columns)
-    return quantize(eta * (w.astype(np.float64) / scale(frac_bits)), frac_bits)
+    """Raw score increment per sample: quantize(eta * leaf weight).
+
+    quantize is elementwise, so it runs once per leaf, not once per sample.
+    """
+    leaves = {(d, k): node.leaf_weight_raw for d, level in enumerate(tree.levels)
+              for k, node in level.items() if node.is_leaf}
+    w = np.fromiter(leaves.values(), dtype=np.int64, count=len(leaves))
+    increments = quantize(eta * (w.astype(np.float64) / scale(frac_bits)), frac_bits)
+    return route_weights(tree, columns, dict(zip(leaves, increments.tolist())))
+
+
+def add_increment(scores: np.ndarray, increment: np.ndarray) -> None:
+    """scores += increment in place, refused with ValueError if a sum could
+    leave int64, where it would wrap silently."""
+    if scores.size and _max_abs(scores) + _max_abs(increment) >= 1 << 63:
+        raise ValueError("raw margin scores overflow int64: lower frac_bits, "
+                         "or raise lambda to bound the leaf weights")
+    scores += increment
+
+
+def _max_abs(raw: np.ndarray) -> int:
+    return max(-int(raw.min()), int(raw.max()))
 
 
 def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
@@ -107,17 +128,22 @@ def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
     """
     scores = np.full(columns.shape[1], quantize(base_score, frac_bits), dtype=np.int64)
     for tree in trees:
-        scores += tree_increment(tree, columns, eta, frac_bits)
+        add_increment(scores, tree_increment(tree, columns, eta, frac_bits))
         if after_tree is not None:
             after_tree(scores)
     return scores
 
 
-def apply_tree_update(memory: EngineMemory, tree: TreeModel, eta: float = 1.0) -> None:
+def apply_tree_update(memory: EngineMemory, tree: TreeModel, eta: float = 1.0) -> np.ndarray:
     """Add the finished tree's (shrunken) leaf weights to every sample's score
-    and refresh gradients and hessians from the new margins."""
+    and refresh gradients and hessians from the new margins.
+
+    Returns the probabilities of the new margins, which the training loss
+    reads too, so they are computed once per tree.
+    """
     state = memory.state
-    state.scores_raw += tree_increment(tree, memory.matrix.columns, eta, state.frac_bits)
-    grads, hess = logistic_grad_hess(state.scores_raw, state.labels, state.frac_bits)
-    state.grads_raw[:] = grads
-    state.hess_raw[:] = hess
+    increment = tree_increment(tree, memory.matrix.columns, eta, state.frac_bits)
+    add_increment(state.scores_raw, increment)
+    p = margin_probability(state.scores_raw, state.frac_bits)
+    state.grads_raw[:], state.hess_raw[:] = grad_hess(p, state.labels, state.frac_bits)
+    return p

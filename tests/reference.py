@@ -2,10 +2,10 @@
 
 Everything here recomputes results along a different path than the library:
 splits by direct sample partitioning (no histograms, no prefix sums, no
-index tables), sigmoid in arbitrary precision, gain in exact rationals,
-AUC by pair counting, the subsample generator in pure-Python integers,
-node histograms built engine by engine and merged, and CSV parsing one
-cell at a time through Python's float().
+index tables), sigmoid in arbitrary precision and as two masked passes,
+gain in exact rationals, AUC by pair counting, the subsample generator in
+pure-Python integers, node histograms built engine by engine and merged,
+and CSV parsing one cell at a time through Python's float().
 The scalar gain/weight formulas and the fixed-point state update are shared
 with the library on purpose: the oracles exercise the accumulation and
 search machinery around them.
@@ -72,6 +72,19 @@ def mp_grad_hess(score_raw: int, label: int, frac_bits: int) -> tuple:
         g = (p - label) * (1 << frac_bits)
         h = max(p * (1 - p), ulp) * (1 << frac_bits)
         return mp_round_half_even(g), mp_round_half_even(h)
+
+
+def masked_sigmoid(x):
+    """The logistic function as two masked passes, 1 / (1 + exp(-x)) where
+    x >= 0 and exp(x) / (1 + exp(x)) elsewhere (NaN too); the library's
+    branch-free sigmoid must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def exact_gain_fraction(gl, hl, gr, hr, lam, gamma) -> Fraction:

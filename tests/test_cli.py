@@ -143,6 +143,48 @@ def test_non_finite_value_is_single_line_error(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.fixture
+def separable_csv(tmp_path):
+    """2,000 rows of 3 features, label = feature 0 > 0 with 5 labels flipped:
+    at lambda 0 the few flipped samples drive leaf weights without bound."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2000, 3))
+    y = (x[:, 0] > 0).astype(int)
+    y[rng.choice(2000, 5, replace=False)] ^= 1
+    p = tmp_path / "separable.csv"
+    p.write_text("".join(",".join([str(label)] + [f"{v:.7g}" for v in row]) + "\n"
+                         for label, row in zip(y, x)))
+    return str(p)
+
+
+def _train_separable(data, tmp_path, lam, frac_bits):
+    return main(["train", "--data", data, "--format", "csv", "--lambda", lam,
+                 "--frac-bits", frac_bits, "--trees", "30", "--max-depth", "3",
+                 "--subsample", "1", "--model-out", str(tmp_path / "m.json")])
+
+
+def test_leaf_weight_overflow_is_single_line_error(tmp_path, separable_csv, capsys):
+    rc = _train_separable(separable_csv, tmp_path, "0", "32")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tree ")
+    assert "does not fit int64 at frac_bits=32" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("frac_bits", ["24", "32", "40", "48"])
+def test_unit_lambda_trains_in_range_at_every_frac_bits(tmp_path, separable_csv, frac_bits,
+                                                        capsys):
+    assert _train_separable(separable_csv, tmp_path, "1", frac_bits) == 0, \
+        capsys.readouterr().err
+    model = load_model(str(tmp_path / "m.json"))
+    leaves = [node.leaf_weight_raw for tree in model.model.trees for level in tree.levels
+              for node in level.values() if node.is_leaf]
+    # |w| <= min(2**fb, count / lambda) raw steps; far from the int64 ends
+    assert max(abs(w) for w in leaves) <= 1 << (int(frac_bits) + 1)
+
+
 def test_bad_data_error_mentions_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.5\n0,zzz\n")

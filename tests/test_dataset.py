@@ -317,3 +317,22 @@ def test_gzip_input_spans_chunks(tmp_path):
     with gzip.open(path, "wt") as fh:
         fh.write("\r\n".join(_rows(CSV_CHUNK_LINES + 7)) + "\r\n")
     assert _check_against_reference(path).n_samples == CSV_CHUNK_LINES + 7
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+@pytest.mark.parametrize("max_rows", [None, 1, 3 * CSV_CHUNK_LINES + 5, 5 * CSV_CHUNK_LINES + 3])
+def test_rows_fill_one_array_cut_to_size(tmp_path, suffix, max_rows):
+    # 5 chunks and a tail: the value array doubles twice and is cut at the end
+    n = 5 * CSV_CHUNK_LINES + 3
+    path = tmp_path / f"d{suffix}"
+    text = "".join(line + "\n" for line in _rows(n))
+    if suffix == ".csv":
+        path.write_text(text)
+    else:
+        with gzip.open(path, "wt") as fh:
+            fh.write(text)
+    got = _check_against_reference(path, max_rows=max_rows)
+    assert got.n_samples == (max_rows or n)
+    for array in (got.values, got.labels):
+        assert array.flags.owndata and array.flags.c_contiguous
+        assert array.shape[0] == got.n_samples

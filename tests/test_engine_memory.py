@@ -60,6 +60,17 @@ class TestIndexTable:
         with pytest.raises(ValueError, match="duplicate"):
             init_index_table([1, 1])
 
+    @pytest.mark.parametrize("ids", [[0, 2, 2, 5], [5, 3, 3], [4, 1, 4], [0, 1, 2, 3, 0]])
+    def test_repeated_index_rejected_sorted_or_not(self, ids):
+        with pytest.raises(ValueError, match="duplicate"):
+            init_index_table(ids)
+
+    @pytest.mark.parametrize("ids", [[], [7], [9, 4, 2, 0], [0, 3, 8], [3, 0, 8]])
+    def test_distinct_ids_accepted_in_any_order(self, ids):
+        table = init_index_table(ids, n_samples=10)
+        assert table.tolist() == ids
+        assert table.dtype == np.int64
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             init_index_table([0, 9], n_samples=5)

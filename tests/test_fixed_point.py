@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize, sigmoid
-from reference import mp_grad_hess
+from reference import masked_sigmoid, mp_grad_hess
 
 SCALE = 1 << FRAC_BITS
 
@@ -76,3 +76,52 @@ def test_grad_bounds(raw, label):
     g, h = logistic_grad_hess(np.array([raw], dtype=np.int64), np.array([label]))
     assert abs(int(g[0])) <= SCALE
     assert 1 <= int(h[0]) <= SCALE // 4
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+            700.5, -700.5, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                 st.floats(-800.0, 800.0),
+                                 st.sampled_from(_SPECIAL)), max_size=40),
+       nan_bits=st.lists(st.integers(1, (1 << 52) - 1), max_size=3), negative=st.booleans())
+@example(values=_SPECIAL, nan_bits=[1, 1 << 51, (1 << 52) - 1], negative=True)
+@example(values=_SPECIAL, nan_bits=[0x123], negative=False)
+def test_sigmoid_is_bit_equal_to_the_masked_reference(values, nan_bits, negative):
+    # NaNs of any sign and payload, quiet or signalling, among the values
+    sign = (1 << 63) if negative else 0
+    nans = np.array([sign | (0x7FF << 52) | b for b in nan_bits], dtype=np.uint64)
+    x = np.concatenate([np.array(values, dtype=np.float64), nans.view(np.float64)])
+    got, want = sigmoid(x), masked_sigmoid(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for v, w in zip(x.tolist(), want.tolist()):
+        s = sigmoid(v)
+        assert type(s) is float
+        assert np.float64(s).view(np.int64) == np.float64(w).view(np.int64)
+
+
+@pytest.mark.parametrize("frac_bits", [1, 24, 48])
+def test_quantize_accepts_the_whole_int64_range(frac_bits):
+    one = float(1 << frac_bits)
+    assert quantize(-(2.0 ** 63) / one, frac_bits) == _INT64_MIN
+    top = np.nextafter(2.0 ** 63, 0.0)        # the largest double below 2**63
+    assert quantize(top / one, frac_bits) == int(top)
+    assert quantize(np.array([-(2.0 ** 63), top]) / one, frac_bits).tolist() == [_INT64_MIN,
+                                                                                int(top)]
+    assert quantize(np.zeros(0), frac_bits).dtype == np.int64
+
+
+@pytest.mark.parametrize("frac_bits", [1, 24, 32, 48])
+@pytest.mark.parametrize("bad", [2.0 ** 63, -(2.0 ** 63) * 1.0000000000000002, 1e300,
+                                 np.inf, -np.inf, np.nan])
+def test_quantize_refuses_what_int64_cannot_hold(frac_bits, bad):
+    value = bad / float(1 << frac_bits)
+    with pytest.raises(ValueError, match=f"does not fit int64 at frac_bits={frac_bits}"):
+        quantize(value, frac_bits)
+    # one bad element anywhere refuses the whole array
+    with pytest.raises(ValueError, match="does not fit int64"):
+        quantize(np.array([0.0, 1.0, value, -1.0]), frac_bits)

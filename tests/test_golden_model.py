@@ -1,8 +1,9 @@
-"""Pinned model and log bytes for a small depth-5 training run.
+"""Pinned model and log bytes of small training runs.
 
-The digests were recorded before the split scan was vectorized and before
-sibling histograms were taken by subtraction; any speed-up of node training
-must leave both files byte-identical for every engine count.
+The depth-5 digests were recorded before the split scan was vectorized and
+before sibling histograms were taken by subtraction; the multi-block and
+48-bit digests before histograms gathered row-major blocks.  Any speed-up
+of node training must leave the files byte-identical for every engine count.
 """
 
 import hashlib
@@ -10,7 +11,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from fpboost.boost_controller import subsample_indices
 from fpboost.cli import main
+from fpboost.node_trainer import HISTOGRAM_BLOCK
 
 MODEL_SHA256 = "1efe6616ab8a9937c50c17a9ae0ffa6a35696fe008535b5598cfe31252ecb690"
 # the log records the engine count in its config, so its bytes differ per count
@@ -55,3 +58,36 @@ def test_depth5_model_and_log_bytes_are_pinned(tmp_path, train_csv, engines, cap
     assert rc == 0, capsys.readouterr().err
     assert _sha256(model_out) == MODEL_SHA256
     assert _sha256(log_out) == LOG_SHA256[engines]
+
+
+def _train_sha256(tmp_path, data, *options) -> str:
+    model_out = tmp_path / "model.json"
+    rc = main(["train", "--data", str(data), "--format", "csv",
+               "--model-out", str(model_out), *options])
+    assert rc == 0
+    return _sha256(model_out)
+
+
+# 20,000 rows at subsample 0.9: every root streams about 18,000 samples,
+# three histogram blocks of HISTOGRAM_BLOCK = 8192
+MULTI_BLOCK_SHA256 = "b6ce9a98e2eacdfcfc1a1b80f2e9b590a6ed7a051eef4dc64a34b7679cd314cb"
+# 48 fractional bits: every block of 32 or more samples takes the 24-bit limb pass
+HIGH_FRAC_BITS_SHA256 = "7b7ef2158ed655a89945d0d6d3b0fe8b3763d1f0485e1b1df0545f7e575b8f90"
+
+
+@pytest.mark.parametrize("engines", [1, 64])
+def test_multi_block_model_bytes_are_pinned(tmp_path_factory, tmp_path, engines):
+    data = tmp_path_factory.mktemp("golden_multi") / "train.csv"
+    _write_csv(data, rows=20000, features=6, seed=13)
+    roots = [subsample_indices(5, t, 20000, 0.9).size for t in range(4)]
+    assert min(roots) > 2 * HISTOGRAM_BLOCK
+    assert _train_sha256(tmp_path, data, "--max-depth", "3", "--trees", "4",
+                         "--subsample", "0.9", "--engines", str(engines),
+                         "--seed", "5") == MULTI_BLOCK_SHA256
+
+
+@pytest.mark.parametrize("engines", [1, 64])
+def test_high_frac_bits_model_bytes_are_pinned(tmp_path, train_csv, engines):
+    assert _train_sha256(tmp_path, train_csv, "--max-depth", "4", "--trees", "6",
+                         "--frac-bits", "48", "--engines", str(engines),
+                         "--seed", "7") == HIGH_FRAC_BITS_SHA256

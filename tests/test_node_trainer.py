@@ -98,6 +98,22 @@ class TestBuildHistogram:
         assert np.array_equal(double.sum_h, 2 * single.sum_h)
         assert np.array_equal(double.count, 2 * single.count)
 
+    def test_one_memory_serves_any_block_size_in_turn(self, rng):
+        # the block buffers kept by the memory must fit each build's block size,
+        # however earlier builds sized them
+        mem = _memory(rng, 50, 4, missing_frac=0.05)
+        mem.table = init_index_table(rng.permutation(50))
+        want = {r: build_histogram(EngineMemory(mem.matrix, mem.state, mem.table), r)
+                for r in [(0, 50), (7, 40)]}
+        for block in (3, 64, 1, 7, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(node_trainer, "HISTOGRAM_BLOCK", block)
+                for r, expected in want.items():
+                    got = build_histogram(mem, r)
+                    assert np.array_equal(got.sum_g, expected.sum_g)
+                    assert np.array_equal(got.sum_h, expected.sum_h)
+                    assert np.array_equal(got.count, expected.count)
+
     def test_bitwise_conservation(self, rng):
         mem = _memory(rng, 257, 5)
         hist = build_histogram(mem, (0, 257))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
-from fpboost.fixed_point import FRAC_BITS, logistic_grad_hess, quantize
+from fpboost.fixed_point import FRAC_BITS, logistic_grad_hess, quantize, sigmoid
 from fpboost.node_trainer import SplitDecision
 from fpboost.quantizer import BinMap, QuantizedMatrix
 from fpboost.splitter import (
@@ -10,6 +10,7 @@ from fpboost.splitter import (
     TreeNode,
     apply_tree_update,
     partition,
+    replay_scores,
     route_weights,
     tree_increment,
 )
@@ -149,7 +150,67 @@ class TestRouting:
             assert list(vec) == scalar
 
 
+    @pytest.mark.parametrize("eta, frac_bits", [(1.0, 24), (0.3, 24), (0.7, 48), (1 / 3, 1)])
+    def test_increment_per_leaf_equals_quantizing_every_sample(self, rng, eta, frac_bits):
+        matrix, labels = random_quantized(rng, 200, 4, missing_frac=0.15)
+        from fpboost.node_trainer import TrainConfig
+        from fpboost.boost_controller import train
+        model, _ = train(matrix, labels, TrainConfig(n_trees=2, max_depth=3, subsample=1.0))
+        big = rng.integers(-(1 << 60), 1 << 60, size=64)     # past 2**53 too
+        for tree, scale_up in ((model.trees[0], False), (model.trees[1], True)):
+            if scale_up:
+                for level in tree.levels:
+                    for k, node in level.items():
+                        if node.is_leaf:
+                            level[k] = TreeNode(is_leaf=True, leaf_weight_raw=int(big[k % 64]))
+            w = route_weights(tree, matrix.columns)
+            per_sample = quantize(eta * (w.astype(np.float64) / float(1 << frac_bits)), frac_bits)
+            got = tree_increment(tree, matrix.columns, eta, frac_bits)
+            assert np.array_equal(got, per_sample)
+
+
 class TestApplyTreeUpdate:
+    def test_returns_the_probabilities_of_the_new_margins(self, rng):
+        matrix, labels = random_quantized(rng, 30, 2)
+        mem = load(matrix, labels, 0.0)
+        tree = TreeModel()
+        tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=quantize(0.75)))
+        p = apply_tree_update(mem, tree, 1.0)
+        assert np.array_equal(p, sigmoid(mem.state.scores_raw / float(SCALE)))
+        grads, hess = logistic_grad_hess(mem.state.scores_raw, labels)
+        assert np.array_equal(mem.state.grads_raw, grads)
+        assert np.array_equal(mem.state.hess_raw, hess)
+
+    @pytest.mark.parametrize("start, leaf", [((1 << 62), (1 << 62)), (-(1 << 62), -(1 << 62)),
+                                             ((1 << 63) - 1, 1)])
+    def test_score_overflow_is_refused_before_the_add(self, rng, start, leaf):
+        matrix, labels = random_quantized(rng, 8, 2)
+        mem = load(matrix, labels, 0.0)
+        mem.state.scores_raw[:] = start
+        before = mem.state.scores_raw.copy()
+        tree = TreeModel()
+        tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=leaf))
+        with pytest.raises(ValueError, match="overflow int64"):
+            apply_tree_update(mem, tree, 1.0)
+        assert np.array_equal(mem.state.scores_raw, before)
+
+    def test_replay_refuses_score_overflow(self, rng):
+        matrix, _ = random_quantized(rng, 8, 2)
+        tree = TreeModel()
+        tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=1 << 62))
+        assert np.all(replay_scores([tree], 0.0, matrix.columns, 1.0) == 1 << 62)
+        with pytest.raises(ValueError, match="overflow int64"):
+            replay_scores([tree, tree], 0.0, matrix.columns, 1.0)
+
+    def test_largest_in_range_sum_is_added(self, rng):
+        matrix, labels = random_quantized(rng, 8, 2)
+        mem = load(matrix, labels, 0.0)
+        mem.state.scores_raw[:] = (1 << 62) - 1
+        tree = TreeModel()
+        tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=1 << 62))
+        apply_tree_update(mem, tree, 1.0)
+        assert np.all(mem.state.scores_raw == (1 << 63) - 1)
+
     def test_zero_weight_tree_is_identity(self, rng):
         matrix, labels = random_quantized(rng, 30, 2)
         mem = load(matrix, labels, 0.0)
