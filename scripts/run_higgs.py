@@ -13,13 +13,12 @@ label first, 28 feature columns, no header).
 import argparse
 import time
 
-from fpboost.boost_controller import train
 from fpboost.cost_model import CostParams, estimate, format_text
 from fpboost.dataset import load_dataset
-from fpboost.metrics import evaluate_per_tree
+from fpboost.metrics import train_and_evaluate
 from fpboost.model_io import save_model, save_training_log
 from fpboost.node_trainer import TrainConfig
-from fpboost.quantizer import RawDataset, fit_bin_map, transform
+from fpboost.quantizer import RawDataset
 
 
 def main() -> int:
@@ -46,25 +45,19 @@ def main() -> int:
     train_raw = RawDataset(values=full.values[: args.rows], labels=full.labels[: args.rows])
     valid_raw = RawDataset(values=full.values[args.rows:], labels=full.labels[args.rows:])
 
-    bins = fit_bin_map(train_raw)
-    train_matrix = transform(train_raw, bins)
-    valid_matrix = transform(valid_raw, bins)
     config = TrainConfig(lam=args.lam, gamma=args.gamma, max_depth=args.max_depth,
                          n_trees=args.trees, subsample=args.subsample,
                          n_engines=args.engines, seed=args.seed)
 
     started = time.monotonic()
-    model, log = train(train_matrix, train_raw.labels, config)
-    train_seconds = time.monotonic() - started
-    history, max_auc = evaluate_per_tree(model, valid_matrix, valid_raw.labels,
-                                         config.eta, config.frac_bits)
-    best_tree = max(range(len(history)), key=history.__getitem__) + 1
+    model, log, bins, history = train_and_evaluate(train_raw, config, valid_raw)
+    seconds = time.monotonic() - started
+    max_auc = max(history)
 
-    print(f"trained {config.n_trees} trees in {train_seconds:.2f}s (software)")
+    print(f"bins + {config.n_trees} trees + per-tree eval in {seconds:.2f}s (software)")
     print(f"final train loss      = {log.trees[-1].train_loss:.5f}")
-    print(f"max validation AUC    = {max_auc:.4f} (tree {best_tree})")
-    report = estimate(log, train_matrix.n_samples, config,
-                      CostParams(clock_hz=args.clock_mhz * 1e6))
+    print(f"max validation AUC    = {max_auc:.4f} (tree {history.index(max_auc) + 1})")
+    report = estimate(log, log.n_samples, config, CostParams(clock_hz=args.clock_mhz * 1e6))
     print(f"cycle model at {args.clock_mhz:g} MHz:")
     print(format_text(report))
 

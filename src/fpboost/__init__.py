@@ -6,7 +6,7 @@ from .data_parallel import shard
 from .dataset import load_dataset
 from .engine_memory import EngineMemory, StateMemory, init_index_table, load
 from .fixed_point import FRAC_BITS, dequantize, quantize, sigmoid
-from .metrics import auc, evaluate_per_tree
+from .metrics import auc, evaluate_per_tree, train_and_evaluate
 from .model_io import ModelBundle, load_model, save_model
 from .node_trainer import (
     GradientHistogram,

@@ -1,24 +1,18 @@
-"""Command-line surface: quantize, train, predict, eval, cost."""
+"""Command-line surface: train, predict, eval, cost."""
 
 import argparse
 import sys
 
 import numpy as np
 
-from .boost_controller import predict_raw, train
+from .boost_controller import predict_raw
 from .cost_model import CostParams, estimate, format_keyvalue, format_text
 from .dataset import load_dataset
-from .fixed_point import sigmoid
-from .metrics import evaluate_per_tree
-from .model_io import (
-    load_model,
-    load_training_log,
-    save_bin_map,
-    save_model,
-    save_training_log,
-)
+from .fixed_point import dequantize, margin_probability
+from .metrics import evaluate_per_tree, train_and_evaluate
+from .model_io import load_model, load_training_log, save_model, save_training_log
 from .node_trainer import TrainConfig
-from .quantizer import MAX_BINS, fit_bin_map, transform
+from .quantizer import MAX_BINS, transform
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -33,46 +27,26 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="map any csv label > 0 to 1 instead of erroring")
 
 
-def _read(args) -> "RawDataset":
-    return load_dataset(args.data, args.fmt, label_col=args.label_col,
+def _read(args, path=None) -> "RawDataset":
+    """The --data file, or path when given, read with the command's data options."""
+    return load_dataset(path or args.data, args.fmt, label_col=args.label_col,
                         n_features=args.n_features, max_rows=args.max_rows,
                         strict_labels=not args.lenient_labels)
 
 
-def _cmd_quantize(args) -> int:
-    raw = _read(args)
-    bins = fit_bin_map(raw, args.max_bins)
-    matrix = transform(raw, bins)
-    np.savez(args.out, columns=matrix.columns, labels=raw.labels)
-    save_bin_map(bins, args.bins_out)
-    print(f"quantized n_samples={raw.n_samples} n_features={raw.n_features} "
-          f"out={args.out} bins_out={args.bins_out}")
-    return 0
-
-
 def _cmd_train(args) -> int:
+    # both files are read before anything is written, the training file first
     raw = _read(args)
-    bins = fit_bin_map(raw, args.max_bins)
-    matrix = transform(raw, bins)
+    valid_raw = _read(args, args.valid) if args.valid else None
     config = TrainConfig(
         lam=args.lam, gamma=args.gamma, max_depth=args.max_depth,
         n_trees=args.trees, subsample=args.subsample, eta=args.eta,
         n_engines=args.engines, seed=args.seed, frac_bits=args.frac_bits,
     )
-    model, log = train(matrix, raw.labels, config)
+    model, log, bins, auc_history = train_and_evaluate(raw, config, valid_raw, args.max_bins)
     save_model(model, bins, config, args.model_out)
     if args.log_out:
         save_training_log(log, args.log_out)
-
-    auc_history = None
-    if args.valid:
-        valid_args = argparse.Namespace(**vars(args))
-        valid_args.data = args.valid
-        valid_raw = _read(valid_args)
-        valid_matrix = transform(valid_raw, bins)
-        auc_history, max_auc = evaluate_per_tree(
-            model, valid_matrix, valid_raw.labels, config.eta, config.frac_bits, bin_map=bins
-        )
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
             fh.write("tree_index,train_loss,valid_auc\n")
@@ -84,7 +58,8 @@ def _cmd_train(args) -> int:
     if log.trees:
         summary += f" final_train_loss={log.trees[-1].train_loss:.6f}"
     if auc_history:
-        summary += f" max_valid_auc={max_auc:.6f} best_tree={int(np.argmax(auc_history)) + 1}"
+        summary += (f" max_valid_auc={max(auc_history):.6f}"
+                    f" best_tree={int(np.argmax(auc_history)) + 1}")
     print(summary)
     return 0
 
@@ -93,9 +68,9 @@ def _cmd_predict(args) -> int:
     bundle = load_model(args.model)
     raw = _read(args)
     matrix = transform(raw, bundle.bin_map)
-    scores = predict_raw(bundle.model, matrix, bundle.config.eta, bundle.config.frac_bits)
-    margins = scores.astype(np.float64) / float(1 << bundle.config.frac_bits)
-    values = sigmoid(margins) if args.proba else margins
+    frac_bits = bundle.config.frac_bits
+    scores = predict_raw(bundle.model, matrix, bundle.config.eta, frac_bits)
+    values = margin_probability(scores, frac_bits) if args.proba else dequantize(scores, frac_bits)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for v in values:
@@ -142,13 +117,6 @@ def _cmd_cost(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fpboost")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("quantize", help="fit bins on a raw dataset and emit 8-bit columns")
-    _add_data_args(p)
-    p.add_argument("--max-bins", type=int, default=MAX_BINS)
-    p.add_argument("--out", required=True, help="output .npz with binned columns and labels")
-    p.add_argument("--bins-out", required=True, help="output bin-map json")
-    p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("train", help="train a boosted model on a raw dataset")
     _add_data_args(p)

@@ -1,9 +1,11 @@
-"""Ranking metrics and per-tree evaluation."""
+"""Ranking metrics, per-tree evaluation, and the bins -> train -> eval wiring."""
 
 import numpy as np
 
+from .boost_controller import train
 from .fixed_point import FRAC_BITS
-from .quantizer import QuantizedMatrix
+from .node_trainer import TrainConfig
+from .quantizer import MAX_BINS, QuantizedMatrix, RawDataset, fit_bin_map, transform
 from .splitter import replay_scores
 
 
@@ -41,3 +43,22 @@ def evaluate_per_tree(model, matrix: QuantizedMatrix, labels, eta: float = 1.0,
     replay_scores(model.trees, model.base_score, matrix.columns, eta, frac_bits,
                   after_tree=lambda scores: history.append(auc(scores, labels)))
     return history, max(history)
+
+
+def train_and_evaluate(train_raw: RawDataset, config: TrainConfig,
+                       valid_raw: RawDataset | None = None, max_bins: int = MAX_BINS) -> tuple:
+    """Fit bins on the training rows only, quantize both sets with them,
+    train, and score the validation set after every tree.
+
+    Returns (model, training log, bin map, per-tree validation AUC list or
+    None without a validation set).
+    """
+    bins = fit_bin_map(train_raw, max_bins)
+    # quantized before training, so a validation set that does not fit the
+    # bins fails before the run, not after it
+    valid = None if valid_raw is None else transform(valid_raw, bins)
+    model, log = train(transform(train_raw, bins), train_raw.labels, config)
+    history = None
+    if valid is not None:
+        history, _ = evaluate_per_tree(model, valid, valid_raw.labels, config.eta, config.frac_bits)
+    return model, log, bins, history

@@ -1,4 +1,4 @@
-"""Model, bin-map and training-log persistence.
+"""Model and training-log persistence.
 
 Everything is JSON with sorted keys, so a save -> load -> save round trip
 is byte-identical and files are platform-independent.  Centroids are plain
@@ -18,7 +18,6 @@ from .quantizer import MISSING_BIN, BinMap
 from .splitter import TreeModel, TreeNode
 
 MODEL_FORMAT = "fpboost-model"
-BINMAP_FORMAT = "fpboost-binmap"
 LOG_FORMAT = "fpboost-log"
 FORMAT_VERSION = 1
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -182,14 +181,6 @@ def _tree_from_doc(doc, index: int, n_features: int) -> TreeModel:
     return tree
 
 
-def _bin_map_to_doc(bin_map: BinMap) -> dict:
-    return {"centroids": [[float(v) for v in c] for c in bin_map.centroids]}
-
-
-def _bin_map_from_doc(doc: dict) -> BinMap:
-    return BinMap([np.asarray(c, dtype=np.float64) for c in doc["centroids"]])
-
-
 def save_model(model: Model, bin_map: BinMap, config: TrainConfig, path: str) -> None:
     doc = {
         "format": MODEL_FORMAT,
@@ -197,7 +188,7 @@ def save_model(model: Model, bin_map: BinMap, config: TrainConfig, path: str) ->
         "frac_bits": config.frac_bits,
         "base_score": float(model.base_score),
         "config": {k: v for k, v in asdict(config).items() if k in _MODEL_CONFIG},
-        "bin_map": _bin_map_to_doc(bin_map),
+        "bin_map": {"centroids": [[float(v) for v in c] for c in bin_map.centroids]},
         "trees": [_tree_to_doc(t) for t in model.trees],
     }
     _dump(doc, path)
@@ -211,22 +202,13 @@ def load_model(path: str) -> ModelBundle:
         raise ValueError(
             f"frac_bits mismatch: document says {doc['frac_bits']}, config says {config.frac_bits}"
         )
-    bin_map = _bin_map_from_doc(_checked(doc["bin_map"], _BIN_MAP, "model bin_map"))
+    centroids = _checked(doc["bin_map"], _BIN_MAP, "model bin_map")["centroids"]
+    bin_map = BinMap([np.asarray(c, dtype=np.float64) for c in centroids])
     model = Model(
         trees=[_tree_from_doc(t, i, bin_map.n_features) for i, t in enumerate(doc["trees"])],
         base_score=float(doc["base_score"]),
     )
     return ModelBundle(model=model, bin_map=bin_map, config=config)
-
-
-def save_bin_map(bin_map: BinMap, path: str) -> None:
-    doc = {"format": BINMAP_FORMAT, "format_version": FORMAT_VERSION}
-    doc.update(_bin_map_to_doc(bin_map))
-    _dump(doc, path)
-
-
-def load_bin_map(path: str) -> BinMap:
-    return _bin_map_from_doc(_load(path, BINMAP_FORMAT, _BIN_MAP, "bin map"))
 
 
 def save_training_log(log: TrainingLog, path: str) -> None:

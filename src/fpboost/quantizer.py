@@ -110,9 +110,6 @@ class QuantizedMatrix:
     def n_samples(self) -> int:
         return self.columns.shape[1]
 
-    def column(self, feature: int) -> np.ndarray:
-        return self.columns[feature]
-
 
 def fit_bins(column, max_bins: int = MAX_BINS) -> np.ndarray:
     """Fit ascending bin centroids for one feature column.

@@ -33,10 +33,6 @@ class TreeModel:
 
     levels: list = field(default_factory=lambda: [{}])
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
     def node(self, depth: int, node_id: int) -> TreeNode:
         if depth >= len(self.levels) or node_id not in self.levels[depth]:
             raise ValueError(f"malformed tree: missing node {node_id} at depth {depth}")
@@ -106,12 +102,11 @@ def tree_increment(tree: TreeModel, columns: np.ndarray, eta: float,
     return route_weights(tree, columns, dict(zip(leaves, increments.tolist())))
 
 
-def add_increment(scores: np.ndarray, increment: np.ndarray) -> None:
+def add_increment(scores: np.ndarray, increment: np.ndarray, hint: str = "") -> None:
     """scores += increment in place, refused with ValueError if a sum could
-    leave int64, where it would wrap silently."""
+    leave int64, where it would wrap silently.  hint follows the message."""
     if scores.size and _max_abs(scores) + _max_abs(increment) >= 1 << 63:
-        raise ValueError("raw margin scores overflow int64: lower frac_bits, "
-                         "or raise lambda to bound the leaf weights")
+        raise ValueError("raw margin scores overflow int64" + hint)
     scores += increment
 
 
@@ -124,11 +119,14 @@ def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
     """Raw margins of a tree sequence, accumulated in fixed point as in training.
 
     One score array is updated in place; after_tree, when given, sees it
-    after every tree.
+    after every tree.  An error in a tree's increment names the tree.
     """
     scores = np.full(columns.shape[1], quantize(base_score, frac_bits), dtype=np.int64)
-    for tree in trees:
-        add_increment(scores, tree_increment(tree, columns, eta, frac_bits))
+    for i, tree in enumerate(trees):
+        try:
+            add_increment(scores, tree_increment(tree, columns, eta, frac_bits))
+        except ValueError as err:
+            raise ValueError(f"tree {i}: {err}") from None
         if after_tree is not None:
             after_tree(scores)
     return scores
@@ -143,7 +141,8 @@ def apply_tree_update(memory: EngineMemory, tree: TreeModel, eta: float = 1.0) -
     """
     state = memory.state
     increment = tree_increment(tree, memory.matrix.columns, eta, state.frac_bits)
-    add_increment(state.scores_raw, increment)
+    add_increment(state.scores_raw, increment,
+                  ": lower frac_bits, or raise lambda to bound the leaf weights")
     p = margin_probability(state.scores_raw, state.frac_bits)
     state.grads_raw[:], state.hess_raw[:] = grad_hess(p, state.labels, state.frac_bits)
     return p

@@ -19,7 +19,7 @@ from fpboost.data_parallel import shard
 from fpboost.dataset import load_dataset
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, logistic_grad_hess
-from fpboost.metrics import evaluate_per_tree
+from fpboost.metrics import train_and_evaluate
 from fpboost.model_io import load_model, save_model
 from fpboost.node_trainer import TrainConfig, build_histogram
 from fpboost.quantizer import RawDataset, fit_bin_map, transform
@@ -121,12 +121,10 @@ def test_03_higgs_auc_band():
         assert full.n_samples == 20_096, "need at least 20,096 rows of HIGGS"
         train_raw = RawDataset(values=full.values[:10_048], labels=full.labels[:10_048])
         valid_raw = RawDataset(values=full.values[10_048:], labels=full.labels[10_048:])
-        bins = fit_bin_map(train_raw)
         config = TrainConfig(lam=1.0, gamma=0.0, max_depth=1, n_trees=100,
                              subsample=0.5, eta=1.0, n_engines=64, seed=0)
-        model, _ = train(transform(train_raw, bins), train_raw.labels, config)
-        _, max_auc = evaluate_per_tree(model, transform(valid_raw, bins),
-                                       valid_raw.labels, config.eta, config.frac_bits)
+        *_, history = train_and_evaluate(train_raw, config, valid_raw)
+        max_auc = max(history)
         elapsed = time.monotonic() - started
         print(f"  higgs max per-tree validation AUC = {max_auc:.4f} ({elapsed:.1f}s)")
         assert 0.73 <= max_auc <= 0.78, f"max AUC {max_auc:.4f} outside band"

@@ -131,7 +131,7 @@ class TestTrain:
         # every tree is a single leaf; scores follow the boosted-bias recursion
         scores = np.zeros(100, dtype=np.int64)
         for t, tree in enumerate(model.trees):
-            assert tree.depth == 0 and tree.n_leaves() == 1
+            assert len(tree.levels) == 1 and tree.n_leaves() == 1
             active = subsample_indices(cfg.seed, t, 100, cfg.subsample)
             grads, hess = logistic_grad_hess(scores, labels)
             g = int(grads[active].sum())
@@ -189,7 +189,7 @@ class TestTrain:
             for e in (1, 3, 64)
         ]
         assert models[0].trees == models[1].trees == models[2].trees
-        assert any(tree.depth > 0 for tree in models[0].trees)
+        assert any(len(tree.levels) > 1 for tree in models[0].trees)
 
 
 def _with_all_missing_feature(matrix):

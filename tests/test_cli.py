@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fpboost.cli import main
+from fpboost.cli import build_parser, main
 from fpboost.model_io import load_model
 
 
@@ -33,22 +36,6 @@ def _train_args(train_csv, valid_csv, tmp_path, extra=()):
         "--metrics-out", str(tmp_path / "metrics.csv"),
         *extra,
     ]
-
-
-def test_quantize_command(tmp_path, csv_pair, capsys):
-    train_csv, _ = csv_pair
-    rc = main(["quantize", "--data", train_csv, "--format", "csv",
-               "--out", str(tmp_path / "binned.npz"),
-               "--bins-out", str(tmp_path / "bins.json")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "n_samples=400" in out and "n_features=3" in out
-    with np.load(tmp_path / "binned.npz") as z:
-        assert z["columns"].shape == (3, 400)
-        assert z["columns"].dtype == np.uint8
-        assert z["labels"].shape == (400,)
-    bins_doc = json.loads((tmp_path / "bins.json").read_text())
-    assert bins_doc["format"] == "fpboost-binmap"
 
 
 def test_train_eval_predict_cost_pipeline(tmp_path, csv_pair, capsys):
@@ -188,10 +175,72 @@ def test_unit_lambda_trains_in_range_at_every_frac_bits(tmp_path, separable_csv,
 def test_bad_data_error_mentions_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.5\n0,zzz\n")
-    rc = main(["quantize", "--data", str(p), "--format", "csv",
-               "--out", str(tmp_path / "o.npz"), "--bins-out", str(tmp_path / "b.json")])
+    rc = main(["train", "--data", str(p), "--format", "csv",
+               "--model-out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_bad_validation_file_fails_before_anything_is_written(tmp_path, csv_pair, capsys):
+    train_csv, _ = csv_pair
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,0.5\n0,zzz\n")
+    rc = main(_train_args(train_csv, str(bad), tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 2: bad value 'zzz'\n"
+    for name in ("model.json", "log.json", "metrics.csv"):
+        assert not (tmp_path / name).exists()
+
+
+def test_training_file_error_comes_before_validation_file_error(tmp_path, capsys):
+    bad_train = tmp_path / "bad_train.csv"
+    bad_train.write_text("1,0.5\n1,0.25\n0,yyy\n")
+    bad_valid = tmp_path / "bad_valid.csv"
+    bad_valid.write_text("1,0.5\n0,zzz\n")
+    rc = main(_train_args(str(bad_train), str(bad_valid), tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 3: bad value 'yyy'\n"
+
+
+@pytest.mark.parametrize("command", [["eval"], ["predict"], ["predict", "--proba"]])
+def test_loaded_leaf_that_overflows_scores_names_the_tree(tmp_path, csv_pair, capsys, command):
+    """A model file may hold any int64 leaf, but -2**63 cannot be added to a
+    score: scoring refuses it with the tree's index and no training advice."""
+    train_csv, valid_csv = csv_pair
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
+                 "--model-out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    for level in doc["trees"][1]:
+        for node in level.values():
+            if node["is_leaf"]:
+                node["leaf_weight_raw"] = -(1 << 63)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main([command[0], "--data", valid_csv, "--format", "csv",
+               "--model", str(model_path), *command[1:]])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: tree 1: raw margin scores overflow int64\n"
+
+
+def _readme_cli_commands() -> list:
+    """Every `fpboost ...` command in the README's `## CLI` fenced block,
+    continuation lines joined, split into arguments."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```[a-z]*\n(.*?)```", section, re.S).group(1)
+    joined = re.sub(r"\\\n", " ", block)
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("fpboost ")]
+
+
+def test_readme_cli_block_parses():
+    commands = _readme_cli_commands()
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_malformed_model_file_is_single_line_error(tmp_path, csv_pair, capsys):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from fpboost.boost_controller import Model, train
 from fpboost.fixed_point import sigmoid
-from fpboost.metrics import auc, evaluate_per_tree
+from fpboost import metrics
+from fpboost.metrics import auc, evaluate_per_tree, train_and_evaluate
 from fpboost.node_trainer import TrainConfig
 from fpboost.quantizer import BinMap, fit_bin_map, transform
 from fpboost.splitter import TreeModel, TreeNode
@@ -100,3 +101,31 @@ class TestEvaluatePerTree:
         history, _ = evaluate_per_tree(model, valid, labels, cfg.eta, cfg.frac_bits,
                                        bin_map=bins)
         assert len(history) == 5
+
+
+class TestTrainAndEvaluate:
+    CFG = TrainConfig(n_trees=4, max_depth=2, subsample=0.8, n_engines=1, seed=5)
+
+    def test_bins_come_from_the_training_rows_and_score_every_tree(self, rng):
+        train_raw = random_raw(rng, 300, 3)
+        valid_raw = random_raw(rng, 150, 3)
+        model, log, bins, history = train_and_evaluate(train_raw, self.CFG, valid_raw)
+        assert bins == fit_bin_map(train_raw)
+        assert model.n_trees == len(log.trees) == 4
+        assert history == evaluate_per_tree(model, transform(valid_raw, bins),
+                                            valid_raw.labels, self.CFG.eta,
+                                            self.CFG.frac_bits)[0]
+        assert train_and_evaluate(train_raw, self.CFG)[3] is None
+
+    def test_max_bins_reaches_the_bin_fit(self, rng):
+        raw = random_raw(rng, 300, 2, distinct=40, missing_frac=0.0)
+        _, _, bins, _ = train_and_evaluate(raw, self.CFG, max_bins=4)
+        assert bins == fit_bin_map(raw, 4) != fit_bin_map(raw)
+
+    def test_validation_set_that_does_not_fit_fails_before_training(self, rng, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before the validation set was quantized")
+
+        monkeypatch.setattr(metrics, "train", no_training)
+        with pytest.raises(ValueError, match="feature count mismatch"):
+            train_and_evaluate(random_raw(rng, 50, 3), self.CFG, random_raw(rng, 50, 2))

@@ -5,14 +5,7 @@ import pytest
 
 from fpboost.boost_controller import Model, predict_raw, train
 from fpboost.cost_model import CostParams, estimate
-from fpboost.model_io import (
-    load_bin_map,
-    load_model,
-    load_training_log,
-    save_bin_map,
-    save_model,
-    save_training_log,
-)
+from fpboost.model_io import load_model, load_training_log, save_model, save_training_log
 from fpboost.node_trainer import TrainConfig
 from fpboost.quantizer import fit_bin_map, transform
 from conftest import random_raw
@@ -104,14 +97,6 @@ def test_centroids_survive_full_precision(rng, tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_bin_map_standalone_round_trip(rng, tmp_path):
-    raw = random_raw(rng, 60, 4)
-    bins = fit_bin_map(raw)
-    path = tmp_path / "bins.json"
-    save_bin_map(bins, str(path))
-    assert load_bin_map(str(path)) == bins
-
-
 def test_training_log_round_trip(rng, tmp_path):
     model, bins, config, matrix, log = _trained(rng)
     path = tmp_path / "log.json"
@@ -144,11 +129,6 @@ def test_non_finite_numbers_fail_at_load(rng, tmp_path):
     _rewrite(path, lambda doc: doc.__setitem__("base_score", float("-inf")))
     with pytest.raises(ValueError, match="base_score must be a finite number"):
         load_model(str(path))
-    bins_path = tmp_path / "bins.json"
-    save_bin_map(bins, str(bins_path))
-    _rewrite(bins_path, lambda doc: doc["centroids"][-1].insert(0, float("-inf")))
-    with pytest.raises(ValueError, match="centroids must be finite"):
-        load_bin_map(str(bins_path))
 
 
 _SPLIT_FIELD_MUTATIONS = {

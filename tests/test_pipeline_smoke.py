@@ -1,52 +1,76 @@
-"""Offline end-to-end run in the reference experiment's shape.
+"""Offline end-to-end run of scripts/run_higgs.py in the reference experiment's shape.
 
 Synthetic stand-in data, same layout and parameters as the real experiment:
 this checks the mechanics (ingestion, slicing, 100 stumps, per-tree AUC,
-cycle estimate), not the published-accuracy band.
+cycle estimate), not the published-accuracy band.  The script's model must
+also be byte-equal to `fpboost train --valid` on the two halves written as
+separate files.
 """
 
+import re
+import runpy
+from pathlib import Path
+
 import numpy as np
+import pytest
 
-from fpboost.boost_controller import train
+from fpboost.cli import main
 from fpboost.cost_model import CostParams, estimate
-from fpboost.dataset import load_dataset
-from fpboost.metrics import evaluate_per_tree
-from fpboost.node_trainer import TrainConfig
-from fpboost.quantizer import RawDataset, fit_bin_map, transform
+from fpboost.model_io import load_model, load_training_log
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_higgs.py"
 
 
-def _write_higgs_like(path, rows, seed=0):
+def _higgs_like_lines(rows, seed=0):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(rows, 28))
     coef = rng.normal(size=6)
     margin = values[:, :6] @ coef + rng.normal(scale=2.0, size=rows)
     labels = (margin > 0).astype(int)
-    with open(path, "w") as fh:
-        for y, row in zip(labels, values):
-            fh.write(",".join([f"{float(y):.1f}"] + [f"{v:.7g}" for v in row]) + "\n")
+    return [",".join([f"{float(y):.1f}"] + [f"{v:.7g}" for v in row]) + "\n"
+            for y, row in zip(labels, values)]
 
 
-def test_reference_experiment_shape(tmp_path):
-    path = tmp_path / "synthetic.csv"
-    _write_higgs_like(path, 6000)
+def _run_script(monkeypatch, capsys, *argv) -> str:
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert done.value.code == 0
+    return capsys.readouterr().out
 
-    full = load_dataset(str(path), "csv", label_col=0, max_rows=6000)
-    train_raw = RawDataset(values=full.values[:3000], labels=full.labels[:3000])
-    valid_raw = RawDataset(values=full.values[3000:], labels=full.labels[3000:])
-    bins = fit_bin_map(train_raw)
-    config = TrainConfig(lam=1.0, gamma=0.0, max_depth=1, n_trees=100,
-                         subsample=0.5, eta=1.0, n_engines=64, seed=0)
-    model, log = train(transform(train_raw, bins), train_raw.labels, config)
-    assert model.n_trees == 100
 
-    history, max_auc = evaluate_per_tree(model, transform(valid_raw, bins),
-                                         valid_raw.labels, config.eta, config.frac_bits)
+def test_reference_experiment_shape(tmp_path, monkeypatch, capsys):
+    lines = _higgs_like_lines(6000)
+    (tmp_path / "synthetic.csv").write_text("".join(lines))
+    (tmp_path / "train.csv").write_text("".join(lines[:3000]))
+    (tmp_path / "valid.csv").write_text("".join(lines[3000:]))
+
+    out = _run_script(monkeypatch, capsys, "--data", str(tmp_path / "synthetic.csv"),
+                      "--rows", "3000", "--model-out", str(tmp_path / "script_model.json"),
+                      "--log-out", str(tmp_path / "script_log.json"))
+    assert load_model(str(tmp_path / "script_model.json")).model.n_trees == 100
+    printed_auc = float(re.search(r"max validation AUC += ([0-9.]+)", out).group(1))
+
+    # the CLI's defaults are the reference experiment's parameters
+    assert main(["train", "--data", str(tmp_path / "train.csv"), "--format", "csv",
+                 "--valid", str(tmp_path / "valid.csv"),
+                 "--model-out", str(tmp_path / "cli_model.json"),
+                 "--metrics-out", str(tmp_path / "metrics.csv")]) == 0
+    assert ((tmp_path / "script_model.json").read_bytes()
+            == (tmp_path / "cli_model.json").read_bytes())
+
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    history = [float(row.split(",")[2]) for row in rows]
     assert len(history) == 100
+    max_auc = max(history)
+    assert printed_auc == pytest.approx(max_auc, abs=5e-5)
     # the synthetic task is learnable; anything separable lands well above chance
     assert 0.62 <= max_auc <= 1.0
+
+    log = load_training_log(str(tmp_path / "script_log.json"))
     losses = [t.train_loss for t in log.trees]
     assert losses[-1] < losses[0]
 
-    report = estimate(log, 3000, config, CostParams(clock_hz=100e6))
+    report = estimate(log, 3000, log.config, CostParams(clock_hz=100e6))
     assert report.total_cycles > 0
     assert report.wall_seconds < 0.05

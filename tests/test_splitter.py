@@ -190,7 +190,7 @@ class TestApplyTreeUpdate:
         before = mem.state.scores_raw.copy()
         tree = TreeModel()
         tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=leaf))
-        with pytest.raises(ValueError, match="overflow int64"):
+        with pytest.raises(ValueError, match="overflow int64: lower frac_bits, or raise lambda"):
             apply_tree_update(mem, tree, 1.0)
         assert np.array_equal(mem.state.scores_raw, before)
 
@@ -199,7 +199,8 @@ class TestApplyTreeUpdate:
         tree = TreeModel()
         tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=1 << 62))
         assert np.all(replay_scores([tree], 0.0, matrix.columns, 1.0) == 1 << 62)
-        with pytest.raises(ValueError, match="overflow int64"):
+        # scoring names the tree and gives no training advice
+        with pytest.raises(ValueError, match="^tree 1: raw margin scores overflow int64$"):
             replay_scores([tree, tree], 0.0, matrix.columns, 1.0)
 
     def test_largest_in_range_sum_is_added(self, rng):
