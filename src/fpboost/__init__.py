@@ -9,12 +9,15 @@ from .fixed_point import FRAC_BITS, dequantize, quantize, sigmoid
 from .metrics import auc, evaluate_per_tree, train_and_evaluate
 from .model_io import ModelBundle, load_model, save_model
 from .node_trainer import (
-    GradientHistogram,
+    COUNT,
+    G,
+    H,
     SplitDecision,
     TrainConfig,
     build_histogram,
     find_best_split,
     leaf_weight,
+    node_totals,
     split_gain,
 )
 from .quantizer import BinMap, QuantizedMatrix, RawDataset, fit_bin_map, fit_bins, transform

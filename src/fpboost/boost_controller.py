@@ -16,8 +16,8 @@ import numpy as np
 
 from .engine_memory import EngineMemory, init_index_table, load
 from .fixed_point import FRAC_BITS
-from .node_trainer import (GradientHistogram, TrainConfig, build_histogram, find_best_split,
-                           node_leaf, split_child_totals)
+from .node_trainer import (TrainConfig, build_histogram, find_best_split, node_leaf, node_totals,
+                           split_child_totals)
 from .quantizer import QuantizedMatrix
 from .splitter import TreeModel, TreeNode, apply_tree_update, partition, replay_scores
 
@@ -67,13 +67,6 @@ def _mix64(x):
     return z ^ (z >> np.uint64(31))
 
 
-def _mix64_int(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def subsample_indices(seed: int, tree_index: int, n: int, rate: float) -> np.ndarray:
     """Bernoulli row sample from a stateless counter-based generator.
 
@@ -84,8 +77,10 @@ def subsample_indices(seed: int, tree_index: int, n: int, rate: float) -> np.nda
         raise ValueError("rate must be in (0, 1]")
     if rate == 1.0:
         return np.arange(n, dtype=np.int64)
-    stream = _mix64_int(_mix64_int(seed & _MASK64) ^ (tree_index & _MASK64))
-    u = _mix64(np.uint64(stream) ^ np.arange(n, dtype=np.uint64))
+    # one-element arrays: numpy warns when a uint64 scalar op wraps, not an array op
+    words = np.array([seed & _MASK64, tree_index & _MASK64], dtype=np.uint64)
+    stream = _mix64(_mix64(words[:1]) ^ words[1:])
+    u = _mix64(stream ^ np.arange(n, dtype=np.uint64))
     threshold = int(rate * 2.0 ** 64)
     return np.nonzero(u < np.uint64(threshold))[0].astype(np.int64)
 
@@ -97,7 +92,7 @@ def _log_loss(p, labels) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def _children(memory: EngineMemory, parent_id: int, parent_hist: GradientHistogram,
+def _children(memory: EngineMemory, parent_id: int, parent_hist: np.ndarray,
               child_totals: tuple, child_ranges: tuple) -> list:
     """(node id, range, histogram, totals) of both children of one split node.
 
@@ -108,7 +103,7 @@ def _children(memory: EngineMemory, parent_id: int, parent_hist: GradientHistogr
     ids = (2 * parent_id, 2 * parent_id + 1)
     small = 0 if child_totals[0][2] <= child_totals[1][2] else 1
     built = build_histogram(memory, child_ranges[small])
-    sibling = parent_hist.minus(built)
+    sibling = parent_hist - built
     hists = (built, sibling) if small == 0 else (sibling, built)
     return list(zip(ids, child_ranges, hists, child_totals))
 
@@ -127,7 +122,7 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
     tree = TreeModel()
     root_range = (0, memory.table.size)
     root = build_histogram(memory, root_range)
-    nodes = [(0, root_range, root, root.totals())]
+    nodes = [(0, root_range, root, node_totals(root))]
     for d in range(config.max_depth):
         trained_sizes = []
         split_sizes = []

@@ -51,14 +51,15 @@ def train_and_evaluate(train_raw: RawDataset, config: TrainConfig,
     train, and score the validation set after every tree.
 
     Returns (model, training log, bin map, per-tree validation AUC list or
-    None without a validation set).
+    None without a validation set).  A 0-tree model has an empty list.
     """
     bins = fit_bin_map(train_raw, max_bins)
     # quantized before training, so a validation set that does not fit the
     # bins fails before the run, not after it
     valid = None if valid_raw is None else transform(valid_raw, bins)
     model, log = train(transform(train_raw, bins), train_raw.labels, config)
-    history = None
-    if valid is not None:
+    history = None if valid is None else []
+    # evaluate_per_tree refuses an empty model: it has no max AUC
+    if valid is not None and model.trees:
         history, _ = evaluate_per_tree(model, valid, valid_raw.labels, config.eta, config.frac_bits)
     return model, log, bins, history

@@ -1,8 +1,12 @@
 """Per-node training: gradient histograms and exact-greedy split selection.
 
-Histogram accumulation is exact integer addition of raw fixed-point values,
-so bin totals reconstruct node totals bitwise no matter how the samples are
-ordered or sharded.  Only the final gain ratios run in double precision.
+A node's histogram is one int64 array of shape (3, n_features, 256): the
+channels G, H, COUNT hold each bin's raw fixed-point gradient sum, hessian
+sum and sample count, and bin 255 is the missing bin.  Accumulation is
+exact integer addition, so bin totals reconstruct node totals bitwise no
+matter how the samples are ordered or sharded, and a parent minus one child
+is exactly the other child.  Only the final gain ratios run in double
+precision.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,7 @@ from .fixed_point import FRAC_BITS, dequantize, quantize, scale
 from .quantizer import MISSING_BIN
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
+G, H, COUNT = 0, 1, 2         # channels of a (3, n_features, N_BINS) histogram
 _LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
 # Samples per histogram accumulation block; it sizes the block buffers.  Do
 # not shrink it: at 2048, deep-1e training took 2.5-3.0 s instead of about
@@ -55,45 +60,9 @@ class TrainConfig:
             raise ValueError("frac_bits must be in [1, 48]")
 
 
-@dataclass
-class GradientHistogram:
-    """Per feature, 256 bins of exact (sum_g, sum_h, count) in raw fixed point."""
-
-    sum_g: np.ndarray           # (n_features, 256) int64
-    sum_h: np.ndarray           # (n_features, 256) int64
-    count: np.ndarray           # (n_features, 256) int64
-    frac_bits: int = FRAC_BITS
-
-    @classmethod
-    def zeros(cls, n_features: int, frac_bits: int = FRAC_BITS) -> "GradientHistogram":
-        shape = (n_features, N_BINS)
-        return cls(
-            sum_g=np.zeros(shape, dtype=np.int64),
-            sum_h=np.zeros(shape, dtype=np.int64),
-            count=np.zeros(shape, dtype=np.int64),
-            frac_bits=frac_bits,
-        )
-
-    @property
-    def n_features(self) -> int:
-        return self.sum_g.shape[0]
-
-    def minus(self, other: "GradientHistogram") -> "GradientHistogram":
-        """Bin-wise integer difference; a parent minus one child is exactly the other child."""
-        return GradientHistogram(
-            sum_g=self.sum_g - other.sum_g,
-            sum_h=self.sum_h - other.sum_h,
-            count=self.count - other.count,
-            frac_bits=self.frac_bits,
-        )
-
-    def totals(self) -> tuple:
-        """Node totals (g_raw, h_raw, count) read off feature 0 (all agree)."""
-        return (
-            int(self.sum_g[0].sum()),
-            int(self.sum_h[0].sum()),
-            int(self.count[0].sum()),
-        )
+def node_totals(hist: np.ndarray) -> tuple:
+    """Node totals (g_raw, h_raw, count) as Python ints, read off feature 0 (all agree)."""
+    return tuple(hist[:, 0].sum(axis=1).tolist())
 
 
 @dataclass(frozen=True)
@@ -106,7 +75,7 @@ class SplitDecision:
     leaf_weight_raw: int | None = None
 
 
-def build_histogram(memory: EngineMemory, node_range: tuple) -> GradientHistogram:
+def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     """Accumulate (grad, hess, count) of one node's samples into feature bins.
 
     The range is streamed in blocks of HISTOGRAM_BLOCK samples.  Each block
@@ -121,7 +90,7 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> GradientHistogra
     start, end = node_range
     n_features = memory.matrix.n_features
     frac_bits = memory.state.frac_bits
-    hist = GradientHistogram.zeros(n_features, frac_bits)
+    hist = np.zeros((3, n_features, N_BINS), dtype=np.int64)
     block = HISTOGRAM_BLOCK
     # sized for the largest block any node of this memory streams
     keys, weights = memory.block_buffers(min(block, max(end - start, memory.matrix.n_samples)))
@@ -136,9 +105,9 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> GradientHistogra
         # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
         # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
         single_pass = (m << frac_bits) < (1 << 53)
-        hist.sum_g += _bin_sums(flat, memory.state.grads_raw[idx], block_weights, single_pass)
-        hist.sum_h += _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass)
-        hist.count += np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
+        hist[G] += _bin_sums(flat, memory.state.grads_raw[idx], block_weights, single_pass)
+        hist[H] += _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass)
+        hist[COUNT] += np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
     return hist
 
 
@@ -181,9 +150,9 @@ def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> i
     return int(quantize(-(g / (h + lam)), frac_bits))
 
 
-def node_leaf(node_totals, lam: float, frac_bits: int) -> SplitDecision:
+def node_leaf(totals, lam: float, frac_bits: int) -> SplitDecision:
     """Leaf decision for node totals (g_raw, h_raw, count); an empty node weighs 0."""
-    g_raw, h_raw, count = node_totals
+    g_raw, h_raw, count = totals
     if count == 0:
         w = 0
     else:
@@ -191,7 +160,7 @@ def node_leaf(node_totals, lam: float, frac_bits: int) -> SplitDecision:
     return SplitDecision(is_leaf=True, leaf_weight_raw=w)
 
 
-def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
+def find_best_split(hist: np.ndarray, totals: tuple, depth: int,
                     config: TrainConfig) -> SplitDecision:
     """Scan all (feature, threshold, missing-direction) candidates for max gain.
 
@@ -201,20 +170,18 @@ def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
     the lowest threshold, then missing-left.  Declares a leaf when no eligible
     candidate has gain > 0 or the depth limit is reached.
     """
-    g_tot, h_tot, c_tot = node_totals
-    fb = hist.frac_bits
+    g_tot, h_tot, c_tot = totals
+    fb = config.frac_bits
     if depth >= config.max_depth or c_tot == 0:
-        return node_leaf(node_totals, config.lam, fb)
+        return node_leaf(totals, config.lam, fb)
 
-    # one (feature, threshold, side) block: side 0 groups the missing bin
-    # left, side 1 right; row-major order is the tie order
+    # one (channel, feature, threshold, side) block: side 0 groups the missing
+    # bin left, side 1 right; per channel, row-major order is the tie order
     sc = scale(fb)
-    cg = np.cumsum(hist.sum_g[:, :MISSING_BIN], axis=1)
-    ch = np.cumsum(hist.sum_h[:, :MISSING_BIN], axis=1)
-    cc = np.cumsum(hist.count[:, :MISSING_BIN], axis=1)
-    gl = np.stack([cg + hist.sum_g[:, MISSING_BIN:], cg], axis=2) / sc
-    hl = np.stack([ch + hist.sum_h[:, MISSING_BIN:], ch], axis=2) / sc
-    cl = np.stack([cc + hist.count[:, MISSING_BIN:], cc], axis=2)
+    cum = np.cumsum(hist[:, :, :MISSING_BIN], axis=2)
+    left = np.stack([cum + hist[:, :, MISSING_BIN:], cum], axis=3)
+    gl, hl = left[G] / sc, left[H] / sc
+    cl = left[COUNT]
     gr = g_tot / sc - gl
     hr = h_tot / sc - hl
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -225,7 +192,7 @@ def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
     k = int(np.argmax(gains))
     best_gain = float(gains.flat[k])
     if best_gain <= 0.0:
-        return node_leaf(node_totals, config.lam, fb)
+        return node_leaf(totals, config.lam, fb)
     feature, rest = divmod(k, 2 * MISSING_BIN)
     threshold, side = divmod(rest, 2)
     return SplitDecision(
@@ -237,18 +204,13 @@ def find_best_split(hist: GradientHistogram, node_totals: tuple, depth: int,
     )
 
 
-def split_child_totals(hist: GradientHistogram, decision: SplitDecision,
-                       node_totals: tuple) -> tuple:
+def split_child_totals(hist: np.ndarray, decision: SplitDecision, totals: tuple) -> tuple:
     """Exact (g, h, count) raw totals of both children implied by a split."""
     if decision.is_leaf:
         raise ValueError("leaf decision has no children")
     f, t = decision.feature, decision.threshold_bin
-    gl = int(hist.sum_g[f, : t + 1].sum())
-    hl = int(hist.sum_h[f, : t + 1].sum())
-    cl = int(hist.count[f, : t + 1].sum())
+    sums = hist[:, f, : t + 1].sum(axis=1)
     if decision.missing_left:
-        gl += int(hist.sum_g[f, MISSING_BIN])
-        hl += int(hist.sum_h[f, MISSING_BIN])
-        cl += int(hist.count[f, MISSING_BIN])
-    g_tot, h_tot, c_tot = node_totals
-    return (gl, hl, cl), (g_tot - gl, h_tot - hl, c_tot - cl)
+        sums += hist[:, f, MISSING_BIN]
+    left = tuple(sums.tolist())
+    return left, tuple(tot - v for tot, v in zip(totals, left))

@@ -19,7 +19,7 @@ import numpy as np
 from mpmath import mp
 
 from fpboost.fixed_point import logistic_grad_hess, quantize
-from fpboost.node_trainer import GradientHistogram, build_histogram, split_gain
+from fpboost.node_trainer import build_histogram, split_gain
 
 MISSING = 255
 
@@ -249,22 +249,19 @@ def assert_trees_match(tree_model, ref_root, frac_bits, ulp_tol=1):
 
 # ------------------------------------------------------- data parallelism
 
-def merge_histograms(hists: list) -> GradientHistogram:
-    """Elementwise integer sum of per-engine histograms, engine order ascending."""
+def merge_histograms(hists: list) -> np.ndarray:
+    """Elementwise int64 sum of per-engine histograms, engine order ascending."""
     if not hists:
         raise ValueError("nothing to merge")
-    first = hists[0]
-    out = GradientHistogram.zeros(first.n_features, first.frac_bits)
+    out = np.zeros_like(hists[0], dtype=np.int64)
     for h in hists:
-        if h.sum_g.shape != first.sum_g.shape:
-            raise ValueError(f"histogram shape mismatch: {h.sum_g.shape} vs {first.sum_g.shape}")
-        out.sum_g += h.sum_g
-        out.sum_h += h.sum_h
-        out.count += h.count
+        if h.shape != out.shape:
+            raise ValueError(f"histogram shape mismatch: {h.shape} vs {out.shape}")
+        out += h
     return out
 
 
-def merged_node_histogram(memories: list, ranges: list) -> GradientHistogram:
+def merged_node_histogram(memories: list, ranges: list) -> np.ndarray:
     """Build one node's histogram engine by engine, each over its own range, and merge."""
     if len(memories) != len(ranges):
         raise ValueError("one range per engine required")

@@ -5,7 +5,7 @@ from fpboost import boost_controller
 from fpboost.boost_controller import Model, predict_raw, subsample_indices, train
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize
-from fpboost.node_trainer import TrainConfig, build_histogram, leaf_weight
+from fpboost.node_trainer import TrainConfig, build_histogram, leaf_weight, node_totals
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix, RawDataset, fit_bin_map, transform
 from conftest import random_quantized
 from reference import py_subsample, ref_train, assert_trees_match
@@ -33,7 +33,8 @@ class TestSubsample:
 
     def test_matches_pure_python_generator(self):
         for seed, tree, n, rate in [(0, 0, 500, 0.5), (77, 3, 257, 0.25),
-                                    (2**63, 12, 100, 0.9), (5, 0, 64, 0.01)]:
+                                    (2**63, 12, 100, 0.9), (5, 0, 64, 0.01),
+                                    (-7, 4, 300, 0.5), (3, 2**63 + 5, 300, 0.5)]:
             got = list(subsample_indices(seed, tree, n, rate))
             assert got == py_subsample(seed, tree, n, rate)
 
@@ -202,8 +203,7 @@ def _with_all_missing_feature(matrix):
 
 def _assert_features_agree(hist, totals):
     """Every feature's bins sum to the node totals, not only feature 0's."""
-    for f in range(hist.n_features):
-        assert (int(hist.sum_g[f].sum()), int(hist.sum_h[f].sum()), int(hist.count[f].sum())) == totals
+    assert (hist.sum(axis=2) == np.array(totals)[:, None]).all()
 
 
 class TestSiblingSubtraction:
@@ -230,10 +230,8 @@ class TestSiblingSubtraction:
                 idx = memory.table[slice(*node_range)]
                 direct = build(EngineMemory(matrix, memory.state, init_index_table(idx)),
                                (0, idx.size))
-                assert np.array_equal(hist.sum_g, direct.sum_g)
-                assert np.array_equal(hist.sum_h, direct.sum_h)
-                assert np.array_equal(hist.count, direct.count)
-                assert totals == direct.totals()
+                assert np.array_equal(hist, direct)
+                assert totals == node_totals(direct)
                 _assert_features_agree(hist, totals)
                 seen["children"] += 1
             return out

@@ -96,6 +96,20 @@ def test_train_is_deterministic_across_runs(tmp_path, csv_pair):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_zero_trees_with_validation_writes_an_empty_model(tmp_path, csv_pair, capsys):
+    train_csv, valid_csv = csv_pair
+    rc = main(_train_args(train_csv, valid_csv, tmp_path, extra=("--trees", "0")))
+    assert rc == 0
+    assert capsys.readouterr().out == f"trained trees=0 model={tmp_path / 'model.json'}\n"
+    assert load_model(str(tmp_path / "model.json")).model.n_trees == 0
+    assert (tmp_path / "metrics.csv").read_text() == "tree_index,train_loss,valid_auc\n"
+
+    rc = main(["eval", "--data", valid_csv, "--format", "csv",
+               "--model", str(tmp_path / "model.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: empty model\n"
+
+
 def test_missing_file_is_single_line_error(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
                "--model-out", str(tmp_path / "m.json")])

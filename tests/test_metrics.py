@@ -122,6 +122,17 @@ class TestTrainAndEvaluate:
         _, _, bins, _ = train_and_evaluate(raw, self.CFG, max_bins=4)
         assert bins == fit_bin_map(raw, 4) != fit_bin_map(raw)
 
+    def test_zero_trees_give_an_empty_history(self, rng, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluate_per_tree called on a 0-tree model")
+
+        monkeypatch.setattr(metrics, "evaluate_per_tree", no_evaluation)
+        cfg = TrainConfig(n_trees=0)
+        model, log, _, history = train_and_evaluate(random_raw(rng, 80, 2), cfg,
+                                                    random_raw(rng, 40, 2))
+        assert model.n_trees == len(log.trees) == 0
+        assert history == []
+
     def test_validation_set_that_does_not_fit_fails_before_training(self, rng, monkeypatch):
         def no_training(*args):
             raise AssertionError("trained before the validation set was quantized")

@@ -11,12 +11,16 @@ from fpboost import node_trainer
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, quantize
 from fpboost.node_trainer import (
+    COUNT,
     MISSING_BIN,
-    GradientHistogram,
+    N_BINS,
+    G,
+    H,
     TrainConfig,
     build_histogram,
     find_best_split,
     leaf_weight,
+    node_totals,
     split_child_totals,
     split_gain,
 )
@@ -62,7 +66,7 @@ class TestBuildHistogram:
     def test_empty_range_is_all_zero(self, rng):
         mem = _memory(rng, 10, 3)
         hist = build_histogram(mem, (4, 4))
-        assert not hist.sum_g.any() and not hist.sum_h.any() and not hist.count.any()
+        assert hist.shape == (3, 3, N_BINS) and hist.dtype == np.int64 and not hist.any()
 
     def test_hand_accumulation(self):
         # one feature, bins [0, 0, 2]; grads .5, -.25, .25; hessians all .25
@@ -81,11 +85,11 @@ class TestBuildHistogram:
         )
         mem = EngineMemory(matrix, state, init_index_table([0, 1, 2]))
         hist = build_histogram(mem, (0, 3))
-        assert hist.sum_g[0, 0] == quantize(0.25) and hist.count[0, 0] == 2
-        assert hist.sum_h[0, 0] == quantize(0.5)
-        assert hist.sum_g[0, 2] == quantize(0.25) and hist.count[0, 2] == 1
-        assert hist.sum_h[0, 2] == quantize(0.25)
-        assert hist.count[0].sum() == 3
+        assert hist[G, 0, 0] == quantize(0.25) and hist[COUNT, 0, 0] == 2
+        assert hist[H, 0, 0] == quantize(0.5)
+        assert hist[G, 0, 2] == quantize(0.25) and hist[COUNT, 0, 2] == 1
+        assert hist[H, 0, 2] == quantize(0.25)
+        assert hist[COUNT, 0].sum() == 3
 
     def test_duplicating_samples_doubles_everything(self, rng):
         matrix, labels = random_quantized(rng, 40, 3)
@@ -94,9 +98,7 @@ class TestBuildHistogram:
         single = build_histogram(mem, (0, 40))
         mem.table = np.concatenate([np.arange(40), np.arange(40)])
         double = build_histogram(mem, (0, 80))
-        assert np.array_equal(double.sum_g, 2 * single.sum_g)
-        assert np.array_equal(double.sum_h, 2 * single.sum_h)
-        assert np.array_equal(double.count, 2 * single.count)
+        assert np.array_equal(double, 2 * single)
 
     def test_one_memory_serves_any_block_size_in_turn(self, rng):
         # the block buffers kept by the memory must fit each build's block size,
@@ -110,21 +112,16 @@ class TestBuildHistogram:
                 mp.setattr(node_trainer, "HISTOGRAM_BLOCK", block)
                 for r, expected in want.items():
                     got = build_histogram(mem, r)
-                    assert np.array_equal(got.sum_g, expected.sum_g)
-                    assert np.array_equal(got.sum_h, expected.sum_h)
-                    assert np.array_equal(got.count, expected.count)
+                    assert np.array_equal(got, expected)
 
     def test_bitwise_conservation(self, rng):
         mem = _memory(rng, 257, 5)
         hist = build_histogram(mem, (0, 257))
-        g, h, c = hist.totals()
+        g, h, c = node_totals(hist)
         assert g == int(mem.state.grads_raw.sum())
         assert h == int(mem.state.hess_raw.sum())
         assert c == 257
-        for f in range(5):
-            assert int(hist.sum_g[f].sum()) == g
-            assert int(hist.sum_h[f].sum()) == h
-            assert int(hist.count[f].sum()) == c
+        assert (hist.sum(axis=2) == np.array([[g], [h], [c]])).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -166,17 +163,17 @@ def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme, block, 
     for f in range(2):
         for b in (0, 1, 2, MISSING_BIN):
             rows = node[columns[f, node] == b].tolist()
-            assert int(hist.sum_g[f, b]) == sum(g_list[i] for i in rows)
-            assert int(hist.sum_h[f, b]) == sum(h_list[i] for i in rows)
-            assert int(hist.count[f, b]) == len(rows)
-    assert hist.frac_bits == frac_bits
+            assert int(hist[G, f, b]) == sum(g_list[i] for i in rows)
+            assert int(hist[H, f, b]) == sum(h_list[i] for i in rows)
+            assert int(hist[COUNT, f, b]) == len(rows)
+    assert hist.shape == (3, 2, N_BINS) and hist.dtype == np.int64
 
 
 class TestHistogramSubtraction:
     def test_parent_minus_child_is_sibling(self, rng):
         mem = _memory(rng, 300, 4, missing_frac=0.05)
         parent = build_histogram(mem, (0, 300))
-        decision = find_best_split(parent, parent.totals(), 0, TrainConfig(max_depth=2))
+        decision = find_best_split(parent, node_totals(parent), 0, TrainConfig(max_depth=2))
         assert not decision.is_leaf
         b = mem.matrix.columns[decision.feature]
         left = (b <= decision.threshold_bin) | ((b == MISSING_BIN) & decision.missing_left)
@@ -185,19 +182,15 @@ class TestHistogramSubtraction:
             mem.table = init_index_table(np.flatnonzero(side), 300)
             children.append(build_histogram(mem, (0, int(side.sum()))))
         for built, other in ((children[0], children[1]), (children[1], children[0])):
-            sibling = parent.minus(built)
-            assert np.array_equal(sibling.sum_g, other.sum_g)
-            assert np.array_equal(sibling.sum_h, other.sum_h)
-            assert np.array_equal(sibling.count, other.count)
-            assert sibling.frac_bits == parent.frac_bits
+            sibling = parent - built
+            assert np.array_equal(sibling, other)
+            assert sibling.dtype == np.int64
 
     def test_minus_empty_child_is_parent(self, rng):
         mem = _memory(rng, 50, 3)
         parent = build_histogram(mem, (0, 50))
-        same = parent.minus(build_histogram(mem, (7, 7)))
-        assert np.array_equal(same.sum_g, parent.sum_g)
-        assert np.array_equal(same.sum_h, parent.sum_h)
-        assert np.array_equal(same.count, parent.count)
+        same = parent - build_histogram(mem, (7, 7))
+        assert np.array_equal(same, parent)
 
 
 class TestSplitGain:
@@ -251,11 +244,11 @@ class TestLeafWeight:
 
 def _hist_from_bins(bins, grads, hess, n_features=1):
     """Build a 1-feature histogram directly from (bin, grad_raw, hess_raw) triples."""
-    hist = GradientHistogram.zeros(n_features)
+    hist = np.zeros((3, n_features, N_BINS), dtype=np.int64)
     for b, g, h in zip(bins, grads, hess):
-        hist.sum_g[0, b] += g
-        hist.sum_h[0, b] += h
-        hist.count[0, b] += 1
+        hist[G, 0, b] += g
+        hist[H, 0, b] += h
+        hist[COUNT, 0, b] += 1
     return hist
 
 
@@ -264,15 +257,15 @@ class TestFindBestSplit:
         hist = _hist_from_bins([3, 3, 3], [SCALE, -SCALE // 2, SCALE // 4],
                                [SCALE // 4] * 3)
         cfg = TrainConfig(max_depth=3, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        decision = find_best_split(hist, node_totals(hist), 0, cfg)
         assert decision.is_leaf
-        g, h, _ = hist.totals()
+        g, h, _ = node_totals(hist)
         assert decision.leaf_weight_raw == leaf_weight(g / SCALE, h / SCALE, 1.0)
 
     def test_two_bin_example(self):
         hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        decision = find_best_split(hist, node_totals(hist), 0, cfg)
         assert not decision.is_leaf
         assert decision.feature == 0
         assert decision.threshold_bin == 0
@@ -280,13 +273,13 @@ class TestFindBestSplit:
         assert decision.gain == 0.5
 
     def test_equal_features_tie_to_lowest(self):
-        hist = GradientHistogram.zeros(2)
+        hist = np.zeros((3, 2, N_BINS), dtype=np.int64)
         for f in range(2):
-            hist.sum_g[f, 0], hist.sum_g[f, 1] = -SCALE, SCALE
-            hist.sum_h[f, 0] = hist.sum_h[f, 1] = SCALE
-            hist.count[f, 0] = hist.count[f, 1] = 1
+            hist[G, f, 0], hist[G, f, 1] = -SCALE, SCALE
+            hist[H, f, 0] = hist[H, f, 1] = SCALE
+            hist[COUNT, f, 0] = hist[COUNT, f, 1] = 1
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        decision = find_best_split(hist, node_totals(hist), 0, cfg)
         assert decision.feature == 0
 
 
@@ -294,41 +287,41 @@ class TestFindBestSplit:
         # bins 0 and 2 carry equal stats, so t=0 and t=1 mirror each other
         hist = _hist_from_bins([0, 1, 2], [-SCALE, SCALE // 2, -SCALE], [SCALE] * 3)
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
-        g_tot, h_tot, _ = hist.totals()
+        g_tot, h_tot, _ = node_totals(hist)
         gains = [split_gain(gl / SCALE, hl / SCALE, (g_tot - gl) / SCALE,
                             (h_tot - hl) / SCALE, 1.0, 0.0)
                  for gl, hl in ((-SCALE, SCALE), (-SCALE // 2, 2 * SCALE))]
         assert gains[0] == gains[1] > 0
-        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        decision = find_best_split(hist, node_totals(hist), 0, cfg)
         assert (decision.threshold_bin, decision.missing_left) == (0, True)
         assert decision.gain == gains[0]
 
     def test_missing_directions_tie_to_left(self):
         # a missing sample with zero grad and hess leaves both directions equal
         hist = _hist_from_bins([0, 1, MISSING_BIN], [-SCALE, SCALE, 0], [SCALE, SCALE, 0])
-        decision = find_best_split(hist, hist.totals(), 0, TrainConfig(max_depth=1))
+        decision = find_best_split(hist, node_totals(hist), 0, TrainConfig(max_depth=1))
         assert (decision.threshold_bin, decision.missing_left) == (0, True)
 
     def test_missing_right_wins_when_strictly_better(self):
         hist = _hist_from_bins([0, 1, MISSING_BIN], [-SCALE, SCALE, SCALE], [SCALE] * 3)
-        decision = find_best_split(hist, hist.totals(), 0, TrainConfig(max_depth=1))
+        decision = find_best_split(hist, node_totals(hist), 0, TrainConfig(max_depth=1))
         assert (decision.threshold_bin, decision.missing_left) == (0, False)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_single_bin_and_all_missing_features_never_win(self, lam):
-        hist = GradientHistogram.zeros(3)
+        hist = np.zeros((3, 3, N_BINS), dtype=np.int64)
         grads = [-SCALE, SCALE, -SCALE, SCALE]
         for f, bins in enumerate(([3] * 4, [MISSING_BIN] * 4, [0, 1, 0, 1])):
             for b, g in zip(bins, grads):
-                hist.sum_g[f, b] += g
-                hist.sum_h[f, b] += SCALE // 4
-                hist.count[f, b] += 1
+                hist[G, f, b] += g
+                hist[H, f, b] += SCALE // 4
+                hist[COUNT, f, b] += 1
         cfg = TrainConfig(max_depth=1, lam=lam, gamma=0.0)
-        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        decision = find_best_split(hist, node_totals(hist), 0, cfg)
         assert decision.feature == 2
         for f in range(2):
-            only = GradientHistogram(hist.sum_g[f:f + 1], hist.sum_h[f:f + 1], hist.count[f:f + 1])
-            assert find_best_split(only, only.totals(), 0, cfg).is_leaf
+            only = hist[:, f:f + 1]
+            assert find_best_split(only, node_totals(only), 0, cfg).is_leaf
 
     def test_lam_zero_empty_side_no_nan_no_split(self):
         cfg = TrainConfig(max_depth=1, lam=0.0, gamma=0.0)
@@ -340,22 +333,22 @@ class TestFindBestSplit:
         for hist in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                decision = find_best_split(hist, hist.totals(), 0, cfg)
+                decision = find_best_split(hist, node_totals(hist), 0, cfg)
             assert decision.is_leaf
             assert not math.isnan(decision.gain)
         # a real split at lam=0 still has its finite scalar gain
         hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
-        decision = find_best_split(hist, hist.totals(), 0, cfg)
+        decision = find_best_split(hist, node_totals(hist), 0, cfg)
         assert not decision.is_leaf and decision.gain == split_gain(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
 
     def test_depth_limit_forces_leaf(self):
         hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, hist.totals(), 1, cfg)
+        decision = find_best_split(hist, node_totals(hist), 1, cfg)
         assert decision.is_leaf
 
     def test_empty_node_is_zero_leaf(self):
-        hist = GradientHistogram.zeros(2)
+        hist = np.zeros((3, 2, N_BINS), dtype=np.int64)
         cfg = TrainConfig(lam=0.0, gamma=0.0)
         decision = find_best_split(hist, (0, 0, 0), 0, cfg)
         assert decision.is_leaf and decision.leaf_weight_raw == 0
@@ -363,7 +356,7 @@ class TestFindBestSplit:
     def test_gamma_monotonicity(self, rng):
         mem = _memory(rng, 120, 4)
         hist = build_histogram(mem, (0, 120))
-        totals = hist.totals()
+        totals = node_totals(hist)
         prev_gain = math.inf
         was_leaf = False
         for gamma in (0.0, 0.05, 0.2, 1.0, 5.0, 100.0):
@@ -381,20 +374,20 @@ class TestFindBestSplit:
         mem = _memory(rng, 90, 3)
         hist = build_histogram(mem, (0, 90))
         cfg = TrainConfig(max_depth=2, lam=0.5, gamma=0.01)
-        a = find_best_split(hist, hist.totals(), 0, cfg)
-        b = find_best_split(hist, hist.totals(), 0, cfg)
+        a = find_best_split(hist, node_totals(hist), 0, cfg)
+        b = find_best_split(hist, node_totals(hist), 0, cfg)
         assert a == b
 
     def test_gain_scan_reconstructs_totals_at_every_threshold(self, rng):
         mem = _memory(rng, 150, 3)
         hist = build_histogram(mem, (0, 150))
-        g_tot, h_tot, c_tot = hist.totals()
+        g_tot, h_tot, c_tot = node_totals(hist)
         for f in range(3):
-            cg = np.cumsum(hist.sum_g[f, :255])
-            ch = np.cumsum(hist.sum_h[f, :255])
-            cc = np.cumsum(hist.count[f, :255])
-            gm, hm, cm = (int(hist.sum_g[f, 255]), int(hist.sum_h[f, 255]),
-                          int(hist.count[f, 255]))
+            cg = np.cumsum(hist[G, f, :255])
+            ch = np.cumsum(hist[H, f, :255])
+            cc = np.cumsum(hist[COUNT, f, :255])
+            gm, hm, cm = (int(hist[G, f, 255]), int(hist[H, f, 255]),
+                          int(hist[COUNT, f, 255]))
             for t in range(255):
                 for left_extra in ((gm, hm, cm), (0, 0, 0)):
                     gl = int(cg[t]) + left_extra[0]
@@ -414,13 +407,13 @@ class TestFindBestSplit:
                           scores=rng.integers(-2 * SCALE, 2 * SCALE, size=n))
             hist = build_histogram(mem, (0, n))
             cfg = TrainConfig(max_depth=4, lam=lam, gamma=gamma)
-            got = find_best_split(hist, hist.totals(), 0, cfg)
+            got = find_best_split(hist, node_totals(hist), 0, cfg)
             best, gain = ref_best_split(mem.matrix.columns, np.arange(n),
                                         mem.state.grads_raw, mem.state.hess_raw,
                                         lam, gamma, FRAC_BITS)
             if best is None or gain <= 0.0:
                 assert got.is_leaf, f"trial {trial}: expected leaf"
-                g, h, _ = hist.totals()
+                g, h, _ = node_totals(hist)
                 assert abs(got.leaf_weight_raw - ref_leaf_weight(g, h, lam, FRAC_BITS)) <= 1
             else:
                 assert not got.is_leaf, f"trial {trial}: expected split {best}"
@@ -432,7 +425,7 @@ class TestSplitChildTotals:
     def test_children_tile_parent(self, rng):
         mem = _memory(rng, 140, 4)
         hist = build_histogram(mem, (0, 140))
-        totals = hist.totals()
+        totals = node_totals(hist)
         cfg = TrainConfig(max_depth=2, lam=1.0, gamma=0.0)
         decision = find_best_split(hist, totals, 0, cfg)
         assert not decision.is_leaf
@@ -449,6 +442,6 @@ class TestSplitChildTotals:
 
     def test_leaf_rejected(self, rng):
         from fpboost.node_trainer import SplitDecision
-        hist = GradientHistogram.zeros(1)
+        hist = np.zeros((3, 1, N_BINS), dtype=np.int64)
         with pytest.raises(ValueError):
             split_child_totals(hist, SplitDecision(is_leaf=True, leaf_weight_raw=0), (0, 0, 0))
