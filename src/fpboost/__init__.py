@@ -12,8 +12,8 @@ from .node_trainer import (
     COUNT,
     G,
     H,
-    SplitDecision,
     TrainConfig,
+    TreeNode,
     build_histogram,
     find_best_split,
     leaf_weight,
@@ -21,6 +21,6 @@ from .node_trainer import (
     split_gain,
 )
 from .quantizer import BinMap, QuantizedMatrix, RawDataset, fit_bin_map, fit_bins, transform
-from .splitter import TreeModel, TreeNode, apply_tree_update, partition
+from .splitter import TreeModel, apply_tree_update, partition
 
 __version__ = "0.1.0"

@@ -16,10 +16,9 @@ import numpy as np
 
 from .engine_memory import EngineMemory, init_index_table, load
 from .fixed_point import FRAC_BITS
-from .node_trainer import (TrainConfig, build_histogram, find_best_split, node_leaf, node_totals,
-                           split_child_totals)
+from .node_trainer import TrainConfig, build_histogram, find_best_split, node_leaf, split_child_totals
 from .quantizer import QuantizedMatrix
-from .splitter import TreeModel, TreeNode, apply_tree_update, partition, replay_scores
+from .splitter import TreeModel, apply_tree_update, partition, replay_scores
 
 BASE_SCORE = 0.0
 
@@ -93,19 +92,20 @@ def _log_loss(p, labels) -> float:
 
 
 def _children(memory: EngineMemory, parent_id: int, parent_hist: np.ndarray,
-              child_totals: tuple, child_ranges: tuple) -> list:
-    """(node id, range, histogram, totals) of both children of one split node.
+              child_ranges: tuple) -> list:
+    """(node id, range, histogram) of both children of one split node.
 
-    Only the child with fewer samples is built from the index table; the
-    other is the parent's histogram minus it, exact because bins hold
-    integer sums.
+    Only the child with fewer samples, the shorter range, is built from the
+    index table; the other is the parent's histogram minus it, exact because
+    bins hold integer sums.
     """
     ids = (2 * parent_id, 2 * parent_id + 1)
-    small = 0 if child_totals[0][2] <= child_totals[1][2] else 1
+    (s0, e0), (s1, e1) = child_ranges
+    small = 0 if e0 - s0 <= e1 - s1 else 1
     built = build_histogram(memory, child_ranges[small])
     sibling = parent_hist - built
     hists = (built, sibling) if small == 0 else (sibling, built)
-    return list(zip(ids, child_ranges, hists, child_totals))
+    return list(zip(ids, child_ranges, hists))
 
 
 def _level(memory: EngineMemory, parents: deque):
@@ -121,34 +121,25 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
     """Train one tree depth-synchronously over the memory's index table."""
     tree = TreeModel()
     root_range = (0, memory.table.size)
-    root = build_histogram(memory, root_range)
-    nodes = [(0, root_range, root, node_totals(root))]
+    nodes = [(0, root_range, build_histogram(memory, root_range))]
     for d in range(config.max_depth):
         trained_sizes = []
         split_sizes = []
-        # (node id, histogram, child totals, child ranges) of nodes whose children train
+        # (node id, histogram, child ranges) of nodes whose children train
         parents = deque()
-        for node_id, (start, end), hist, totals in nodes:
-            decision = find_best_split(hist, totals, d, config)
-            trained_sizes.append(totals[2])
-            if decision.is_leaf:
-                tree.put(d, node_id, TreeNode(is_leaf=True, leaf_weight_raw=decision.leaf_weight_raw))
+        for node_id, (start, end), hist in nodes:
+            node = find_best_split(hist, config)
+            tree.put(d, node_id, node)
+            trained_sizes.append(end - start)
+            if node.is_leaf:
                 continue
-            tree.put(d, node_id, TreeNode(
-                is_leaf=False,
-                feature=decision.feature,
-                threshold_bin=decision.threshold_bin,
-                missing_left=decision.missing_left,
-            ))
-            mid = partition(memory, (start, end), decision)
-            split_sizes.append(totals[2])
-            child_totals = split_child_totals(hist, decision, totals)
-            if d + 1 == config.max_depth:
-                for child, child_total in zip((2 * node_id, 2 * node_id + 1), child_totals):
-                    w = node_leaf(child_total, config.lam, config.frac_bits).leaf_weight_raw
-                    tree.put(d + 1, child, TreeNode(is_leaf=True, leaf_weight_raw=w))
-            else:
-                parents.append((node_id, hist, child_totals, ((start, mid), (mid, end))))
+            mid = partition(memory, (start, end), node)
+            split_sizes.append(end - start)
+            if d + 1 < config.max_depth:
+                parents.append((node_id, hist, ((start, mid), (mid, end))))
+                continue
+            for child, totals in zip((2 * node_id, 2 * node_id + 1), split_child_totals(hist, node)):
+                tree.put(d + 1, child, node_leaf(totals, config.lam, config.frac_bits))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))
         if not parents:
             break

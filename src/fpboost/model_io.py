@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .boost_controller import DepthLog, Model, TrainingLog, TreeLog
-from .node_trainer import TrainConfig
+from .node_trainer import TrainConfig, TreeNode
 from .quantizer import MISSING_BIN, BinMap
-from .splitter import TreeModel, TreeNode
+from .splitter import TreeModel
 
 MODEL_FORMAT = "fpboost-model"
 LOG_FORMAT = "fpboost-log"

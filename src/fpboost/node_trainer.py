@@ -7,9 +7,14 @@ exact integer addition, so bin totals reconstruct node totals bitwise no
 matter how the samples are ordered or sharded, and a parent minus one child
 is exactly the other child.  Only the final gain ratios run in double
 precision.
+
+The split scan reads nothing but the histogram and the config, and returns
+the TreeNode the tree stores; goes_left is the one go-left rule that the
+partition and every replay apply to it.  A split node's gain is kept for
+inspection only: it is never saved and takes no part in ==.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,14 +70,25 @@ def node_totals(hist: np.ndarray) -> tuple:
     return tuple(hist[:, 0].sum(axis=1).tolist())
 
 
-@dataclass(frozen=True)
-class SplitDecision:
+@dataclass
+class TreeNode:
+    """A split (feature, threshold_bin, missing_left) or a leaf (leaf_weight_raw)."""
+
     is_leaf: bool
     feature: int | None = None
     threshold_bin: int | None = None
     missing_left: bool | None = None
-    gain: float = 0.0
     leaf_weight_raw: int | None = None
+    gain: float = field(default=0.0, compare=False)
+
+
+def goes_left(node: TreeNode, bins: np.ndarray) -> np.ndarray:
+    """Which of these bins of the split feature go left: bin <= threshold,
+    and the missing bin too when missing_left."""
+    go_left = bins <= node.threshold_bin
+    if node.missing_left:
+        go_left |= bins == MISSING_BIN
+    return go_left
 
 
 def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
@@ -150,29 +166,29 @@ def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> i
     return int(quantize(-(g / (h + lam)), frac_bits))
 
 
-def node_leaf(totals, lam: float, frac_bits: int) -> SplitDecision:
-    """Leaf decision for node totals (g_raw, h_raw, count); an empty node weighs 0."""
+def node_leaf(totals, lam: float, frac_bits: int) -> TreeNode:
+    """Leaf for node totals (g_raw, h_raw, count); an empty node weighs 0."""
     g_raw, h_raw, count = totals
     if count == 0:
         w = 0
     else:
         w = leaf_weight(dequantize(g_raw, frac_bits), dequantize(h_raw, frac_bits), lam, frac_bits)
-    return SplitDecision(is_leaf=True, leaf_weight_raw=w)
+    return TreeNode(is_leaf=True, leaf_weight_raw=w)
 
 
-def find_best_split(hist: np.ndarray, totals: tuple, depth: int,
-                    config: TrainConfig) -> SplitDecision:
+def find_best_split(hist: np.ndarray, config: TrainConfig) -> TreeNode:
     """Scan all (feature, threshold, missing-direction) candidates for max gain.
 
     Sweeps ordered bins 0..254 as thresholds with the predicate "go left iff
     bin <= threshold"; the missing bin joins either side.  Candidates leaving
     a side empty, or with a NaN gain, are not eligible.  Ties resolve to the lowest feature, then
     the lowest threshold, then missing-left.  Declares a leaf when no eligible
-    candidate has gain > 0 or the depth limit is reached.
+    candidate has gain > 0.
     """
+    totals = node_totals(hist)
     g_tot, h_tot, c_tot = totals
     fb = config.frac_bits
-    if depth >= config.max_depth or c_tot == 0:
+    if c_tot == 0:
         return node_leaf(totals, config.lam, fb)
 
     # one (channel, feature, threshold, side) block: side 0 groups the missing
@@ -195,7 +211,7 @@ def find_best_split(hist: np.ndarray, totals: tuple, depth: int,
         return node_leaf(totals, config.lam, fb)
     feature, rest = divmod(k, 2 * MISSING_BIN)
     threshold, side = divmod(rest, 2)
-    return SplitDecision(
+    return TreeNode(
         is_leaf=False,
         feature=feature,
         threshold_bin=threshold,
@@ -204,13 +220,13 @@ def find_best_split(hist: np.ndarray, totals: tuple, depth: int,
     )
 
 
-def split_child_totals(hist: np.ndarray, decision: SplitDecision, totals: tuple) -> tuple:
-    """Exact (g, h, count) raw totals of both children implied by a split."""
-    if decision.is_leaf:
-        raise ValueError("leaf decision has no children")
-    f, t = decision.feature, decision.threshold_bin
+def split_child_totals(hist: np.ndarray, node: TreeNode) -> tuple:
+    """Exact (g, h, count) raw totals of both children of a split node."""
+    if node.is_leaf:
+        raise ValueError("leaf node has no children")
+    f, t = node.feature, node.threshold_bin
     sums = hist[:, f, : t + 1].sum(axis=1)
-    if decision.missing_left:
+    if node.missing_left:
         sums += hist[:, f, MISSING_BIN]
     left = tuple(sums.tolist())
-    return left, tuple(tot - v for tot, v in zip(totals, left))
+    return left, tuple(tot - v for tot, v in zip(node_totals(hist), left))

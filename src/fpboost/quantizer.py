@@ -6,7 +6,7 @@ values map to the reserved bin 255.  Centroids are fit on training data only
 and reused unchanged for any other split of the data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,6 @@ class BinMap:
     """Per-feature centroid arrays, ascending, 1..255 entries each."""
 
     centroids: list
-
-    missing_bin: int = field(default=MISSING_BIN, init=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinMap):

@@ -11,16 +11,7 @@ import numpy as np
 
 from .engine_memory import EngineMemory
 from .fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize, scale
-from .node_trainer import MISSING_BIN, SplitDecision
-
-
-@dataclass
-class TreeNode:
-    is_leaf: bool
-    feature: int | None = None
-    threshold_bin: int | None = None
-    missing_left: bool | None = None
-    leaf_weight_raw: int | None = None
+from .node_trainer import TreeNode, goes_left
 
 
 @dataclass
@@ -47,20 +38,17 @@ class TreeModel:
         return sum(1 for level in self.levels for n in level.values() if n.is_leaf)
 
 
-def partition(memory: EngineMemory, node_range: tuple, decision: SplitDecision) -> int:
+def partition(memory: EngineMemory, node_range: tuple, node: TreeNode) -> int:
     """Stably split one node's range of the index table in place; returns mid.
 
     Left-branch indices land at start..mid, right-branch at mid..end, both in
     parent order, so the children's ranges are (start, mid) and (mid, end).
     """
-    if decision.is_leaf:
-        raise ValueError("cannot partition on a leaf decision")
+    if node.is_leaf:
+        raise ValueError("cannot partition on a leaf node")
     start, end = node_range
     ids = memory.table[start:end]
-    bins = memory.matrix.columns[decision.feature][ids]
-    go_left = bins <= decision.threshold_bin
-    if decision.missing_left:
-        go_left |= bins == MISSING_BIN
+    go_left = goes_left(node, memory.matrix.columns[node.feature][ids])
     left, right = ids[go_left], ids[~go_left]
     ids[:left.size] = left
     ids[left.size:] = right
@@ -80,10 +68,7 @@ def route_weights(tree: TreeModel, columns: np.ndarray,
         if node.is_leaf:
             out[idx] = node.leaf_weight_raw if leaf_values is None else leaf_values[depth, node_id]
             continue
-        bins = columns[node.feature][idx]
-        go_left = bins <= node.threshold_bin
-        if node.missing_left:
-            go_left |= bins == MISSING_BIN
+        go_left = goes_left(node, columns[node.feature][idx])
         stack.append((depth + 1, 2 * node_id, idx[go_left]))
         stack.append((depth + 1, 2 * node_id + 1, idx[~go_left]))
     return out

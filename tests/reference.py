@@ -6,7 +6,8 @@ index tables), sigmoid in arbitrary precision and as two masked passes,
 gain in exact rationals, AUC by pair counting, the subsample generator in
 pure-Python integers, node histograms built engine by engine and merged,
 and CSV parsing one cell at a time through Python's float().
-The scalar gain/weight formulas and the fixed-point state update are shared
+Leaf weights are rounded from exact rationals, with their own int64 range
+check.  The scalar gain formula and the fixed-point state update are shared
 with the library on purpose: the oracles exercise the accumulation and
 search machinery around them.
 """
@@ -175,8 +176,13 @@ def ref_best_split(columns, idx, grads, hess, lam, gamma, frac_bits):
 
 
 def ref_leaf_weight(g_raw: int, h_raw: int, lam: float, frac_bits: int) -> int:
-    sc = float(1 << frac_bits)
-    return int(quantize(-((g_raw / sc) / (h_raw / sc + lam)), frac_bits))
+    """Raw leaf weight -G / (H + lam) in exact rationals, rounded half to even,
+    refused with ValueError outside int64."""
+    scale = 1 << frac_bits
+    w = round(Fraction(-g_raw * scale) / (h_raw + Fraction(lam) * scale))
+    if not -(1 << 63) <= w < 1 << 63:
+        raise ValueError(f"leaf weight {w} does not fit int64")
+    return w
 
 
 def ref_grow(columns, idx, grads, hess, depth, cfg):

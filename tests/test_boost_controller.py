@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fpboost import boost_controller
-from fpboost.boost_controller import Model, predict_raw, subsample_indices, train
+from fpboost.boost_controller import predict_raw, subsample_indices, train
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize
-from fpboost.node_trainer import TrainConfig, build_histogram, leaf_weight, node_totals
-from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix, RawDataset, fit_bin_map, transform
+from fpboost.node_trainer import TrainConfig, leaf_weight, node_totals
+from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
 from conftest import random_quantized
 from reference import py_subsample, ref_train, assert_trees_match
 
@@ -224,14 +224,15 @@ class TestSiblingSubtraction:
             seen["built"] += 1
             return hist
 
-        def checked(memory, parent_id, parent_hist, child_totals, child_ranges):
-            out = children(memory, parent_id, parent_hist, child_totals, child_ranges)
-            for node_id, node_range, hist, totals in out:
+        def checked(memory, parent_id, parent_hist, child_ranges):
+            out = children(memory, parent_id, parent_hist, child_ranges)
+            for node_id, node_range, hist in out:
                 idx = memory.table[slice(*node_range)]
                 direct = build(EngineMemory(matrix, memory.state, init_index_table(idx)),
                                (0, idx.size))
                 assert np.array_equal(hist, direct)
-                assert totals == node_totals(direct)
+                totals = node_totals(direct)
+                assert totals[2] == node_range[1] - node_range[0]
                 _assert_features_agree(hist, totals)
                 seen["children"] += 1
             return out
@@ -247,5 +248,9 @@ class TestSiblingSubtraction:
         all_missing = matrix.n_features - 1
         for tree in model.trees:
             assert all(node.feature != all_missing for level in tree.levels for node in level.values())
+            # the depth limit: nothing below max_depth, and only leaves at it
+            assert len(tree.levels) <= cfg.max_depth + 1
+            assert all(node.is_leaf for level in tree.levels[cfg.max_depth:] for node in level.values())
+        assert any(len(tree.levels) == cfg.max_depth + 1 for tree in model.trees)
         monkeypatch.undo()
         assert train(matrix, labels, cfg)[0].trees == model.trees

@@ -3,7 +3,7 @@ import pytest
 
 from fpboost.data_parallel import shard
 from fpboost.engine_memory import EngineMemory, init_index_table, load
-from fpboost.node_trainer import N_BINS, TrainConfig, build_histogram, find_best_split, node_totals
+from fpboost.node_trainer import N_BINS, TrainConfig, build_histogram, find_best_split
 from conftest import random_quantized
 from reference import merge_histograms, merged_node_histogram
 
@@ -83,10 +83,9 @@ class TestMerge:
         assert np.array_equal(merged, reference)
 
 
-def _node_decision(engines, ranges, config, depth=0):
+def _node_decision(engines, ranges, config):
     """One split scan over a node's merged per-engine histograms."""
-    hist = merged_node_histogram(engines, ranges)
-    return find_best_split(hist, node_totals(hist), depth, config)
+    return find_best_split(merged_node_histogram(engines, ranges), config)
 
 
 class TestTrainNodeParallel:
@@ -97,9 +96,9 @@ class TestTrainNodeParallel:
         config = TrainConfig(max_depth=2, n_engines=1)
         (engine,) = _engines_over(matrix, labels, np.arange(90), 1)
         hist = build_histogram(engine, (0, 90))
-        direct = find_best_split(hist, node_totals(hist), 0, config)
-        parallel = _node_decision([engine], [(0, 90)], config, depth=0)
-        assert direct == parallel
+        direct = find_best_split(hist, config)
+        parallel = _node_decision([engine], [(0, 90)], config)
+        assert direct == parallel and direct.gain == parallel.gain
 
     @pytest.mark.parametrize("n_engines", [2, 4, 64])
     def test_any_engine_count_matches_single(self, rng, n_engines):
@@ -107,19 +106,19 @@ class TestTrainNodeParallel:
         config = TrainConfig(max_depth=2, n_engines=n_engines)
         single = _node_decision(
             _engines_over(matrix, labels, np.arange(130), 1), [(0, 130)],
-            config, depth=0,
+            config,
         )
         engines = _engines_over(matrix, labels, np.arange(130), n_engines)
         many = _node_decision(
-            engines, [(0, e.table.size) for e in engines], config, depth=0,
+            engines, [(0, e.table.size) for e in engines], config,
         )
-        assert single == many
+        assert single == many and single.gain == many.gain
 
     def test_all_empty_shards_give_zero_leaf(self, rng):
         matrix, labels = random_quantized(rng, 10, 2)
         config = TrainConfig(n_engines=3, lam=1.0)
         engines = _engines_over(matrix, labels, np.array([], dtype=np.int64), 3)
-        decision = _node_decision(engines, [(0, 0)] * 3, config, depth=0)
+        decision = _node_decision(engines, [(0, 0)] * 3, config)
         assert decision.is_leaf and decision.leaf_weight_raw == 0
 
     def test_range_count_must_match(self, rng):

@@ -4,7 +4,7 @@ import pytest
 from fpboost import boost_controller
 from fpboost.engine_memory import init_index_table, load
 from fpboost.fixed_point import FRAC_BITS
-from fpboost.node_trainer import SplitDecision, TrainConfig
+from fpboost.node_trainer import TreeNode, TrainConfig
 from fpboost.splitter import partition
 from conftest import random_quantized
 
@@ -83,8 +83,8 @@ class TestIndexTable:
         mem.table = init_index_table(np.arange(30), n_samples=30)
         column = matrix.columns[0]
         t = int(np.median(column))
-        decision = SplitDecision(is_leaf=False, feature=0, threshold_bin=t,
-                                 missing_left=True, gain=1.0)
+        decision = TreeNode(is_leaf=False, feature=0, threshold_bin=t,
+                            missing_left=True, gain=1.0)
         mid = partition(mem, (0, 30), decision)
         # the children own (0, mid) and (mid, 30)
         assert list(mem.table[:mid]) == list(np.flatnonzero(column <= t))

@@ -7,10 +7,10 @@ from fpboost.boost_controller import Model, train
 from fpboost.fixed_point import sigmoid
 from fpboost import metrics
 from fpboost.metrics import auc, evaluate_per_tree, train_and_evaluate
-from fpboost.node_trainer import TrainConfig
+from fpboost.node_trainer import TrainConfig, TreeNode
 from fpboost.quantizer import BinMap, fit_bin_map, transform
-from fpboost.splitter import TreeModel, TreeNode
-from conftest import random_quantized, random_raw
+from fpboost.splitter import TreeModel
+from conftest import random_raw
 from reference import pair_count_auc
 
 

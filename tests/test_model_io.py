@@ -45,6 +45,19 @@ def test_save_load_save_byte_identity(rng, tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_split_gain_is_not_part_of_the_model(rng, tmp_path):
+    # a trained split node keeps its scan gain, the loaded one reads 0, and
+    # the trees still compare equal
+    model, bins, config, _, _ = _trained(rng, n_trees=3, max_depth=3, subsample=1.0)
+    splits = [n for t in model.trees for level in t.levels for n in level.values() if not n.is_leaf]
+    assert splits and all(n.gain > 0 for n in splits)
+    path = tmp_path / "m.json"
+    save_model(model, bins, config, str(path))
+    loaded = load_model(str(path)).model
+    assert all(n.gain == 0 for t in loaded.trees for level in t.levels for n in level.values())
+    assert loaded.trees == model.trees
+
+
 def test_loaded_model_predicts_bitwise(rng, tmp_path):
     for i in range(10):
         model, bins, config, matrix, _ = _trained(rng)

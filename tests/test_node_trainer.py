@@ -17,6 +17,7 @@ from fpboost.node_trainer import (
     G,
     H,
     TrainConfig,
+    TreeNode,
     build_histogram,
     find_best_split,
     leaf_weight,
@@ -173,7 +174,7 @@ class TestHistogramSubtraction:
     def test_parent_minus_child_is_sibling(self, rng):
         mem = _memory(rng, 300, 4, missing_frac=0.05)
         parent = build_histogram(mem, (0, 300))
-        decision = find_best_split(parent, node_totals(parent), 0, TrainConfig(max_depth=2))
+        decision = find_best_split(parent, TrainConfig(max_depth=2))
         assert not decision.is_leaf
         b = mem.matrix.columns[decision.feature]
         left = (b <= decision.threshold_bin) | ((b == MISSING_BIN) & decision.missing_left)
@@ -257,7 +258,7 @@ class TestFindBestSplit:
         hist = _hist_from_bins([3, 3, 3], [SCALE, -SCALE // 2, SCALE // 4],
                                [SCALE // 4] * 3)
         cfg = TrainConfig(max_depth=3, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, node_totals(hist), 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert decision.is_leaf
         g, h, _ = node_totals(hist)
         assert decision.leaf_weight_raw == leaf_weight(g / SCALE, h / SCALE, 1.0)
@@ -265,7 +266,7 @@ class TestFindBestSplit:
     def test_two_bin_example(self):
         hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, node_totals(hist), 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert not decision.is_leaf
         assert decision.feature == 0
         assert decision.threshold_bin == 0
@@ -279,7 +280,7 @@ class TestFindBestSplit:
             hist[H, f, 0] = hist[H, f, 1] = SCALE
             hist[COUNT, f, 0] = hist[COUNT, f, 1] = 1
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, node_totals(hist), 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert decision.feature == 0
 
 
@@ -292,19 +293,19 @@ class TestFindBestSplit:
                             (h_tot - hl) / SCALE, 1.0, 0.0)
                  for gl, hl in ((-SCALE, SCALE), (-SCALE // 2, 2 * SCALE))]
         assert gains[0] == gains[1] > 0
-        decision = find_best_split(hist, node_totals(hist), 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert (decision.threshold_bin, decision.missing_left) == (0, True)
         assert decision.gain == gains[0]
 
     def test_missing_directions_tie_to_left(self):
         # a missing sample with zero grad and hess leaves both directions equal
         hist = _hist_from_bins([0, 1, MISSING_BIN], [-SCALE, SCALE, 0], [SCALE, SCALE, 0])
-        decision = find_best_split(hist, node_totals(hist), 0, TrainConfig(max_depth=1))
+        decision = find_best_split(hist, TrainConfig(max_depth=1))
         assert (decision.threshold_bin, decision.missing_left) == (0, True)
 
     def test_missing_right_wins_when_strictly_better(self):
         hist = _hist_from_bins([0, 1, MISSING_BIN], [-SCALE, SCALE, SCALE], [SCALE] * 3)
-        decision = find_best_split(hist, node_totals(hist), 0, TrainConfig(max_depth=1))
+        decision = find_best_split(hist, TrainConfig(max_depth=1))
         assert (decision.threshold_bin, decision.missing_left) == (0, False)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -317,11 +318,11 @@ class TestFindBestSplit:
                 hist[H, f, b] += SCALE // 4
                 hist[COUNT, f, b] += 1
         cfg = TrainConfig(max_depth=1, lam=lam, gamma=0.0)
-        decision = find_best_split(hist, node_totals(hist), 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert decision.feature == 2
         for f in range(2):
             only = hist[:, f:f + 1]
-            assert find_best_split(only, node_totals(only), 0, cfg).is_leaf
+            assert find_best_split(only, cfg).is_leaf
 
     def test_lam_zero_empty_side_no_nan_no_split(self):
         cfg = TrainConfig(max_depth=1, lam=0.0, gamma=0.0)
@@ -333,35 +334,28 @@ class TestFindBestSplit:
         for hist in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                decision = find_best_split(hist, node_totals(hist), 0, cfg)
+                decision = find_best_split(hist, cfg)
             assert decision.is_leaf
             assert not math.isnan(decision.gain)
         # a real split at lam=0 still has its finite scalar gain
         hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
-        decision = find_best_split(hist, node_totals(hist), 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert not decision.is_leaf and decision.gain == split_gain(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
-
-    def test_depth_limit_forces_leaf(self):
-        hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
-        cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, node_totals(hist), 1, cfg)
-        assert decision.is_leaf
 
     def test_empty_node_is_zero_leaf(self):
         hist = np.zeros((3, 2, N_BINS), dtype=np.int64)
         cfg = TrainConfig(lam=0.0, gamma=0.0)
-        decision = find_best_split(hist, (0, 0, 0), 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert decision.is_leaf and decision.leaf_weight_raw == 0
 
     def test_gamma_monotonicity(self, rng):
         mem = _memory(rng, 120, 4)
         hist = build_histogram(mem, (0, 120))
-        totals = node_totals(hist)
         prev_gain = math.inf
         was_leaf = False
         for gamma in (0.0, 0.05, 0.2, 1.0, 5.0, 100.0):
             cfg = TrainConfig(max_depth=3, lam=1.0, gamma=gamma)
-            d = find_best_split(hist, totals, 0, cfg)
+            d = find_best_split(hist, cfg)
             if was_leaf:
                 assert d.is_leaf, "leaf at smaller gamma must stay leaf"
             if not d.is_leaf:
@@ -374,9 +368,9 @@ class TestFindBestSplit:
         mem = _memory(rng, 90, 3)
         hist = build_histogram(mem, (0, 90))
         cfg = TrainConfig(max_depth=2, lam=0.5, gamma=0.01)
-        a = find_best_split(hist, node_totals(hist), 0, cfg)
-        b = find_best_split(hist, node_totals(hist), 0, cfg)
-        assert a == b
+        a = find_best_split(hist, cfg)
+        b = find_best_split(hist, cfg)
+        assert a == b and a.gain == b.gain
 
     def test_gain_scan_reconstructs_totals_at_every_threshold(self, rng):
         mem = _memory(rng, 150, 3)
@@ -407,7 +401,7 @@ class TestFindBestSplit:
                           scores=rng.integers(-2 * SCALE, 2 * SCALE, size=n))
             hist = build_histogram(mem, (0, n))
             cfg = TrainConfig(max_depth=4, lam=lam, gamma=gamma)
-            got = find_best_split(hist, node_totals(hist), 0, cfg)
+            got = find_best_split(hist, cfg)
             best, gain = ref_best_split(mem.matrix.columns, np.arange(n),
                                         mem.state.grads_raw, mem.state.hess_raw,
                                         lam, gamma, FRAC_BITS)
@@ -427,9 +421,9 @@ class TestSplitChildTotals:
         hist = build_histogram(mem, (0, 140))
         totals = node_totals(hist)
         cfg = TrainConfig(max_depth=2, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, totals, 0, cfg)
+        decision = find_best_split(hist, cfg)
         assert not decision.is_leaf
-        (gl, hl, cl), (gr, hr, cr) = split_child_totals(hist, decision, totals)
+        (gl, hl, cl), (gr, hr, cr) = split_child_totals(hist, decision)
         assert (gl + gr, hl + hr, cl + cr) == totals
         # against a direct partition of the samples
         b = mem.matrix.columns[decision.feature]
@@ -441,7 +435,6 @@ class TestSplitChildTotals:
         assert hl == int(mem.state.hess_raw[left].sum())
 
     def test_leaf_rejected(self, rng):
-        from fpboost.node_trainer import SplitDecision
         hist = np.zeros((3, 1, N_BINS), dtype=np.int64)
         with pytest.raises(ValueError):
-            split_child_totals(hist, SplitDecision(is_leaf=True, leaf_weight_raw=0), (0, 0, 0))
+            split_child_totals(hist, TreeNode(is_leaf=True, leaf_weight_raw=0))

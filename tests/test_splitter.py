@@ -3,11 +3,10 @@ import pytest
 
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, logistic_grad_hess, quantize, sigmoid
-from fpboost.node_trainer import SplitDecision
+from fpboost.node_trainer import TreeNode
 from fpboost.quantizer import BinMap, QuantizedMatrix
 from fpboost.splitter import (
     TreeModel,
-    TreeNode,
     apply_tree_update,
     partition,
     replay_scores,
@@ -41,8 +40,8 @@ class TestPartition:
         bins[5], bins[2], bins[7], bins[9] = 1, 3, 1, 0
         mem = _engine_from_bins(bins)
         mem.table = init_index_table([5, 2, 7, 9])
-        decision = SplitDecision(is_leaf=False, feature=0, threshold_bin=1,
-                                 missing_left=True, gain=1.0)
+        decision = TreeNode(is_leaf=False, feature=0, threshold_bin=1,
+                            missing_left=True, gain=1.0)
         mid = partition(mem, (0, 4), decision)
         assert mid == 3
         assert list(mem.table) == [5, 7, 9, 2]
@@ -50,22 +49,22 @@ class TestPartition:
     def test_threshold_254_sends_all_non_missing_left(self):
         mem = _engine_from_bins([10, 200, 254, 0])
         mem.table = init_index_table([0, 1, 2, 3])
-        decision = SplitDecision(is_leaf=False, feature=0, threshold_bin=254,
-                                 missing_left=False, gain=1.0)
+        decision = TreeNode(is_leaf=False, feature=0, threshold_bin=254,
+                            missing_left=False, gain=1.0)
         assert partition(mem, (0, 4), decision) == 4
 
     def test_all_missing_right(self):
         mem = _engine_from_bins([255, 255, 255])
         mem.table = init_index_table([0, 1, 2])
-        decision = SplitDecision(is_leaf=False, feature=0, threshold_bin=4,
-                                 missing_left=False, gain=1.0)
+        decision = TreeNode(is_leaf=False, feature=0, threshold_bin=4,
+                            missing_left=False, gain=1.0)
         assert partition(mem, (0, 3), decision) == 0
 
     def test_leaf_decision_rejected(self):
         mem = _engine_from_bins([0, 1])
         mem.table = init_index_table([0, 1])
         with pytest.raises(ValueError):
-            partition(mem, (0, 2), SplitDecision(is_leaf=True, leaf_weight_raw=0))
+            partition(mem, (0, 2), TreeNode(is_leaf=True, leaf_weight_raw=0))
 
     def test_exactness_stability_predicate(self, rng):
         for _ in range(50):
@@ -77,8 +76,8 @@ class TestPartition:
             f = int(rng.integers(0, 3))
             t = int(rng.integers(0, 255))
             ml = bool(rng.integers(0, 2))
-            decision = SplitDecision(is_leaf=False, feature=f, threshold_bin=t,
-                                     missing_left=ml, gain=1.0)
+            decision = TreeNode(is_leaf=False, feature=f, threshold_bin=t,
+                                missing_left=ml, gain=1.0)
             mid = partition(mem, (0, n), decision)
             out = mem.table
             bins = matrix.columns[f]
