@@ -3,10 +3,10 @@
 One tree per round: initialize one index table over the subsampled rows,
 train and split nodes depth-synchronously, then refresh every sample's
 score and gradients from the finished tree.  Each node carries its own
-half-open range of the table; a split rewrites that range in place, and
-its children own the two halves.  Histograms are exact integer sums, so
-the engine count cannot change a split; it reaches only the training log,
-where the cost model reads it.
+half-open range of the table; a split above the last depth rewrites that
+range in place, and its children own the two halves.  Histograms are exact
+integer sums, so the engine count cannot change a split; it reaches only the
+training log, where the cost model reads it.
 """
 
 from collections import deque
@@ -39,7 +39,7 @@ class Model:
 @dataclass
 class DepthLog:
     trained_sizes: list        # sample count of every node that built a histogram
-    split_sizes: list          # sample count of every node that was partitioned
+    split_sizes: list          # sample count of every split node, each charged a partition pass
 
 
 @dataclass
@@ -133,11 +133,13 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
             trained_sizes.append(end - start)
             if node.is_leaf:
                 continue
-            mid = partition(memory, (start, end), node)
             split_sizes.append(end - start)
             if d + 1 < config.max_depth:
+                mid = partition(memory, (start, end), node)
                 parents.append((node_id, hist, ((start, mid), (mid, end))))
                 continue
+            # children at the depth limit are leaves weighed from the histogram;
+            # nothing reads their ranges, so this node's range is not partitioned
             for child, totals in zip((2 * node_id, 2 * node_id + 1), split_child_totals(hist, node)):
                 tree.put(d + 1, child, node_leaf(totals, config.lam, config.frac_bits))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))

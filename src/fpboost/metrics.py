@@ -17,12 +17,16 @@ def auc(scores, labels) -> float:
     n_neg = int(np.count_nonzero(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: need at least one positive and one negative label")
-    order = np.argsort(s, kind="stable")
+    order = np.argsort(s)
     sorted_scores = s[order]
-    lo = np.searchsorted(sorted_scores, sorted_scores, side="left")
-    hi = np.searchsorted(sorted_scores, sorted_scores, side="right")
+    if np.isnan(sorted_scores[-1]):       # NaN sorts last
+        raise ValueError("AUC undefined: NaN score")
+    # runs of equal scores [start, end) share the 1-based midrank
+    # (start + end + 1) / 2, so the order within a tie cannot matter
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], s.size]
     ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = (lo + hi + 1) / 2.0         # 1-based midranks
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     pos_rank_sum = float(ranks[y == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -9,17 +9,23 @@ is exactly the other child.  Only the final gain ratios run in double
 precision.
 
 The split scan reads nothing but the histogram and the config, and returns
-the TreeNode the tree stores; goes_left is the one go-left rule that the
-partition and every replay apply to it.  A split node's gain is kept for
-inspection only: it is never saved and takes no part in ==.
+the TreeNode the tree stores.  It evaluates the node term g*g / (h + lam) of
+the gain once per node when count * 2**frac_bits < 2**53: every raw grad and
+hess is at most 2**frac_bits in magnitude, so each candidate's left sum and
+its complement are exact float64 integers that add back to the node totals
+bit for bit.  Larger nodes evaluate the term per candidate; the gains are
+the same bits either way.  goes_left is the one go-left rule that the
+partition and every replay apply to the stored node.  A split node's gain
+is kept for inspection only: it is never saved and takes no part in ==.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine_memory import EngineMemory
-from .fixed_point import FRAC_BITS, dequantize, quantize, scale
+from .fixed_point import FRAC_BITS, dequantize, quantize
 from .quantizer import MISSING_BIN
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
@@ -49,6 +55,10 @@ class TrainConfig:
     frac_bits: int = FRAC_BITS
 
     def __post_init__(self):
+        # NaN passes the sign check below
+        if not (math.isfinite(self.lam) and math.isfinite(self.gamma)):
+            raise ValueError(f"lam and gamma must be finite numbers, got lam={self.lam!r}, "
+                             f"gamma={self.gamma!r}")
         if self.lam < 0 or self.gamma < 0:
             raise ValueError("lam and gamma must be >= 0")
         if self.max_depth < 1:
@@ -148,15 +158,33 @@ def _bin_sums(flat, raw, weights, single_pass: bool) -> np.ndarray:
     return float_pass(raw >> _LIMB_BITS) * (1 << _LIMB_BITS) + low
 
 
-def split_gain(gl, hl, gr, hr, lam: float, gamma: float):
+def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent=None):
     """Second-order gain of a candidate split, on dequantized (real) sums.
 
     Elementwise over arrays or plain scalars; both run the identical IEEE
     operation sequence, so vectorized scans match scalar re-evaluation bitwise.
+    parent is the node term g*g / (h + lam) over the node totals g = gl + gr
+    and h = hl + hr; it is computed per element when None.  A caller may pass
+    it once per node only where gl + gr == g and hl + hr == h hold exactly.
+    Arrays are worked on in place in fresh temporaries, never in the inputs.
     """
-    g = gl + gr
-    h = hl + hr
-    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - g * g / (h + lam)) - gamma
+    if parent is None:
+        parent = gl + gr
+        parent *= parent
+        h = hl + hr
+        h += lam
+        parent /= h
+    gain = gl * gl
+    den = hl + lam
+    gain /= den
+    right = gr * gr
+    den = hr + lam
+    right /= den
+    gain += right
+    gain -= parent
+    gain *= 0.5
+    gain -= gamma
+    return gain
 
 
 def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> int:
@@ -193,17 +221,27 @@ def find_best_split(hist: np.ndarray, config: TrainConfig) -> TreeNode:
 
     # one (channel, feature, threshold, side) block: side 0 groups the missing
     # bin left, side 1 right; per channel, row-major order is the tie order
-    sc = scale(fb)
-    cum = np.cumsum(hist[:, :, :MISSING_BIN], axis=2)
-    left = np.stack([cum + hist[:, :, MISSING_BIN:], cum], axis=3)
-    gl, hl = left[G] / sc, left[H] / sc
-    cl = left[COUNT]
-    gr = g_tot / sc - gl
-    hr = h_tot / sc - hl
+    n_features = hist.shape[1]
+    left = np.empty((3, n_features, MISSING_BIN, 2), dtype=np.int64)
+    np.cumsum(hist[:, :, :MISSING_BIN], axis=2, out=left[..., 1])
+    np.add(left[..., 1], hist[:, :, MISSING_BIN:], out=left[..., 0])
+    inv = 2.0 ** -fb                # exact: x * inv == x / 2**fb for every sum here
+    g_node, h_node = g_tot * inv, h_tot * inv
+    gl = left[G] * inv
+    hl = left[H] * inv
+    gr = g_node - gl
+    hr = h_node - hl
+    # one node term while gl + gr == g_node and hl + hr == h_node exactly
+    # (the count bound in the module docstring), else one per candidate
+    parent = g_node * g_node / (h_node + config.lam) if (c_tot << fb) < (1 << 53) else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma)
+        gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent)
     # an empty side (0/0 when lam = 0) or any NaN gain is not eligible
-    gains[(cl == 0) | (cl == c_tot) | np.isnan(gains)] = -np.inf
+    cl = left[COUNT]
+    ineligible = np.isnan(gains)
+    ineligible |= cl == 0
+    ineligible |= cl == c_tot
+    np.copyto(gains, -np.inf, where=ineligible)
 
     k = int(np.argmax(gains))
     best_gain = float(gains.flat[k])

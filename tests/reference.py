@@ -7,9 +7,11 @@ gain in exact rationals, AUC by pair counting, the subsample generator in
 pure-Python integers, node histograms built engine by engine and merged,
 and CSV parsing one cell at a time through Python's float().
 Leaf weights are rounded from exact rationals, with their own int64 range
-check.  The scalar gain formula and the fixed-point state update are shared
-with the library on purpose: the oracles exercise the accumulation and
-search machinery around them.
+check.  ref_scan_split is the histogram split scan with the node term
+evaluated per candidate, the form the library skips where it is exact.
+The scalar gain formula and the fixed-point state update are shared with
+the library on purpose: the oracles exercise the accumulation and search
+machinery around them.
 """
 
 import gzip
@@ -173,6 +175,35 @@ def ref_best_split(columns, idx, grads, hess, lam, gamma, frac_bits):
                     best_gain = gain
                     best = (f, t, missing_left)
     return best, best_gain
+
+
+def ref_scan_split(hist, lam, gamma, frac_bits):
+    """The split scan over one (3, F, 256) histogram as one stacked
+    (3, F, 255, 2) block, every candidate with its own node term
+    (gl + gr)**2 / (hl + hr + lam) and every sum divided by 2**frac_bits.
+
+    Returns ((feature, threshold, missing_left), gain) of the first maximum
+    in (feature, threshold, side) order, or (None, -inf) for an empty node.
+    """
+    g_tot, h_tot, c_tot = hist[:, 0].sum(axis=1).tolist()
+    if c_tot == 0:
+        return None, -math.inf
+    sc = float(1 << frac_bits)
+    cum = np.cumsum(hist[:, :, :MISSING], axis=2)
+    left = np.stack([cum + hist[:, :, MISSING:], cum], axis=3)
+    gl, hl = left[0] / sc, left[1] / sc
+    cl = left[2]
+    gr = g_tot / sc - gl
+    hr = h_tot / sc - hl
+    g = gl + gr
+    h = hl + hr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - g * g / (h + lam)) - gamma
+    gains[(cl == 0) | (cl == c_tot) | np.isnan(gains)] = -np.inf
+    k = int(np.argmax(gains))
+    feature, rest = divmod(k, 2 * MISSING)
+    threshold, side = divmod(rest, 2)
+    return (feature, threshold, side == 0), float(gains.flat[k])
 
 
 def ref_leaf_weight(g_raw: int, h_raw: int, lam: float, frac_bits: int) -> int:

@@ -7,6 +7,7 @@ from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize
 from fpboost.node_trainer import TrainConfig, leaf_weight, node_totals
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
+from fpboost.splitter import partition
 from conftest import random_quantized
 from reference import py_subsample, ref_train, assert_trees_match
 
@@ -167,6 +168,23 @@ class TestTrain:
             for d in tree_log.depths:
                 assert sum(d.split_sizes) <= sum(d.trained_sizes)
             assert tree_log.train_loss > 0
+
+    @pytest.mark.parametrize("max_depth", [1, 3])
+    def test_only_splits_above_the_last_depth_are_partitioned(self, rng, monkeypatch, max_depth):
+        """A split at the last depth has leaf children weighed from its
+        histogram, so its range is not partitioned; the log still lists it."""
+        partitioned = []
+
+        def counting_partition(memory, node_range, node):
+            partitioned.append(node_range[1] - node_range[0])
+            return partition(memory, node_range, node)
+
+        monkeypatch.setattr(boost_controller, "partition", counting_partition)
+        matrix, labels = random_quantized(rng, 256, 3)
+        _, log = train(matrix, labels, TrainConfig(n_trees=3, max_depth=max_depth, n_engines=1))
+        above_last = [s for t in log.trees for d in t.depths[:max_depth - 1] for s in d.split_sizes]
+        assert partitioned == above_last
+        assert any(len(t.depths) == max_depth and t.depths[-1].split_sizes for t in log.trees)
 
     def test_rejects_sizes_that_overflow_node_totals(self):
         def matrix_of(n):

@@ -144,6 +144,18 @@ def test_non_finite_value_is_single_line_error(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("option, value", [("--gamma", "nan"), ("--lambda", "nan"),
+                                           ("--lambda", "inf"), ("--gamma", "inf")])
+def test_non_finite_regularizer_is_single_line_error(tmp_path, csv_pair, capsys, option, value):
+    rc = main(_train_args(*csv_pair, tmp_path, extra=(option, value)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lam and gamma must be finite numbers")
+    assert len(err.strip().splitlines()) == 1
+    for name in ("model.json", "log.json", "metrics.csv"):
+        assert not (tmp_path / name).exists()
+
+
 @pytest.fixture
 def separable_csv(tmp_path):
     """2,000 rows of 3 features, label = feature 0 > 0 with 5 labels flipped:

@@ -41,6 +41,21 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 pair_count_auc(list(scores), list(labels)), abs=1e-12)
 
+    def test_ties_heavy_matches_pair_counting_oracle(self, rng):
+        # up to 400 rows over two to five distinct scores: a fifth to a half of
+        # all pairs tie.  Both sides round the same exact rational, so they agree
+        # to the bit.
+        for _ in range(30):
+            n = int(rng.integers(2, 400))
+            scores = rng.integers(0, int(rng.integers(2, 6)), size=n) * 0.25
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = (0, 1)
+            assert auc(scores, labels) == pair_count_auc(list(scores), list(labels))
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN score"):
+            auc([0.1, np.nan, 0.8, np.nan], [0, 0, 1, 1])
+
 
 # scores on a 1e-3 grid within [-15, 15]: distinct margins stay distinct
 # through the float sigmoid, so the transform is strictly increasing

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -27,7 +28,7 @@ from fpboost.node_trainer import (
 )
 from fpboost.quantizer import BinMap, QuantizedMatrix
 from conftest import random_quantized
-from reference import exact_gain_fraction, ref_best_split, ref_leaf_weight
+from reference import exact_gain_fraction, ref_best_split, ref_leaf_weight, ref_scan_split
 
 SCALE = 1 << FRAC_BITS
 
@@ -52,6 +53,8 @@ class TestTrainConfig:
         {"lam": -0.1}, {"gamma": -1.0}, {"max_depth": 0}, {"n_trees": -1},
         {"subsample": 0.0}, {"subsample": 1.5}, {"eta": 0.0}, {"n_engines": 0},
         {"frac_bits": 0}, {"frac_bits": 60},
+        {"lam": math.nan}, {"lam": math.inf}, {"gamma": math.nan}, {"gamma": math.inf},
+        {"gamma": -math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -222,7 +225,9 @@ class TestSplitGain:
         gr = rng.normal(size=200)
         hl = rng.random(200) + 0.01
         hr = rng.random(200) + 0.01
+        inputs = [a.copy() for a in (gl, hl, gr, hr)]
         vec = split_gain(gl, hl, gr, hr, 1.0, 0.25)
+        assert all(np.array_equal(a, b) for a, b in zip((gl, hl, gr, hr), inputs))
         for i in range(200):
             scalar = split_gain(float(gl[i]), float(hl[i]), float(gr[i]), float(hr[i]), 1.0, 0.25)
             assert vec[i] == scalar
@@ -413,6 +418,45 @@ class TestFindBestSplit:
                 assert not got.is_leaf, f"trial {trial}: expected split {best}"
                 assert (got.feature, got.threshold_bin, got.missing_left) == best, f"trial {trial}"
                 assert got.gain == gain, f"trial {trial}"
+
+
+@pytest.mark.parametrize("frac_bits", [8, 24, 40, 48])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("missing", [0.0, 0.3])
+def test_scan_matches_per_candidate_node_term(frac_bits, lam, gamma, missing):
+    """find_best_split evaluates the node term once per node where
+    n * 2**frac_bits < 2**53, and per candidate elsewhere; either way it
+    picks the oracle's split with a bit-equal gain.  At 48 bits the
+    boundary lies between 31 and 32 samples."""
+    rng = np.random.default_rng([frac_bits, int(lam), int(gamma * 10), int(missing * 10)])
+    one = 1 << frac_bits
+    h_max = max(one // 4, 1)
+    for n, extreme, _ in itertools.product((2, 3, 7, 31, 32, 33, 64, 150, 300),
+                                           (False, True), range(10)):
+        if extreme:
+            # near the largest magnitudes the state holds, one sign, low bits
+            # set: the partial sums of a large node leave the float64 integers
+            grads = (one - rng.integers(0, 1024, size=n)) * int(rng.choice([-1, 1]))
+            hess = h_max - rng.integers(0, min(h_max, 1024), size=n)
+        else:
+            grads = rng.integers(-one, one + 1, size=n)
+            hess = rng.integers(1, h_max + 1, size=n)
+        columns = rng.integers(0, int(rng.choice([4, 40, 255])), size=(3, n)).astype(np.uint8)
+        columns[rng.random(size=columns.shape) < missing] = MISSING_BIN
+        matrix = QuantizedMatrix(columns=columns, bin_map=BinMap([np.arange(3.0)] * 3))
+        state = StateMemory(np.zeros(n, dtype=np.int64), grads.astype(np.int64),
+                            hess.astype(np.int64), np.zeros(n, dtype=np.int8), frac_bits)
+        hist = build_histogram(EngineMemory(matrix, state, init_index_table(np.arange(n))), (0, n))
+        cfg = TrainConfig(lam=lam, gamma=gamma, frac_bits=frac_bits)
+        got = find_best_split(hist, cfg)
+        best, gain = ref_scan_split(hist, lam, gamma, frac_bits)
+        case = (n, extreme, best, gain)
+        if gain <= 0.0:
+            assert got.is_leaf, case
+        else:
+            assert (got.feature, got.threshold_bin, got.missing_left) == best, case
+            assert got.gain.hex() == gain.hex(), case
 
 
 class TestSplitChildTotals:
