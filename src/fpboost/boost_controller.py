@@ -97,13 +97,14 @@ def _children(memory: EngineMemory, parent_id: int, parent_hist: np.ndarray,
 
     Only the child with fewer samples, the shorter range, is built from the
     index table; the other is the parent's histogram minus it, exact because
-    bins hold integer sums.
+    bins hold integer sums.  Nothing reads the parent's histogram once its
+    children exist, so the subtraction overwrites it with the sibling's.
     """
     ids = (2 * parent_id, 2 * parent_id + 1)
     (s0, e0), (s1, e1) = child_ranges
     small = 0 if e0 - s0 <= e1 - s1 else 1
     built = build_histogram(memory, child_ranges[small])
-    sibling = parent_hist - built
+    sibling = np.subtract(parent_hist, built, out=parent_hist)
     hists = (built, sibling) if small == 0 else (sibling, built)
     return list(zip(ids, child_ranges, hists))
 
@@ -128,7 +129,7 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
         # (node id, histogram, child ranges) of nodes whose children train
         parents = deque()
         for node_id, (start, end), hist in nodes:
-            node = find_best_split(hist, config)
+            node = find_best_split(hist, config, memory.scan_buffers)
             tree.put(d, node_id, node)
             trained_sizes.append(end - start)
             if node.is_leaf:

@@ -12,8 +12,14 @@ feature memory streams them, serves the histogram build, which reads
 every feature of a node's samples; it costs n_samples * n_features bytes.
 Two block buffers of the histogram build (intp bin keys and float64
 weights, HISTOGRAM_BLOCK * n_features entries each at most) are kept for
-reuse by every block and node.  Both are made on first use, so a memory
-that never builds a histogram never holds them.
+reuse by every block and node.  So are the split scan's buffers: one
+(2, n_features, 255, 2) int64 block of G and H prefix sums, eight float64
+planes of the candidates' (n_features, 255, 2) shape (the dequantized sums
+of both sides, the gain and three temporaries of split_gain) and a bool
+eligibility mask, about 1.2 MB at 28 features.  Every node's scan writes
+over them, and the tree keeps only the TreeNode each scan returns.  All
+of these are made on first use, so a memory that never builds a histogram
+or scans one never holds them.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .fixed_point import FRAC_BITS, logistic_grad_hess, quantize
-from .quantizer import QuantizedMatrix
+from .quantizer import MISSING_BIN, QuantizedMatrix
 
 
 @dataclass
@@ -55,6 +61,23 @@ class EngineMemory:
         if not self._block_buffers or self._block_buffers[0].size < need:
             self._block_buffers = (np.empty(need, dtype=np.intp), np.empty(need, dtype=np.float64))
         return self._block_buffers
+
+    @cached_property
+    def scan_buffers(self) -> tuple:
+        """The split scan's buffers for this memory's features, reused by every node."""
+        return make_scan_buffers(self.matrix.n_features)
+
+
+def make_scan_buffers(n_features: int) -> tuple:
+    """(prefix, planes, mask) buffers of one split scan over n_features.
+
+    prefix is the (2, n_features, 255, 2) int64 block of G and H prefix
+    sums, planes eight float64 arrays of the candidates' (n_features, 255, 2)
+    shape, mask a bool array of that shape.
+    """
+    shape = (n_features, MISSING_BIN, 2)
+    return (np.empty((2, *shape), dtype=np.int64), np.empty((8, *shape), dtype=np.float64),
+            np.empty(shape, dtype=bool))
 
 
 def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,

@@ -14,9 +14,19 @@ the gain once per node when count * 2**frac_bits < 2**53: every raw grad and
 hess is at most 2**frac_bits in magnitude, so each candidate's left sum and
 its complement are exact float64 integers that add back to the node totals
 bit for bit.  Larger nodes evaluate the term per candidate; the gains are
-the same bits either way.  goes_left is the one go-left rule that the
-partition and every replay apply to the stored node.  A split node's gain
-is kept for inspection only: it is never saved and takes no part in ==.
+the same bits either way.
+
+The scan prefix-sums G and H only; COUNT serves the node totals.  No
+candidate mask needs it: a side without samples has G = H = 0, and the side
+with all of them has the node's own sums, so its complement is 0.0 exactly.
+Such a candidate's gain is then 0.5 * (term - term) - gamma = -gamma <= 0
+for lam > 0, in the node-term and the per-candidate form alike, and
+0/0 = NaN for lam = 0, which the scan masks.  It can never be a positive
+split, and a node whose best gain is not positive is a leaf.
+
+goes_left is the one go-left rule that the partition and every replay apply
+to the stored node.  A split node's gain is kept for inspection only: it is
+never saved and takes no part in ==.
 """
 
 import math
@@ -24,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine_memory import EngineMemory
+from .engine_memory import EngineMemory, make_scan_buffers
 from .fixed_point import FRAC_BITS, dequantize, quantize
 from .quantizer import MISSING_BIN
 
@@ -32,11 +42,12 @@ N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing b
 G, H, COUNT = 0, 1, 2         # channels of a (3, n_features, N_BINS) histogram
 _LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
 # Samples per histogram accumulation block; it sizes the block buffers.  Do
-# not shrink it: at 2048, deep-1e training took 2.5-3.0 s instead of about
-# 1.8 s, and the split scan's own time rose from 0.46 to 0.84 s with its code
-# unchanged.  The cause is glibc trimming and regrowing the heap between the
-# smaller allocations; with glibc's trim and mmap thresholds pinned, the same
-# run took 1.7-1.9 s.
+# not shrink it: at 2048, a warm deep-1e train() took 0.52-0.55 s instead of
+# 0.48-0.50 s, its histogram builds 0.145 s instead of 0.105 s (2-core Xeon,
+# numpy 2.4).  No temporary of a 2048-sample block outgrows glibc's initial
+# 128 KB mmap threshold, so the threshold never rises, and every node's
+# 172 KB histogram array is mapped and page-faulted afresh.  With glibc's
+# mmap and trim thresholds pinned, both sizes took 0.49-0.50 s.
 HISTOGRAM_BLOCK = 8192
 
 
@@ -110,8 +121,18 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     memory's reused block buffers.  Block sums are exact and add up in
     int64, exactly too while n * 2**frac_bits < 2**63, which train()
     checks; so the order the samples are gathered in cannot change a bin.
-    The block stays at 8192 samples: smaller blocks slow training through
-    glibc heap trimming (see HISTOGRAM_BLOCK).
+
+    A block of m samples sums G in one float64 bincount while
+    m * 2**frac_bits < 2**53, else in two 24-bit limbs.  H and COUNT share
+    one pass while m << s < 2**52, with s = frac_bits + m.bit_length(): it
+    sums hess + 2**s per bin, which is H + COUNT * 2**s, exact because
+    every stored hessian lies in [1, 2**frac_bits], so H <= m * 2**frac_bits
+    < 2**s and the whole sum stays below 2**53; H is the low s bits and
+    COUNT the rest.  Full 8192-sample blocks pack up to frac_bits = 24,
+    smaller blocks a little higher (3 samples at 48); past the bound H takes
+    the G passes and COUNT its own bincount.  The block stays at 8192
+    samples: smaller ones slow training through glibc's mmap threshold
+    (see HISTOGRAM_BLOCK).
     """
     start, end = node_range
     n_features = memory.matrix.n_features
@@ -132,8 +153,16 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
         # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
         single_pass = (m << frac_bits) < (1 << 53)
         hist[G] += _bin_sums(flat, memory.state.grads_raw[idx], block_weights, single_pass)
-        hist[H] += _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass)
-        hist[COUNT] += np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
+        shift = frac_bits + m.bit_length()
+        if (m << shift) < (1 << 52):
+            # one pass of hess + 2**shift: a bin's sum is H + COUNT * 2**shift with
+            # H <= m * 2**frac_bits < 2**shift, all below 2**53 (see the docstring)
+            packed = _bin_sums(flat, memory.state.hess_raw[idx] + (1 << shift), block_weights, True)
+            hist[H] += packed & ((1 << shift) - 1)
+            hist[COUNT] += packed >> shift
+        else:
+            hist[H] += _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass)
+            hist[COUNT] += np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
     return hist
 
 
@@ -158,7 +187,7 @@ def _bin_sums(flat, raw, weights, single_pass: bool) -> np.ndarray:
     return float_pass(raw >> _LIMB_BITS) * (1 << _LIMB_BITS) + low
 
 
-def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent=None):
+def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent=None, out=None):
     """Second-order gain of a candidate split, on dequantized (real) sums.
 
     Elementwise over arrays or plain scalars; both run the identical IEEE
@@ -166,25 +195,36 @@ def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent=None):
     parent is the node term g*g / (h + lam) over the node totals g = gl + gr
     and h = hl + hr; it is computed per element when None.  A caller may pass
     it once per node only where gl + gr == g and hl + hr == h hold exactly.
-    Arrays are worked on in place in fresh temporaries, never in the inputs.
+    The inputs are never written.  Temporaries are fresh, or with out, four
+    float64 arrays of the inputs' shape, written in place: the gain goes into
+    the first and is returned.
     """
+    gain_buf, den_buf, right_buf, parent_buf = (None,) * 4 if out is None else out
     if parent is None:
-        parent = gl + gr
+        parent = _fresh(np.add, gl, gr, parent_buf)
         parent *= parent
-        h = hl + hr
+        h = _fresh(np.add, hl, hr, den_buf)
         h += lam
         parent /= h
-    gain = gl * gl
-    den = hl + lam
+    gain = _fresh(np.multiply, gl, gl, gain_buf)
+    den = _fresh(np.add, hl, lam, den_buf)
     gain /= den
-    right = gr * gr
-    den = hr + lam
+    right = _fresh(np.multiply, gr, gr, right_buf)
+    den = _fresh(np.add, hr, lam, den_buf)
     right /= den
     gain += right
     gain -= parent
     gain *= 0.5
     gain -= gamma
     return gain
+
+
+def _fresh(ufunc, a, b, buf):
+    """np.add or np.multiply of a and b written into buf, or a new value when
+    buf is None (Python floats stay floats: a zero divisor still raises)."""
+    if buf is not None:
+        return ufunc(a, b, out=buf)
+    return a + b if ufunc is np.add else a * b
 
 
 def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> int:
@@ -204,14 +244,16 @@ def node_leaf(totals, lam: float, frac_bits: int) -> TreeNode:
     return TreeNode(is_leaf=True, leaf_weight_raw=w)
 
 
-def find_best_split(hist: np.ndarray, config: TrainConfig) -> TreeNode:
+def find_best_split(hist: np.ndarray, config: TrainConfig, buffers: tuple | None = None) -> TreeNode:
     """Scan all (feature, threshold, missing-direction) candidates for max gain.
 
     Sweeps ordered bins 0..254 as thresholds with the predicate "go left iff
-    bin <= threshold"; the missing bin joins either side.  Candidates leaving
-    a side empty, or with a NaN gain, are not eligible.  Ties resolve to the lowest feature, then
-    the lowest threshold, then missing-left.  Declares a leaf when no eligible
-    candidate has gain > 0.
+    bin <= threshold"; the missing bin joins either side.  A candidate with a
+    NaN gain is not eligible, and one that leaves a side empty never wins
+    (see the module docstring).  Ties resolve to the lowest feature, then the
+    lowest threshold, then missing-left.  Declares a leaf when no eligible
+    candidate has gain > 0.  buffers are the arrays of make_scan_buffers,
+    fresh when None; hist is never written.
     """
     totals = node_totals(hist)
     g_tot, h_tot, c_tot = totals
@@ -219,28 +261,25 @@ def find_best_split(hist: np.ndarray, config: TrainConfig) -> TreeNode:
     if c_tot == 0:
         return node_leaf(totals, config.lam, fb)
 
-    # one (channel, feature, threshold, side) block: side 0 groups the missing
-    # bin left, side 1 right; per channel, row-major order is the tie order
-    n_features = hist.shape[1]
-    left = np.empty((3, n_features, MISSING_BIN, 2), dtype=np.int64)
-    np.cumsum(hist[:, :, :MISSING_BIN], axis=2, out=left[..., 1])
-    np.add(left[..., 1], hist[:, :, MISSING_BIN:], out=left[..., 0])
+    # one (channel, feature, threshold, side) block of G and H: side 0 groups
+    # the missing bin left, side 1 right; per channel, row-major order is the
+    # tie order
+    left, planes, ineligible = make_scan_buffers(hist.shape[1]) if buffers is None else buffers
+    gl, hl, gr, hr = planes[:4]
+    np.cumsum(hist[:COUNT, :, :MISSING_BIN], axis=2, out=left[..., 1])
+    np.add(left[..., 1], hist[:COUNT, :, MISSING_BIN:], out=left[..., 0])
     inv = 2.0 ** -fb                # exact: x * inv == x / 2**fb for every sum here
     g_node, h_node = g_tot * inv, h_tot * inv
-    gl = left[G] * inv
-    hl = left[H] * inv
-    gr = g_node - gl
-    hr = h_node - hl
+    np.multiply(left[G], inv, out=gl)
+    np.multiply(left[H], inv, out=hl)
+    np.subtract(g_node, gl, out=gr)
+    np.subtract(h_node, hl, out=hr)
     # one node term while gl + gr == g_node and hl + hr == h_node exactly
     # (the count bound in the module docstring), else one per candidate
     parent = g_node * g_node / (h_node + config.lam) if (c_tot << fb) < (1 << 53) else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent)
-    # an empty side (0/0 when lam = 0) or any NaN gain is not eligible
-    cl = left[COUNT]
-    ineligible = np.isnan(gains)
-    ineligible |= cl == 0
-    ineligible |= cl == c_tot
+        gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, out=planes[4:])
+    np.isnan(gains, out=ineligible)
     np.copyto(gains, -np.inf, where=ineligible)
 
     k = int(np.argmax(gains))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -131,29 +132,37 @@ class TestBuildHistogram:
 @settings(max_examples=80, deadline=None)
 @given(frac_bits=st.integers(1, 48), n=st.integers(1, 3000),
        seed=st.integers(0, 2**32 - 1), extreme=st.booleans(),
-       block=st.sampled_from([None, 1, 3, 7]), start=st.integers(0, 9))
-@example(frac_bits=48, n=3000, seed=0, extreme=True, block=None, start=0)
-@example(frac_bits=42, n=2047, seed=1, extreme=True, block=None, start=0)   # largest single float64 pass
-@example(frac_bits=42, n=2048, seed=1, extreme=True, block=None, start=0)   # smallest 24-bit limb pass
-@example(frac_bits=48, n=3000, seed=2, extreme=True, block=7, start=5)     # 428 full blocks and a tail of 4
-@example(frac_bits=30, n=10, seed=3, extreme=False, block=3, start=9)      # tail of one sample
-@example(frac_bits=24, n=1, seed=4, extreme=False, block=1, start=1)
-def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme, block, start):
+       block=st.sampled_from([None, 1, 3, 7]), start=st.integers(0, 9), one_bin=st.booleans())
+@example(frac_bits=48, n=3000, seed=0, extreme=True, block=None, start=0, one_bin=False)
+@example(frac_bits=42, n=2047, seed=1, extreme=True, block=None, start=0, one_bin=False)   # largest single float64 pass
+@example(frac_bits=42, n=2048, seed=1, extreme=True, block=None, start=0, one_bin=False)   # smallest 24-bit limb pass
+@example(frac_bits=48, n=3000, seed=2, extreme=True, block=7, start=5, one_bin=False)     # 428 full blocks and a tail of 4
+@example(frac_bits=30, n=10, seed=3, extreme=False, block=3, start=9, one_bin=False)      # tail of one sample
+@example(frac_bits=24, n=1, seed=4, extreme=False, block=1, start=1, one_bin=False)
+# the packed hessian + count pass: the largest block packs at frac_bits 24, not 25,
+# and 3 samples pack at 48 bits, 4 do not; one bin takes every sample's hessian
+@example(frac_bits=24, n=8192, seed=5, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=25, n=8192, seed=5, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=48, n=3, seed=6, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=48, n=4, seed=6, extreme=True, block=None, start=0, one_bin=True)
+def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme, block, start, one_bin):
     """Bin sums equal Python-int sums for any accepted frac_bits, block size
-    and node range; the node's samples sit between `start` others and three more."""
+    and node range; the node's samples sit between `start` others and three more.
+    Hessians span [1, 2**frac_bits], every value the packed pass takes."""
     rng = np.random.default_rng(seed)
     total = start + n + 3
     one = 1 << frac_bits
-    h_max = max(one // 4, 1)
     if extreme:
-        # near the largest magnitudes the state holds (|grad| = 1, hess = 1/4),
+        # at the largest magnitudes the build accepts (|grad| and hess up to 1),
         # one sign, low bits set: partial sums grow past 2**53 fastest
         grads = (one - rng.integers(0, 1024, size=total, dtype=np.int64)) * int(rng.choice([-1, 1]))
-        hess = h_max - rng.integers(0, min(h_max, 1024), size=total, dtype=np.int64)
+        hess = one - rng.integers(0, min(one, 1024), size=total, dtype=np.int64)
     else:
         grads = rng.integers(-one, one + 1, size=total, dtype=np.int64)
-        hess = rng.integers(1, h_max + 1, size=total, dtype=np.int64)
+        hess = rng.integers(1, one + 1, size=total, dtype=np.int64)
     columns = rng.choice(np.array([0, 1, 2, MISSING_BIN], dtype=np.uint8), size=(2, total))
+    if one_bin:
+        columns[0] = 0
     matrix = QuantizedMatrix(columns=columns, bin_map=BinMap([np.arange(3.0)] * 2))
     state = StateMemory(np.zeros(total, dtype=np.int64), grads, hess,
                         np.zeros(total, dtype=np.int8), frac_bits)
@@ -421,19 +430,22 @@ class TestFindBestSplit:
 
 
 @pytest.mark.parametrize("frac_bits", [8, 24, 40, 48])
-@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 2.0**-20, 1.0])
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 @pytest.mark.parametrize("missing", [0.0, 0.3])
 def test_scan_matches_per_candidate_node_term(frac_bits, lam, gamma, missing):
     """find_best_split evaluates the node term once per node where
     n * 2**frac_bits < 2**53, and per candidate elsewhere; either way it
     picks the oracle's split with a bit-equal gain.  At 48 bits the
-    boundary lies between 31 and 32 samples."""
+    boundary lies between 31 and 32 samples.  The oracle also masks the
+    candidates that leave a side empty, which the scan does not: among the
+    nodes are single samples, nodes with every sample in one bin of every
+    feature, and all-missing features."""
     rng = np.random.default_rng([frac_bits, int(lam), int(gamma * 10), int(missing * 10)])
     one = 1 << frac_bits
     h_max = max(one // 4, 1)
-    for n, extreme, _ in itertools.product((2, 3, 7, 31, 32, 33, 64, 150, 300),
-                                           (False, True), range(10)):
+    for n, extreme, rep in itertools.product((1, 2, 3, 7, 31, 32, 33, 64, 150, 300),
+                                             (False, True), range(10)):
         if extreme:
             # near the largest magnitudes the state holds, one sign, low bits
             # set: the partial sums of a large node leave the float64 integers
@@ -444,6 +456,10 @@ def test_scan_matches_per_candidate_node_term(frac_bits, lam, gamma, missing):
             hess = rng.integers(1, h_max + 1, size=n)
         columns = rng.integers(0, int(rng.choice([4, 40, 255])), size=(3, n)).astype(np.uint8)
         columns[rng.random(size=columns.shape) < missing] = MISSING_BIN
+        if rep == 0:
+            columns[:] = columns[:, :1]     # every sample in one bin of every feature
+        elif rep == 1:
+            columns[1] = MISSING_BIN
         matrix = QuantizedMatrix(columns=columns, bin_map=BinMap([np.arange(3.0)] * 3))
         state = StateMemory(np.zeros(n, dtype=np.int64), grads.astype(np.int64),
                             hess.astype(np.int64), np.zeros(n, dtype=np.int8), frac_bits)
@@ -457,6 +473,38 @@ def test_scan_matches_per_candidate_node_term(frac_bits, lam, gamma, missing):
         else:
             assert (got.feature, got.threshold_bin, got.missing_left) == best, case
             assert got.gain.hex() == gain.hex(), case
+
+
+class TestScanBuffers:
+    def test_reused_buffers_match_fresh_scans(self, rng):
+        mem = _memory(rng, 400, 6, missing_frac=0.1)
+        mem.table = init_index_table(rng.permutation(400))
+        a, b = build_histogram(mem, (0, 400)), build_histogram(mem, (0, 90))
+        cfg = TrainConfig(max_depth=3, lam=0.5)
+        fresh = [find_best_split(h, cfg) for h in (a, b)]
+        assert fresh[0].gain != fresh[1].gain
+        for hist, want in ((a, fresh[0]), (b, fresh[1]), (a, fresh[0])):
+            before = hist.copy()
+            got = find_best_split(hist, cfg, mem.scan_buffers)
+            assert got == want and got.gain.hex() == want.gain.hex()
+            assert np.array_equal(hist, before)
+        assert mem.scan_buffers is mem.scan_buffers
+        assert EngineMemory(mem.matrix, mem.state).scan_buffers[0] is not mem.scan_buffers[0]
+
+    def test_scan_with_memory_buffers_allocates_little(self, rng):
+        # without reused buffers one scan at 28 features peaks at about 1.2 MB;
+        # what is left is numpy's casting buffers and a few Python objects
+        mem = _memory(rng, 2000, 28)
+        hist = build_histogram(mem, (0, 2000))
+        cfg = TrainConfig()
+        assert not find_best_split(hist, cfg, mem.scan_buffers).is_leaf    # warm-up
+        tracemalloc.start()
+        try:
+            find_best_split(hist, cfg, mem.scan_buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestSplitChildTotals:
