@@ -9,7 +9,6 @@ from .fixed_point import FRAC_BITS, dequantize, quantize, sigmoid
 from .metrics import auc, evaluate_per_tree, train_and_evaluate
 from .model_io import ModelBundle, load_model, save_model
 from .node_trainer import (
-    COUNT,
     G,
     H,
     TrainConfig,

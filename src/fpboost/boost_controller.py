@@ -129,7 +129,7 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
         # (node id, histogram, child ranges) of nodes whose children train
         parents = deque()
         for node_id, (start, end), hist in nodes:
-            node = find_best_split(hist, config, memory.scan_buffers)
+            node = find_best_split(hist, end - start, config, memory.scan_buffers)
             tree.put(d, node_id, node)
             trained_sizes.append(end - start)
             if node.is_leaf:
@@ -139,8 +139,9 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
                 mid = partition(memory, (start, end), node)
                 parents.append((node_id, hist, ((start, mid), (mid, end))))
                 continue
-            # children at the depth limit are leaves weighed from the histogram;
-            # nothing reads their ranges, so this node's range is not partitioned
+            # children at the depth limit are leaves weighed from the histogram
+            # (never empty: see node_trainer); nothing reads their ranges, so
+            # this node's range is not partitioned
             for child, totals in zip((2 * node_id, 2 * node_id + 1), split_child_totals(hist, node)):
                 tree.put(d + 1, child, node_leaf(totals, config.lam, config.frac_bits))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))

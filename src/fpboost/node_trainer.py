@@ -1,28 +1,29 @@
 """Per-node training: gradient histograms and exact-greedy split selection.
 
-A node's histogram is one int64 array of shape (3, n_features, 256): the
-channels G, H, COUNT hold each bin's raw fixed-point gradient sum, hessian
-sum and sample count, and bin 255 is the missing bin.  Accumulation is
-exact integer addition, so bin totals reconstruct node totals bitwise no
-matter how the samples are ordered or sharded, and a parent minus one child
-is exactly the other child.  Only the final gain ratios run in double
-precision.
+A node's histogram is one int64 array of shape (2, n_features, 256): the
+channels G, H hold each bin's raw fixed-point gradient and hessian sums,
+and bin 255 is the missing bin.  Accumulation is exact integer addition,
+so bin totals reconstruct node totals bitwise no matter how the samples
+are ordered or sharded, and a parent minus one child is exactly the other
+child.  Only the final gain ratios run in double precision.
 
-The split scan reads nothing but the histogram and the config, and returns
-the TreeNode the tree stores.  It evaluates the node term g*g / (h + lam) of
-the gain once per node when count * 2**frac_bits < 2**53: every raw grad and
-hess is at most 2**frac_bits in magnitude, so each candidate's left sum and
-its complement are exact float64 integers that add back to the node totals
-bit for bit.  Larger nodes evaluate the term per candidate; the gains are
-the same bits either way.
+The split scan reads the histogram, the config and the node's sample
+count, which the caller knows as the length of the node's range, and
+returns the TreeNode the tree stores.  An empty node is the zero leaf.  The
+scan evaluates the node term g*g / (h + lam) of the gain once per node when
+count * 2**frac_bits < 2**53: every raw grad and hess is at most
+2**frac_bits in magnitude, so each candidate's left sum and its complement
+are exact float64 integers that add back to the node totals bit for bit.
+Larger nodes evaluate the term per candidate; the gains are the same bits
+either way.
 
-The scan prefix-sums G and H only; COUNT serves the node totals.  No
-candidate mask needs it: a side without samples has G = H = 0, and the side
-with all of them has the node's own sums, so its complement is 0.0 exactly.
-Such a candidate's gain is then 0.5 * (term - term) - gamma = -gamma <= 0
-for lam > 0, in the node-term and the per-candidate form alike, and
-0/0 = NaN for lam = 0, which the scan masks.  It can never be a positive
-split, and a node whose best gain is not positive is a leaf.
+No candidate mask needs per-bin counts: a side without samples has
+G = H = 0, and the side with all of them has the node's own sums, so its
+complement is 0.0 exactly.  Such a candidate's gain is then
+0.5 * (term - term) - gamma = -gamma <= 0 for lam > 0, in the node-term and
+the per-candidate form alike, and 0/0 = NaN for lam = 0, which the scan
+masks.  It can never be a positive split, and a node whose best gain is not
+positive is a leaf.  So both children of a split node hold samples.
 
 goes_left is the one go-left rule that the partition and every replay apply
 to the stored node.  A split node's gain is kept for inspection only: it is
@@ -39,15 +40,15 @@ from .fixed_point import FRAC_BITS, dequantize, quantize
 from .quantizer import MISSING_BIN
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
-G, H, COUNT = 0, 1, 2         # channels of a (3, n_features, N_BINS) histogram
+G, H = 0, 1                   # channels of a (2, n_features, N_BINS) histogram
 _LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
-# Samples per histogram accumulation block; it sizes the block buffers.  Do
-# not shrink it: at 2048, a warm deep-1e train() took 0.52-0.55 s instead of
-# 0.48-0.50 s, its histogram builds 0.145 s instead of 0.105 s (2-core Xeon,
-# numpy 2.4).  No temporary of a 2048-sample block outgrows glibc's initial
-# 128 KB mmap threshold, so the threshold never rises, and every node's
-# 172 KB histogram array is mapped and page-faulted afresh.  With glibc's
-# mmap and trim thresholds pinned, both sizes took 0.49-0.50 s.
+# Samples per histogram accumulation block; it sizes the block buffers.  At
+# 2048, the histogram builds of a warm deep-1e-sized train() took 0.245 s
+# instead of 0.208 s (medians of 8 alternating process pairs, 2-core Xeon,
+# numpy 2.4), and train() itself was level within the noise.  Why is
+# unverified: a node histogram (114,688 B at 28 features) stays below
+# glibc's initial 128 KiB mmap threshold, and repeated builds of one node
+# took the same time at both sizes.
 HISTOGRAM_BLOCK = 8192
 
 
@@ -87,7 +88,7 @@ class TrainConfig:
 
 
 def node_totals(hist: np.ndarray) -> tuple:
-    """Node totals (g_raw, h_raw, count) as Python ints, read off feature 0 (all agree)."""
+    """Node totals (g_raw, h_raw) as Python ints, read off feature 0 (all agree)."""
     return tuple(hist[:, 0].sum(axis=1).tolist())
 
 
@@ -113,7 +114,7 @@ def goes_left(node: TreeNode, bins: np.ndarray) -> np.ndarray:
 
 
 def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
-    """Accumulate (grad, hess, count) of one node's samples into feature bins.
+    """Accumulate (grad, hess) of one node's samples into feature bins.
 
     The range is streamed in blocks of HISTOGRAM_BLOCK samples.  Each block
     gathers its samples' rows of the row-major bins, one sample's features
@@ -122,27 +123,17 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     int64, exactly too while n * 2**frac_bits < 2**63, which train()
     checks; so the order the samples are gathered in cannot change a bin.
 
-    A block of m samples sums G in one float64 bincount while
-    m * 2**frac_bits < 2**53, else in two 24-bit limbs.  H and COUNT share
-    one pass while m << s < 2**52, with s = frac_bits + m.bit_length(): it
-    sums hess + 2**s per bin, which is H + COUNT * 2**s, exact because
-    every stored hessian lies in [1, 2**frac_bits], so H <= m * 2**frac_bits
-    < 2**s and the whole sum stays below 2**53; H is the low s bits and
-    COUNT the rest.  Full 8192-sample blocks pack up to frac_bits = 24,
-    smaller blocks a little higher (3 samples at 48); past the bound H takes
-    the G passes and COUNT its own bincount.  The block stays at 8192
-    samples: smaller ones slow training through glibc's mmap threshold
-    (see HISTOGRAM_BLOCK).
+    A block of m samples sums G and H in one float64 bincount each while
+    m * 2**frac_bits < 2**53, else each in two 24-bit limbs.
     """
     start, end = node_range
     n_features = memory.matrix.n_features
     frac_bits = memory.state.frac_bits
-    hist = np.zeros((3, n_features, N_BINS), dtype=np.int64)
+    hist = np.zeros((2, n_features, N_BINS), dtype=np.int64)
     block = HISTOGRAM_BLOCK
     # sized for the largest block any node of this memory streams
     keys, weights = memory.block_buffers(min(block, max(end - start, memory.matrix.n_samples)))
     offsets = np.arange(n_features, dtype=np.intp) * N_BINS
-    shape = (n_features, N_BINS)
     for lo in range(start, end, block):
         idx = memory.table[lo:min(lo + block, end)]
         m = idx.size
@@ -153,16 +144,7 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
         # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
         single_pass = (m << frac_bits) < (1 << 53)
         hist[G] += _bin_sums(flat, memory.state.grads_raw[idx], block_weights, single_pass)
-        shift = frac_bits + m.bit_length()
-        if (m << shift) < (1 << 52):
-            # one pass of hess + 2**shift: a bin's sum is H + COUNT * 2**shift with
-            # H <= m * 2**frac_bits < 2**shift, all below 2**53 (see the docstring)
-            packed = _bin_sums(flat, memory.state.hess_raw[idx] + (1 << shift), block_weights, True)
-            hist[H] += packed & ((1 << shift) - 1)
-            hist[COUNT] += packed >> shift
-        else:
-            hist[H] += _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass)
-            hist[COUNT] += np.bincount(flat, minlength=n_features * N_BINS).reshape(shape)
+        hist[H] += _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass)
     return hist
 
 
@@ -235,18 +217,17 @@ def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> i
 
 
 def node_leaf(totals, lam: float, frac_bits: int) -> TreeNode:
-    """Leaf for node totals (g_raw, h_raw, count); an empty node weighs 0."""
-    g_raw, h_raw, count = totals
-    if count == 0:
-        w = 0
-    else:
-        w = leaf_weight(dequantize(g_raw, frac_bits), dequantize(h_raw, frac_bits), lam, frac_bits)
+    """Leaf for node totals (g_raw, h_raw)."""
+    g_raw, h_raw = totals
+    w = leaf_weight(dequantize(g_raw, frac_bits), dequantize(h_raw, frac_bits), lam, frac_bits)
     return TreeNode(is_leaf=True, leaf_weight_raw=w)
 
 
-def find_best_split(hist: np.ndarray, config: TrainConfig, buffers: tuple | None = None) -> TreeNode:
+def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
+                    buffers: tuple | None = None) -> TreeNode:
     """Scan all (feature, threshold, missing-direction) candidates for max gain.
 
+    count is the node's sample count; an empty node is the zero leaf.
     Sweeps ordered bins 0..254 as thresholds with the predicate "go left iff
     bin <= threshold"; the missing bin joins either side.  A candidate with a
     NaN gain is not eligible, and one that leaves a side empty never wins
@@ -255,19 +236,19 @@ def find_best_split(hist: np.ndarray, config: TrainConfig, buffers: tuple | None
     candidate has gain > 0.  buffers are the arrays of make_scan_buffers,
     fresh when None; hist is never written.
     """
+    if count == 0:
+        return TreeNode(is_leaf=True, leaf_weight_raw=0)
     totals = node_totals(hist)
-    g_tot, h_tot, c_tot = totals
+    g_tot, h_tot = totals
     fb = config.frac_bits
-    if c_tot == 0:
-        return node_leaf(totals, config.lam, fb)
 
     # one (channel, feature, threshold, side) block of G and H: side 0 groups
     # the missing bin left, side 1 right; per channel, row-major order is the
     # tie order
     left, planes, ineligible = make_scan_buffers(hist.shape[1]) if buffers is None else buffers
     gl, hl, gr, hr = planes[:4]
-    np.cumsum(hist[:COUNT, :, :MISSING_BIN], axis=2, out=left[..., 1])
-    np.add(left[..., 1], hist[:COUNT, :, MISSING_BIN:], out=left[..., 0])
+    np.cumsum(hist[:, :, :MISSING_BIN], axis=2, out=left[..., 1])
+    np.add(left[..., 1], hist[:, :, MISSING_BIN:], out=left[..., 0])
     inv = 2.0 ** -fb                # exact: x * inv == x / 2**fb for every sum here
     g_node, h_node = g_tot * inv, h_tot * inv
     np.multiply(left[G], inv, out=gl)
@@ -276,7 +257,7 @@ def find_best_split(hist: np.ndarray, config: TrainConfig, buffers: tuple | None
     np.subtract(h_node, hl, out=hr)
     # one node term while gl + gr == g_node and hl + hr == h_node exactly
     # (the count bound in the module docstring), else one per candidate
-    parent = g_node * g_node / (h_node + config.lam) if (c_tot << fb) < (1 << 53) else None
+    parent = g_node * g_node / (h_node + config.lam) if (count << fb) < (1 << 53) else None
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, out=planes[4:])
     np.isnan(gains, out=ineligible)
@@ -298,7 +279,7 @@ def find_best_split(hist: np.ndarray, config: TrainConfig, buffers: tuple | None
 
 
 def split_child_totals(hist: np.ndarray, node: TreeNode) -> tuple:
-    """Exact (g, h, count) raw totals of both children of a split node."""
+    """Exact (g, h) raw totals of both children of a split node."""
     if node.is_leaf:
         raise ValueError("leaf node has no children")
     f, t = node.feature, node.threshold_bin

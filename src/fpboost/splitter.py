@@ -55,10 +55,9 @@ def partition(memory: EngineMemory, node_range: tuple, node: TreeNode) -> int:
     return start + left.size
 
 
-def route_weights(tree: TreeModel, columns: np.ndarray,
-                  leaf_values: dict | None = None) -> np.ndarray:
-    """Raw leaf value reached by every sample of a column-major bin matrix:
-    the leaf weight, or leaf_values[depth, node_id] when given."""
+def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np.ndarray:
+    """The value leaf_values[depth, node_id] of the leaf that every sample of
+    a column-major bin matrix reaches."""
     n = columns.shape[1]
     out = np.zeros(n, dtype=np.int64)
     stack = [(0, 0, np.arange(n, dtype=np.int64))]
@@ -66,7 +65,7 @@ def route_weights(tree: TreeModel, columns: np.ndarray,
         depth, node_id, idx = stack.pop()
         node = tree.node(depth, node_id)
         if node.is_leaf:
-            out[idx] = node.leaf_weight_raw if leaf_values is None else leaf_values[depth, node_id]
+            out[idx] = leaf_values[depth, node_id]
             continue
         go_left = goes_left(node, columns[node.feature][idx])
         stack.append((depth + 1, 2 * node_id, idx[go_left]))

@@ -177,22 +177,29 @@ def ref_best_split(columns, idx, grads, hess, lam, gamma, frac_bits):
     return best, best_gain
 
 
-def ref_scan_split(hist, lam, gamma, frac_bits):
-    """The split scan over one (3, F, 256) histogram as one stacked
-    (3, F, 255, 2) block, every candidate with its own node term
+def ref_scan_split(hist, counts, lam, gamma, frac_bits):
+    """The split scan over one (2, F, 256) histogram as one stacked
+    (2, F, 255, 2) block, every candidate with its own node term
     (gl + gr)**2 / (hl + hr + lam) and every sum divided by 2**frac_bits.
+    counts is the node's (F, 256) per-bin sample counts, which mask the
+    candidates that leave a side empty.
 
     Returns ((feature, threshold, missing_left), gain) of the first maximum
     in (feature, threshold, side) order, or (None, -inf) for an empty node.
     """
-    g_tot, h_tot, c_tot = hist[:, 0].sum(axis=1).tolist()
+    g_tot, h_tot = hist[:, 0].sum(axis=1).tolist()
+    c_tot = int(counts[0].sum())
     if c_tot == 0:
         return None, -math.inf
     sc = float(1 << frac_bits)
-    cum = np.cumsum(hist[:, :, :MISSING], axis=2)
-    left = np.stack([cum + hist[:, :, MISSING:], cum], axis=3)
+
+    def prefix(a):
+        cum = np.cumsum(a[..., :MISSING], axis=-1)
+        return np.stack([cum + a[..., MISSING:], cum], axis=-1)
+
+    left = prefix(hist)
     gl, hl = left[0] / sc, left[1] / sc
-    cl = left[2]
+    cl = prefix(counts)
     gr = g_tot / sc - gl
     hr = h_tot / sc - hl
     g = gl + gr

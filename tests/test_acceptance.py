@@ -151,7 +151,7 @@ def test_04_histogram_conservation_and_merge():
 
             # bin-wise totals equal node totals bitwise, every feature
             state = base.state
-            node_sums = (state.grads_raw[node].sum(), state.hess_raw[node].sum(), node.size)
+            node_sums = (state.grads_raw[node].sum(), state.hess_raw[node].sum())
             assert (hist.sum(axis=2) == np.array(node_sums)[:, None]).all()
 
             # any sharding merges back to the unsharded histogram bitwise

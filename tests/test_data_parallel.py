@@ -53,7 +53,7 @@ class TestMerge:
         matrix, labels = random_quantized(rng, 64, 3)
         (engine,) = _engines_over(matrix, labels, np.arange(64), 1)
         hist = build_histogram(engine, (0, 64))
-        merged = merge_histograms([hist, np.zeros((3, 3, N_BINS), dtype=np.int64)])
+        merged = merge_histograms([hist, np.zeros((2, 3, N_BINS), dtype=np.int64)])
         assert np.array_equal(merged, hist)
 
     def test_merge_order_irrelevant(self, rng):
@@ -66,7 +66,7 @@ class TestMerge:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            merge_histograms([np.zeros((3, n, N_BINS), dtype=np.int64) for n in (2, 3)])
+            merge_histograms([np.zeros((2, n, N_BINS), dtype=np.int64) for n in (2, 3)])
 
     def test_empty_list(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,8 @@ class TestMerge:
 
 def _node_decision(engines, ranges, config):
     """One split scan over a node's merged per-engine histograms."""
-    return find_best_split(merged_node_histogram(engines, ranges), config)
+    count = sum(end - start for start, end in ranges)
+    return find_best_split(merged_node_histogram(engines, ranges), count, config)
 
 
 class TestTrainNodeParallel:
@@ -96,7 +97,7 @@ class TestTrainNodeParallel:
         config = TrainConfig(max_depth=2, n_engines=1)
         (engine,) = _engines_over(matrix, labels, np.arange(90), 1)
         hist = build_histogram(engine, (0, 90))
-        direct = find_best_split(hist, config)
+        direct = find_best_split(hist, 90, config)
         parallel = _node_decision([engine], [(0, 90)], config)
         assert direct == parallel and direct.gain == parallel.gain
 

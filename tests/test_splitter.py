@@ -109,10 +109,16 @@ def _nested(tree, depth=0, node_id=0):
             "right": _nested(tree, depth + 1, 2 * node_id + 1)}
 
 
+def _leaf_weights(tree):
+    """route_weights' leaf values that route each sample to its leaf weight."""
+    return {(d, k): node.leaf_weight_raw for d, level in enumerate(tree.levels)
+            for k, node in level.items() if node.is_leaf}
+
+
 def _route_one(tree, sample_bins):
     """route_weights on a one-sample column matrix."""
     columns = np.asarray(sample_bins, dtype=np.uint8).reshape(-1, 1)
-    return int(route_weights(tree, columns)[0])
+    return int(route_weights(tree, columns, _leaf_weights(tree))[0])
 
 
 class TestRouting:
@@ -144,7 +150,7 @@ class TestRouting:
         model, _ = train(matrix, labels, TrainConfig(n_trees=3, max_depth=3,
                                                      subsample=1.0, n_engines=1))
         for tree in model.trees:
-            vec = route_weights(tree, matrix.columns)
+            vec = route_weights(tree, matrix.columns, _leaf_weights(tree))
             scalar = [ref_route(_nested(tree), matrix.columns[:, i]) for i in range(150)]
             assert list(vec) == scalar
 
@@ -162,7 +168,7 @@ class TestRouting:
                     for k, node in level.items():
                         if node.is_leaf:
                             level[k] = TreeNode(is_leaf=True, leaf_weight_raw=int(big[k % 64]))
-            w = route_weights(tree, matrix.columns)
+            w = route_weights(tree, matrix.columns, _leaf_weights(tree))
             per_sample = quantize(eta * (w.astype(np.float64) / float(1 << frac_bits)), frac_bits)
             got = tree_increment(tree, matrix.columns, eta, frac_bits)
             assert np.array_equal(got, per_sample)
