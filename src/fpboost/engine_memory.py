@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fixed_point import FRAC_BITS, logistic_grad_hess, quantize
+from .fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize
 from .quantizer import MISSING_BIN, QuantizedMatrix
 
 
@@ -90,7 +90,7 @@ def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,
             f"!= n_samples {matrix.n_samples}"
         )
     scores = np.full(matrix.n_samples, quantize(base_score, frac_bits), dtype=np.int64)
-    grads, hess = logistic_grad_hess(scores, labels, frac_bits)
+    grads, hess = grad_hess(margin_probability(scores, frac_bits), labels, frac_bits)
     state = StateMemory(scores, grads, hess, labels, frac_bits)
     return EngineMemory(matrix=matrix, state=state)
 

@@ -53,11 +53,6 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-def logistic_grad_hess(scores_raw, labels, frac_bits: int = FRAC_BITS):
-    """Quantized cross-entropy gradient and hessian for raw margin scores."""
-    return grad_hess(margin_probability(scores_raw, frac_bits), labels, frac_bits)
-
-
 def margin_probability(scores_raw, frac_bits: int = FRAC_BITS) -> np.ndarray:
     """p = sigmoid of the dequantized margins, in double precision."""
     return sigmoid(np.asarray(scores_raw, dtype=np.float64) / scale(frac_bits))

@@ -1,8 +1,9 @@
 """Independent reference implementations used as oracles.
 
 Everything here recomputes results along a different path than the library:
-splits by direct sample partitioning (no histograms, no prefix sums, no
-index tables), sigmoid in arbitrary precision and as two masked passes,
+bins by one binary search per value (no guess table), splits by direct
+sample partitioning (no histograms, no prefix sums, no index tables),
+sigmoid in arbitrary precision and as two masked passes,
 gain in exact rationals, AUC by pair counting, the subsample generator in
 pure-Python integers, node histograms built engine by engine and merged,
 and CSV parsing one cell at a time through Python's float().
@@ -21,8 +22,9 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from fpboost.fixed_point import logistic_grad_hess, quantize
+from fpboost.fixed_point import grad_hess, margin_probability, quantize
 from fpboost.node_trainer import build_histogram, split_gain
+from fpboost.quantizer import QuantizedMatrix
 
 MISSING = 255
 
@@ -37,6 +39,29 @@ def nearest_centroid_scan(value: float, centroids) -> int:
         if d < best_d:
             best, best_d = j, d
     return best
+
+
+def ref_transform(raw, bins):
+    """Nearest-centroid bins by one searchsorted per value, with no guess table.
+
+    Across centroids that span more than the float range a distance may
+    overflow to inf; the comparison still picks the nearer side, so callers
+    may silence that warning.
+    """
+    columns = np.full((raw.n_features, raw.n_samples), MISSING, dtype=np.uint8)
+    for f in range(raw.n_features):
+        col = raw.values[:, f]
+        present = ~np.isnan(col)
+        v = col[present]
+        c = bins.centroids[f]
+        if c.size == 1:
+            idx = np.zeros(v.size, dtype=np.int64)
+        else:
+            # clipping makes the two end cells absorb everything outside the range
+            right = np.clip(np.searchsorted(c, v), 1, c.size - 1)
+            idx = np.where((v - c[right - 1]) <= (c[right] - v), right - 1, right)
+        columns[f, present] = idx.astype(np.uint8)
+    return QuantizedMatrix(columns=columns, bin_map=bins)
 
 
 def sort_rank_quantiles(values, max_bins: int):
@@ -257,7 +282,7 @@ def ref_train(columns, labels, cfg):
     assert cfg.subsample == 1.0
     n = columns.shape[1]
     scores = np.full(n, int(quantize(0.0, cfg.frac_bits)), dtype=np.int64)
-    grads, hess = logistic_grad_hess(scores, labels, cfg.frac_bits)
+    grads, hess = grad_hess(margin_probability(scores, cfg.frac_bits), labels, cfg.frac_bits)
     sc = float(1 << cfg.frac_bits)
     trees = []
     all_idx = np.arange(n, dtype=np.int64)
@@ -266,7 +291,7 @@ def ref_train(columns, labels, cfg):
         trees.append(root)
         w = np.array([ref_route(root, columns[:, i]) for i in range(n)], dtype=np.int64)
         scores += quantize(cfg.eta * (w.astype(np.float64) / sc), cfg.frac_bits)
-        grads, hess = logistic_grad_hess(scores, labels, cfg.frac_bits)
+        grads, hess = grad_hess(margin_probability(scores, cfg.frac_bits), labels, cfg.frac_bits)
     return trees, scores
 
 

@@ -18,7 +18,7 @@ from fpboost.cost_model import CostParams, estimate
 from fpboost.data_parallel import shard
 from fpboost.dataset import load_dataset
 from fpboost.engine_memory import EngineMemory, init_index_table, load
-from fpboost.fixed_point import FRAC_BITS, logistic_grad_hess
+from fpboost.fixed_point import FRAC_BITS, grad_hess, margin_probability
 from fpboost.metrics import train_and_evaluate
 from fpboost.model_io import load_model, save_model
 from fpboost.node_trainer import TrainConfig, build_histogram
@@ -141,7 +141,7 @@ def test_04_histogram_conservation_and_merge():
                                               missing_frac=float(rng.choice([0.0, 0.2])))
             base = load(matrix, labels, 0.0)
             base.state.scores_raw[:] = rng.integers(-3 * SCALE, 3 * SCALE, size=n)
-            g, h = logistic_grad_hess(base.state.scores_raw, labels)
+            g, h = grad_hess(margin_probability(base.state.scores_raw), labels)
             base.state.grads_raw[:] = g
             base.state.hess_raw[:] = h
 
@@ -170,7 +170,7 @@ def test_05_gradient_quantization_matches_arbitrary_precision():
         rng = np.random.default_rng(505)
         raws = rng.integers(-12 * SCALE, 12 * SCALE, size=10_000, dtype=np.int64)
         labels = rng.integers(0, 2, size=10_000)
-        grads, hess = logistic_grad_hess(raws, labels)
+        grads, hess = grad_hess(margin_probability(raws), labels)
         for raw, y, g, h in zip(raws, labels, grads, hess):
             eg, eh = mp_grad_hess(int(raw), int(y), FRAC_BITS)
             assert int(g) == eg, f"grad mismatch at score {raw}"

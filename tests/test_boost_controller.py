@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fpboost import boost_controller
 from fpboost.boost_controller import BASE_SCORE, predict_raw, subsample_indices, train
 from fpboost.engine_memory import EngineMemory, init_index_table, load
-from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize
+from fpboost.fixed_point import FRAC_BITS, dequantize, grad_hess, margin_probability, quantize
 from fpboost.node_trainer import TrainConfig, leaf_weight, node_totals
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
 from fpboost.splitter import partition, tree_increment
@@ -98,7 +98,7 @@ class TestTrain:
         scores = np.zeros(8, dtype=np.int64)
         from fpboost.splitter import tree_increment
         for tree in model.trees:
-            grads, _ = logistic_grad_hess(scores, labels)
+            grads, _ = grad_hess(margin_probability(scores), labels)
             inc = tree_increment(tree, matrix.columns, 1.0, cfg.frac_bits)
             if np.any(np.abs(grads) >= 1):
                 assert np.all(inc > 0), "scores must strictly increase while gradients remain"
@@ -137,7 +137,7 @@ class TestTrain:
         for t, tree in enumerate(model.trees):
             assert len(tree.levels) == 1 and tree.n_leaves() == 1
             active = subsample_indices(cfg.seed, t, 100, cfg.subsample)
-            grads, hess = logistic_grad_hess(scores, labels)
+            grads, hess = grad_hess(margin_probability(scores), labels)
             g = int(grads[active].sum())
             h = int(hess[active].sum())
             expected = leaf_weight(dequantize(g), dequantize(h), cfg.lam)
@@ -298,7 +298,7 @@ def test_matches_reference_trainer_across_config_space(case):
     rows = np.arange(matrix.n_samples)
     scores = np.full(matrix.n_samples, quantize(BASE_SCORE, cfg.frac_bits), dtype=np.int64)
     for tree in model.trees:
-        grads, hess = logistic_grad_hess(scores, labels, cfg.frac_bits)
+        grads, hess = grad_hess(margin_probability(scores, cfg.frac_bits), labels, cfg.frac_bits)
         ref = ref_grow(matrix.columns, rows, grads, hess, 0, cfg)
         assert_trees_match(tree, ref, cfg.frac_bits, ulp_tol=1)
         scores = scores + tree_increment(tree, matrix.columns, cfg.eta, cfg.frac_bits)

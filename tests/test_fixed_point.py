@@ -3,7 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpboost.fixed_point import FRAC_BITS, dequantize, logistic_grad_hess, quantize, sigmoid
+from fpboost.fixed_point import (
+    FRAC_BITS,
+    dequantize,
+    grad_hess,
+    margin_probability,
+    quantize,
+    sigmoid,
+)
 from reference import masked_sigmoid, mp_grad_hess
 
 SCALE = 1 << FRAC_BITS
@@ -48,14 +55,14 @@ def test_sigmoid_basics():
 def test_grad_hess_at_zero_margin():
     scores = np.zeros(4, dtype=np.int64)
     labels = np.array([0, 1, 0, 1])
-    grads, hess = logistic_grad_hess(scores, labels)
+    grads, hess = grad_hess(margin_probability(scores), labels)
     assert list(grads) == [SCALE // 2, -(SCALE // 2), SCALE // 2, -(SCALE // 2)]
     assert list(hess) == [SCALE // 4] * 4
 
 
 def test_hessian_floor_at_saturation():
     scores = np.array([50 * SCALE, -50 * SCALE], dtype=np.int64)
-    grads, hess = logistic_grad_hess(scores, np.array([1, 0]))
+    grads, hess = grad_hess(margin_probability(scores), np.array([1, 0]))
     assert list(grads) == [0, 0]
     assert list(hess) == [1, 1]
 
@@ -63,7 +70,7 @@ def test_hessian_floor_at_saturation():
 def test_grad_hess_against_arbitrary_precision(rng):
     raws = rng.integers(-12 * SCALE, 12 * SCALE, size=500, dtype=np.int64)
     labels = rng.integers(0, 2, size=500)
-    grads, hess = logistic_grad_hess(raws, labels)
+    grads, hess = grad_hess(margin_probability(raws), labels)
     for raw, y, g, h in zip(raws, labels, grads, hess):
         eg, eh = mp_grad_hess(int(raw), int(y), FRAC_BITS)
         assert g == eg
@@ -73,7 +80,7 @@ def test_grad_hess_against_arbitrary_precision(rng):
 @settings(max_examples=200)
 @given(st.integers(min_value=-(1 << 40), max_value=1 << 40), st.integers(0, 1))
 def test_grad_bounds(raw, label):
-    g, h = logistic_grad_hess(np.array([raw], dtype=np.int64), np.array([label]))
+    g, h = grad_hess(margin_probability(np.array([raw], dtype=np.int64)), np.array([label]))
     assert abs(int(g[0])) <= SCALE
     assert 1 <= int(h[0]) <= SCALE // 4
 

@@ -40,8 +40,8 @@ def _memory(rng, n, n_features, missing_frac=0.1, labels=None, scores=None):
     mem = load(matrix, lab, 0.0)
     if scores is not None:
         mem.state.scores_raw[:] = scores
-        from fpboost.fixed_point import logistic_grad_hess
-        g, h = logistic_grad_hess(mem.state.scores_raw, lab)
+        from fpboost.fixed_point import grad_hess, margin_probability
+        g, h = grad_hess(margin_probability(mem.state.scores_raw), lab)
         mem.state.grads_raw[:] = g
         mem.state.hess_raw[:] = h
     mem.table = init_index_table(np.arange(n), n)

@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpboost import quantizer
+from fpboost.boost_controller import train
+from fpboost.model_io import save_model
+from fpboost.node_trainer import TrainConfig
 from fpboost.quantizer import MISSING_BIN, BinMap, RawDataset, fit_bin_map, fit_bins, transform
-from reference import nearest_centroid_scan, sort_rank_quantiles
+from reference import nearest_centroid_scan, ref_transform, sort_rank_quantiles
 
 
 def _matrix(values, centroids_per_feature):
@@ -58,6 +64,36 @@ class TestFitBins:
         assert got.size < 255
         assert np.all(np.diff(got) > 0)
 
+    def test_negative_zero_centroid_is_positive_zero(self):
+        for col in ([-0.0], [-0.0, 1.0], [0.0, -0.0, np.nan], [1.0, -0.0, 0.0, -1.0]):
+            cents = fit_bins(col)
+            zero = cents[cents == 0.0]
+            assert zero.size == 1 and not np.signbit(zero[0])
+        # 401 distinct values: the centroids are quantiles, and the lowest is zero
+        col = np.concatenate([np.full(60, -0.0), np.full(60, 0.0), np.arange(1.0, 401.0)])
+        cents = fit_bins(col)
+        assert cents[0] == 0.0 and not np.signbit(cents[0])
+
+    def test_row_order_does_not_change_a_mixed_zero_model(self, rng, tmp_path):
+        n = 240
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        values = np.column_stack([np.where(rng.random(n) < 0.4, zeros, rng.normal(size=n)),
+                                  rng.normal(size=n)])
+        labels = (values[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(np.int8)
+        config = TrainConfig(max_depth=2, n_trees=3, subsample=1.0)
+        digests = set()
+        for k in range(8):
+            order = rng.permutation(n)
+            raw = RawDataset(values=values[order], labels=labels[order])
+            bins = fit_bin_map(raw)
+            zero = bins.centroids[0][bins.centroids[0] == 0.0]
+            assert zero.size == 1 and not np.signbit(zero[0])
+            model, _ = train(transform(raw, bins), raw.labels, config)
+            path = tmp_path / f"model{k}.json"
+            save_model(model, bins, config, str(path))
+            digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert len(digests) == 1
+
 
 class TestTransform:
     def test_nearest_centroid(self):
@@ -90,6 +126,142 @@ class TestTransform:
         assert m.columns.shape == (3, 10)
         with pytest.raises(ValueError):
             m.columns[0, 0] = 1
+
+
+def _transform_column(values, centroids):
+    """Bins of one column from transform, after checking them against ref_transform."""
+    raw = RawDataset(values=np.asarray(values, dtype=np.float64).reshape(-1, 1),
+                     labels=np.zeros(len(values), dtype=np.int8))
+    bins = BinMap([np.asarray(centroids, dtype=np.float64)])
+    got = transform(raw, bins).columns[0]
+    # ref_transform's distances may overflow across huge spans; see its docstring
+    with np.errstate(over="ignore"):
+        expected = ref_transform(raw, bins).columns[0]
+    assert np.array_equal(got, expected)
+    return got.tolist()
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Sizes of the value arrays transform passes to searchsorted, table edges excluded."""
+    sizes = []
+    search = quantizer._insertion_points
+
+    def spy(c, v):
+        if v.size != quantizer.GUESS_BUCKETS:
+            sizes.append(v.size)
+        return search(c, v)
+
+    monkeypatch.setattr(quantizer, "_insertion_points", spy)
+    return sizes
+
+
+class TestGuessTable:
+    def test_bucket_index_clips_before_subtracting(self):
+        # 1.7e308 - (-1e308) overflows; the clip to 1e307 comes first
+        values = [1.7e308, -1.7e308, 0.0, 5e306]
+        assert _transform_column(values, [-1e308, 0.0, 1e307]) == [2, 0, 1, 1]
+
+    def test_span_that_overflows_searches_every_value(self, searched):
+        values = [-1.7e308, -1e308, 0.0, 1e308, 1.7e308, np.nan, 1.5e308]
+        assert _transform_column(values, [-1.7e308, 1.7e308]) == [0, 0, 0, 1, 1, MISSING_BIN, 1]
+        assert (_transform_column(values, [-1.7e308, 1.0, 1.7e308])
+                == [0, 0, 1, 2, 2, MISSING_BIN, 2])
+        assert searched == [len(values)] * 2     # missing cells included
+
+    def test_span_too_narrow_for_the_table_searches_every_value(self, searched):
+        tiny = 5e-324
+        values = [0.0, tiny, 2 * tiny, -1.0, 1.0]
+        assert _transform_column(values, [0.0, 2 * tiny]) == [0, 0, 1, 0, 1]
+        assert searched == [len(values)]
+
+    def test_two_centroids(self):
+        values = [0.0, 1.0, 2.0, 2.0000001, 3.0, 4.0, np.nan, -0.0]
+        assert _transform_column(values, [1.0, 3.0]) == [0, 0, 0, 1, 1, 1, MISSING_BIN, 0]
+
+    def test_every_value_misses(self, searched):
+        # all values fall in bucket 0, whose guess is 1; each lies above c[1]
+        cents = [0.0, 1e-12, 2e-12, 3e-12, 1.0]
+        values = [1.2e-12, 1.8e-12, 2.2e-12, 2.9e-12, 3e-12, 2e-12 + 1e-25]
+        assert _transform_column(values, cents) == [1, 2, 2, 3, 3, 2]
+        assert searched == [len(values)]
+
+    def test_values_at_and_beyond_the_ends_hit_their_guess(self, searched):
+        cents = np.linspace(-3.0, 5.0, 200)
+        values = [-3.0, -3.0, -1e300, -4.0, 5.0, 5.0, 1e300, 6.0]
+        assert _transform_column(values, cents) == [0, 0, 0, 0, 199, 199, 199, 199]
+        assert searched == []
+
+    def test_workload_columns_mostly_hit(self, rng, searched):
+        raw = RawDataset(values=rng.normal(size=(5000, 3)), labels=np.zeros(5000, dtype=np.int8))
+        bins = fit_bin_map(raw)
+        assert np.array_equal(transform(raw, bins).columns, ref_transform(raw, bins).columns)
+        assert sum(searched) < 0.1 * raw.values.size
+
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_TINY = 5e-324
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _centroid_lists(draw):
+    """1..255 centroids of one of five kinds, unsorted and possibly repeated."""
+    n = draw(st.one_of(st.integers(2, 8), st.integers(1, 255), st.just(255)))
+    kind = draw(st.sampled_from(["moderate", "any", "huge", "subnormal", "skewed"]))
+    if kind == "moderate":
+        return draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True))
+    if kind == "any":
+        return draw(st.lists(_any_float, min_size=n, max_size=n, unique=True))
+    if kind == "huge":
+        # a span near the top of the float range, up to one that overflows
+        ends = [-draw(st.floats(1e307, _FLOAT_MAX)), draw(st.floats(1e307, _FLOAT_MAX))]
+        rest = max(n - 2, 0)
+        return ends + draw(st.lists(_any_float, min_size=rest, max_size=rest, unique=True))
+    if kind == "subnormal":
+        # exact multiples of the smallest subnormal
+        ks = draw(st.lists(st.integers(-(1 << 20), 1 << 20), min_size=n, max_size=n, unique=True))
+        return [k * _TINY for k in ks]
+    # skewed: all but one centroid within 1e-9 of each other, one far away
+    base = draw(st.floats(-1e3, 1e3))
+    offsets = st.lists(st.floats(0.0, 1e-9), min_size=max(n - 1, 1), max_size=max(n - 1, 1),
+                       unique=True)
+    cluster = [base + d for d in draw(offsets)]
+    far = draw(st.floats(1.0, 1e300))
+    return cluster + [base + far if draw(st.booleans()) else base - far]
+
+
+@st.composite
+def _columns(draw):
+    """(values, centroids): centroids, their midpoints and neighbours, zeros, NaN, outliers."""
+    cents = sorted(set(draw(_centroid_lists())))
+    values = list(cents)
+    values += [a / 2 + b / 2 for a, b in zip(cents, cents[1:])]
+    values += [float(np.nextafter(c, np.inf)) for c in cents if c < _FLOAT_MAX]
+    values += [float(np.nextafter(c, -np.inf)) for c in cents if c > -_FLOAT_MAX]
+    values += [0.0, -0.0, np.nan]
+    values += draw(st.lists(_any_float, max_size=20))
+    values += [draw(st.floats(max_value=cents[0], allow_infinity=False)),
+               draw(st.floats(min_value=cents[-1], allow_infinity=False))]
+    return values, cents
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns())
+def test_transform_matches_search_per_value_and_linear_scan(column):
+    values, cents = column
+    got = _transform_column(values, cents)
+    for v, b in zip(values, got):
+        if np.isnan(v):
+            assert b == MISSING_BIN
+            continue
+        scan = nearest_centroid_scan(v, cents)
+        assert abs(v - cents[b]) == abs(v - cents[scan])
+        # the scan breaks a tie between rounded distances at the lowest index
+        # anywhere; transform compares only the two neighbours of v, so it can
+        # pick the upper of them when the distances of centroids below v round
+        # to the same float
+        assert b == scan or (scan < b and cents[b] <= v)
 
 
 finite_columns = st.lists(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
-from fpboost.fixed_point import FRAC_BITS, logistic_grad_hess, quantize, sigmoid
+from fpboost.fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize, sigmoid
 from fpboost.node_trainer import TreeNode
 from fpboost.quantizer import BinMap, QuantizedMatrix
 from fpboost.splitter import (
@@ -182,7 +182,7 @@ class TestApplyTreeUpdate:
         tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=quantize(0.75)))
         p = apply_tree_update(mem, tree, 1.0)
         assert np.array_equal(p, sigmoid(mem.state.scores_raw / float(SCALE)))
-        grads, hess = logistic_grad_hess(mem.state.scores_raw, labels)
+        grads, hess = grad_hess(margin_probability(mem.state.scores_raw), labels)
         assert np.array_equal(mem.state.grads_raw, grads)
         assert np.array_equal(mem.state.hess_raw, hess)
 
