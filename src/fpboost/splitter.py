@@ -3,6 +3,12 @@
 Partitioning rewrites a node's own range of the index table in place and is
 stable: both sides keep the relative order they had in the parent range, so
 the table stays bit-reproducible run to run.
+
+Routing (route_weights) sends every sample of a bin matrix down a finished
+tree with the same goes_left rule.  The root compares its whole column and
+holds no id array; a split whose children are both leaves picks each of its
+samples' values with one np.where; any other split compresses its samples'
+ids into one array per child.
 """
 
 from dataclasses import dataclass, field
@@ -57,19 +63,36 @@ def partition(memory: EngineMemory, node_range: tuple, node: TreeNode) -> int:
 
 def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np.ndarray:
     """The value leaf_values[depth, node_id] of the leaf that every sample of
-    a column-major bin matrix reaches."""
-    n = columns.shape[1]
-    out = np.zeros(n, dtype=np.int64)
-    stack = [(0, 0, np.arange(n, dtype=np.int64))]
+    a column-major bin matrix reaches.
+
+    The tree is walked depth first, each node with the ids of its samples.
+    The root holds every sample and carries no id array: it compares its
+    whole column and takes its children's ids with flatnonzero.  A split
+    whose children are both leaves writes np.where(go_left, left value,
+    right value) into its samples; any other split compresses its ids into
+    one array per child.  Every sample reaches exactly one leaf, so each
+    entry of the result is written once.
+    """
+    out = np.empty(columns.shape[1], dtype=np.int64)
+    stack = [(0, 0, None)]                  # ids None: every sample, the root
     while stack:
-        depth, node_id, idx = stack.pop()
+        depth, node_id, ids = stack.pop()
         node = tree.node(depth, node_id)
+        at = slice(None) if ids is None else ids
         if node.is_leaf:
-            out[idx] = leaf_values[depth, node_id]
+            out[at] = leaf_values[depth, node_id]
             continue
-        go_left = goes_left(node, columns[node.feature][idx])
-        stack.append((depth + 1, 2 * node_id, idx[go_left]))
-        stack.append((depth + 1, 2 * node_id + 1, idx[~go_left]))
+        kids = (depth + 1, 2 * node_id), (depth + 1, 2 * node_id + 1)
+        left, right = (tree.node(*kid) for kid in kids)
+        go_left = goes_left(node, columns[node.feature][at])
+        if left.is_leaf and right.is_leaf:
+            out[at] = np.where(go_left, leaf_values[kids[0]], leaf_values[kids[1]])
+            continue
+        if ids is None:
+            sides = np.flatnonzero(go_left), np.flatnonzero(~go_left)
+        else:
+            sides = ids[go_left], ids[~go_left]
+        stack.extend(kid + (side,) for kid, side in zip(kids, sides))
     return out
 
 

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize, sigmoid
@@ -121,6 +126,34 @@ def _route_one(tree, sample_bins):
     return int(route_weights(tree, columns, _leaf_weights(tree))[0])
 
 
+_BINS = st.sampled_from([0, 254, 255]) | st.integers(0, 255)
+
+
+@st.composite
+def _routing_case(draw):
+    """A random tree of depth 0-7 over 1-4 features, and 0-200 samples of bins.
+
+    Every split draws each child as a leaf or a split, so leaves appear at
+    every depth and splits have two, one or no leaf children."""
+    n_features = draw(st.integers(1, 4))
+    max_depth = draw(st.integers(1, 7))
+    tree = TreeModel()
+    weights = st.integers(-(1 << 63), (1 << 63) - 1)
+    pending = [(0, 0)]
+    while pending:
+        depth, node_id = pending.pop()
+        if depth == max_depth or draw(st.integers(0, 3)) == 0:
+            tree.put(depth, node_id, TreeNode(is_leaf=True, leaf_weight_raw=draw(weights)))
+            continue
+        tree.put(depth, node_id, TreeNode(
+            is_leaf=False, feature=draw(st.integers(0, n_features - 1)),
+            threshold_bin=draw(st.sampled_from([0, 254]) | st.integers(0, 254)),
+            missing_left=draw(st.booleans())))
+        pending += [(depth + 1, 2 * node_id), (depth + 1, 2 * node_id + 1)]
+    n = draw(st.integers(0, 200))
+    return tree, draw(arrays(np.uint8, (n_features, n), elements=_BINS))
+
+
 class TestRouting:
     def test_single_leaf(self):
         tree = TreeModel()
@@ -142,6 +175,46 @@ class TestRouting:
         tree.put(0, 0, TreeNode(is_leaf=False, feature=0, threshold_bin=1, missing_left=True))
         with pytest.raises(ValueError, match="malformed"):
             _route_one(tree, [0])
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("kids", [
+        {(1, 0): TreeNode(is_leaf=True, leaf_weight_raw=1)},     # no right child
+        {(1, 1): TreeNode(is_leaf=True, leaf_weight_raw=1)},     # no left child
+        {(1, 0): TreeNode(is_leaf=True, leaf_weight_raw=1),      # no depth 2
+         (1, 1): TreeNode(is_leaf=False, feature=0, threshold_bin=0)},
+    ])
+    def test_malformed_tree_below_the_root(self, kids, n):
+        tree = TreeModel()
+        tree.put(0, 0, TreeNode(is_leaf=False, feature=0, threshold_bin=1, missing_left=True))
+        for (depth, node_id), node in kids.items():
+            tree.put(depth, node_id, node)
+        columns = np.zeros((1, n), dtype=np.uint8)
+        with pytest.raises(ValueError, match="malformed"):
+            route_weights(tree, columns, _leaf_weights(tree))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_routing_case())
+    def test_route_weights_matches_reference_on_random_trees(self, case):
+        tree, columns = case
+        got = route_weights(tree, columns, _leaf_weights(tree))
+        nested = _nested(tree)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(columns.shape[1])]
+
+    def test_stump_allocates_under_20_bytes_per_sample(self, rng):
+        # the result (8 bytes), np.where's values (8) and the go-left mask (1)
+        n = 10_048
+        tree = _stump(feature=1, threshold=100, missing_left=True)
+        columns = rng.integers(0, 256, size=(3, n), dtype=np.uint8)
+        values = _leaf_weights(tree)
+        route_weights(tree, columns, values)                # warm-up
+        tracemalloc.start()
+        try:
+            route_weights(tree, columns, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n
 
     def test_route_weights_matches_scalar(self, rng):
         matrix, labels = random_quantized(rng, 150, 4, missing_frac=0.15)
