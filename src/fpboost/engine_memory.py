@@ -16,10 +16,10 @@ reuse by every block and node.  So are the split scan's buffers: one
 (2, n_features, 255, 2) int64 block of G and H prefix sums, eight float64
 planes of the candidates' (n_features, 255, 2) shape (the dequantized sums
 of both sides, the gain and three temporaries of split_gain) and a bool
-eligibility mask, about 1.2 MB at 28 features.  Every node's scan writes
-over them, and the tree keeps only the TreeNode each scan returns.  All
-of these are made on first use, so a memory that never builds a histogram
-or scans one never holds them.
+eligibility mask, which only a scan at lam = 0 writes, about 1.2 MB at 28
+features.  Every node's scan writes over them, and the tree keeps only the
+TreeNode each scan returns.  All of these are made on first use, so a
+memory that never builds a histogram or scans one never holds them.
 """
 
 from dataclasses import dataclass, field

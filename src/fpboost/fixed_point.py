@@ -9,7 +9,7 @@ final gain/weight ratios are evaluated in double precision.
 import numpy as np
 
 FRAC_BITS = 24
-_INT64_LIMIT = float(1 << 63)     # raw values lie in [-2**63, 2**63)
+INT64_LIMIT = float(1 << 63)      # raw values lie in [-2**63, 2**63)
 
 
 def scale(frac_bits: int = FRAC_BITS) -> float:
@@ -27,8 +27,8 @@ def quantize(value, frac_bits: int = FRAC_BITS):
     raw = np.rint(np.asarray(value, dtype=np.float64) * scale(frac_bits))
     if raw.size:
         lo, hi = raw.min(), raw.max()       # NaN propagates into both
-        if not (lo >= -_INT64_LIMIT and hi < _INT64_LIMIT):
-            bad = hi if lo >= -_INT64_LIMIT else lo
+        if not (lo >= -INT64_LIMIT and hi < INT64_LIMIT):
+            bad = hi if lo >= -INT64_LIMIT else lo
             raise ValueError(f"fixed-point value {float(bad) / scale(frac_bits)!r} "
                              f"does not fit int64 at frac_bits={frac_bits}")
     out = raw.astype(np.int64)

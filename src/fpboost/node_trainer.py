@@ -25,6 +25,14 @@ the per-candidate form alike, and 0/0 = NaN for lam = 0, which the scan
 masks.  It can never be a positive split, and a node whose best gain is not
 positive is a leaf.  So both children of a split node hold samples.
 
+The NaN mask runs only at lam = 0, since no other lam can give a NaN gain.
+For lam > 0 every denominator h + lam is positive, so no term is 0/0, and
+a side term g*g / (h + lam) is >= 0, finite or +inf.  Every raw hessian is
+at least 1 unit, so the node's h, and each candidate's hl + hr, is at
+least 2**-frac_bits, and the node term is finite.  The side terms' sum
+less the node term is then never NaN.  gamma = 0 skips the subtraction of
+gamma, as x - 0.0 is x bit for bit.
+
 goes_left is the one go-left rule that the partition and every replay apply
 to the stored node.  A split node's gain is kept for inspection only: it is
 never saved and takes no part in ==.
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine_memory import EngineMemory, make_scan_buffers
-from .fixed_point import FRAC_BITS, dequantize, quantize
+from .fixed_point import FRAC_BITS, INT64_LIMIT, quantize, scale
 from .quantizer import MISSING_BIN
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
@@ -197,7 +205,8 @@ def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent=None, out=None):
     gain += right
     gain -= parent
     gain *= 0.5
-    gain -= gamma
+    if gamma:               # x - 0.0 is x bit for bit, -0.0 and NaN included
+        gain -= gamma
     return gain
 
 
@@ -210,16 +219,28 @@ def _fresh(ufunc, a, b, buf):
 
 
 def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> int:
-    """Quantized -g / (h + lam) over real-valued node totals."""
+    """Quantized -g / (h + lam) over real-valued node totals.
+
+    Python floats all the way: round() rounds half to even as quantize's
+    rint does, and the power-of-two scaling is exact, so the weight is
+    quantize's.  A float of magnitude 2**52 or more is an integer already,
+    so the range test before rounding is quantize's test after it.  NaN and
+    out-of-range weights go to quantize for its ValueError.
+    """
     if h + lam <= 0.0:
         raise ValueError("degenerate node: h + lam must be positive")
-    return int(quantize(-(g / (h + lam)), frac_bits))
+    w = -(g / (h + lam))
+    raw = w * scale(frac_bits)
+    if not -INT64_LIMIT <= raw < INT64_LIMIT:   # True for NaN
+        quantize(w, frac_bits)                  # raises its ValueError
+    return round(raw)
 
 
 def node_leaf(totals, lam: float, frac_bits: int) -> TreeNode:
     """Leaf for node totals (g_raw, h_raw)."""
     g_raw, h_raw = totals
-    w = leaf_weight(dequantize(g_raw, frac_bits), dequantize(h_raw, frac_bits), lam, frac_bits)
+    s = scale(frac_bits)
+    w = leaf_weight(float(g_raw) / s, float(h_raw) / s, lam, frac_bits)
     return TreeNode(is_leaf=True, leaf_weight_raw=w)
 
 
@@ -231,7 +252,8 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     Sweeps ordered bins 0..254 as thresholds with the predicate "go left iff
     bin <= threshold"; the missing bin joins either side.  A candidate with a
     NaN gain is not eligible, and one that leaves a side empty never wins
-    (see the module docstring).  Ties resolve to the lowest feature, then the
+    (see the module docstring); gains are NaN only at lam = 0, so only
+    lam = 0 masks them.  Ties resolve to the lowest feature, then the
     lowest threshold, then missing-left.  Declares a leaf when no eligible
     candidate has gain > 0.  buffers are the arrays of make_scan_buffers,
     fresh when None; hist is never written.
@@ -251,17 +273,17 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     np.add(left[..., 1], hist[:, :, MISSING_BIN:], out=left[..., 0])
     inv = 2.0 ** -fb                # exact: x * inv == x / 2**fb for every sum here
     g_node, h_node = g_tot * inv, h_tot * inv
-    np.multiply(left[G], inv, out=gl)
-    np.multiply(left[H], inv, out=hl)
-    np.subtract(g_node, gl, out=gr)
-    np.subtract(h_node, hl, out=hr)
+    # gl, hl, then their complements gr, hr, each pair in one call
+    np.multiply(left, inv, out=planes[:2])
+    np.subtract(np.array([g_node, h_node]).reshape(2, 1, 1, 1), planes[:2], out=planes[2:4])
     # one node term while gl + gr == g_node and hl + hr == h_node exactly
     # (the count bound in the module docstring), else one per candidate
     parent = g_node * g_node / (h_node + config.lam) if (count << fb) < (1 << 53) else None
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, out=planes[4:])
-    np.isnan(gains, out=ineligible)
-    np.copyto(gains, -np.inf, where=ineligible)
+    if config.lam == 0.0:           # only lam = 0 gives NaN gains (module docstring)
+        np.isnan(gains, out=ineligible)
+        np.copyto(gains, -np.inf, where=ineligible)
 
     k = int(np.argmax(gains))
     best_gain = float(gains.flat[k])

@@ -2,8 +2,11 @@
 
 The depth-5 digests were recorded before the split scan was vectorized and
 before sibling histograms were taken by subtraction; the multi-block and
-48-bit digests before histograms gathered row-major blocks.  Any speed-up
-of node training must leave the files byte-identical for every engine count.
+48-bit digests before histograms gathered row-major blocks; the lambda = 0,
+gamma = 0.5 and 300-feature digests before the scan skipped its NaN mask
+for lambda > 0 and its gamma pass for gamma = 0, and before leaf weights
+were rounded without numpy.  Any speed-up of node training must leave the
+files byte-identical for every engine count.
 """
 
 import hashlib
@@ -91,3 +94,28 @@ def test_high_frac_bits_model_bytes_are_pinned(tmp_path, train_csv, engines):
     assert _train_sha256(tmp_path, train_csv, "--max-depth", "4", "--trees", "6",
                          "--frac-bits", "48", "--engines", str(engines),
                          "--seed", "7") == HIGH_FRAC_BITS_SHA256
+
+
+# lambda = 0 takes the scan's NaN mask; gamma = 0.5 its gamma pass
+REGULARIZER_SHA256 = {
+    "--lambda": "d391ff601dfd523043ca046465bd114ddd29f055859752a11f53d376cb39bf51",
+    "--gamma": "9d7aa2208e6c4735a5aa150455ad8c02292fda2431676d3e45446a4e90f232d5",
+}
+# 300 features: histogram keys bin + 256 * feature pass 2**16
+WIDE_SHA256 = "c85f42d2eb2980e6f79c7e639f2dbc6cbbce3362ce5b69b3e383331080c39189"
+
+
+@pytest.mark.parametrize("engines", [1, 64])
+@pytest.mark.parametrize("option, value", [("--lambda", "0"), ("--gamma", "0.5")])
+def test_regularizer_model_bytes_are_pinned(tmp_path, train_csv, option, value, engines):
+    assert _train_sha256(tmp_path, train_csv, "--max-depth", "4", "--trees", "6",
+                         option, value, "--engines", str(engines),
+                         "--seed", "9") == REGULARIZER_SHA256[option]
+
+
+@pytest.mark.parametrize("engines", [1, 64])
+def test_wide_model_bytes_are_pinned(tmp_path_factory, tmp_path, engines):
+    data = tmp_path_factory.mktemp("golden_wide") / "train.csv"
+    _write_csv(data, rows=400, features=300, informative=6, seed=17)
+    assert _train_sha256(tmp_path, data, "--max-depth", "3", "--trees", "4",
+                         "--engines", str(engines), "--seed", "2") == WIDE_SHA256

@@ -117,6 +117,31 @@ class TestBuildHistogram:
                     got = build_histogram(mem, r)
                     assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("n_features", [256, 257])
+    def test_key_width_boundary_matches_int_sums(self, rng, n_features):
+        """Histogram keys bin + 256 * feature reach 65,535 at 256 features,
+        the most a 16-bit key holds, and pass it at 257."""
+        n, start = 40, 3
+        columns = rng.integers(0, N_BINS, size=(n_features, n)).astype(np.uint8)
+        columns[-1, :] = MISSING_BIN        # the largest key of the last feature
+        columns[-1, ::3] = 0                # and its smallest
+        one = 1 << 30
+        grads = rng.integers(-one, one + 1, size=n, dtype=np.int64)
+        hess = rng.integers(1, one + 1, size=n, dtype=np.int64)
+        matrix = QuantizedMatrix(columns=columns, bin_map=BinMap([np.arange(255.0)] * n_features))
+        state = StateMemory(np.zeros(n, dtype=np.int64), grads, hess,
+                            np.zeros(n, dtype=np.int8), 30)
+        mem = EngineMemory(matrix, state, init_index_table(rng.permutation(n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(node_trainer, "HISTOGRAM_BLOCK", 16)
+            hist = build_histogram(mem, (start, n))
+        want = np.zeros((2, n_features, N_BINS), dtype=object)     # Python ints
+        for i in mem.table[start:].tolist():
+            for f, b in enumerate(columns[:, i].tolist()):
+                want[G, f, b] += int(grads[i])
+                want[H, f, b] += int(hess[i])
+        assert hist.tolist() == want.tolist()
+
     def test_bitwise_conservation(self, rng):
         mem = _memory(rng, 257, 5)
         hist = build_histogram(mem, (0, 257))
@@ -245,6 +270,67 @@ class TestLeafWeight:
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             leaf_weight(1.0, 0.0, 0.0)
+
+
+_LIMIT = 2.0**63
+
+
+def _raw_weights():
+    """Raw (scaled) leaf weights where rounding is delicate: exact half-unit
+    ties of both signs, values within a few float spacings of +-2**63, any
+    float, and NaN."""
+    ties = st.integers(-2**52, 2**52 - 1).map(lambda k: k + 0.5)
+    edge = st.builds(lambda end, steps: _nudge(end, steps),
+                     st.sampled_from([-_LIMIT, _LIMIT]), st.integers(-3, 3))
+    return st.one_of(ties, edge, st.floats(allow_nan=False), st.just(math.nan))
+
+
+def _nudge(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_raw_weights(), frac_bits=st.integers(1, 48),
+       g=st.floats(-1e6, 1e6), h=st.floats(0.0, 1e6), lam=st.sampled_from([0.0, 2.0**-20, 1.0]),
+       direct=st.booleans())
+@example(raw=2.5, frac_bits=1, g=0.0, h=0.0, lam=0.0, direct=True)
+@example(raw=-2.5, frac_bits=48, g=0.0, h=0.0, lam=0.0, direct=True)
+@example(raw=-_LIMIT, frac_bits=24, g=0.0, h=0.0, lam=0.0, direct=True)
+@example(raw=math.nextafter(_LIMIT, 0.0), frac_bits=24, g=0.0, h=0.0, lam=0.0, direct=True)
+@example(raw=_LIMIT, frac_bits=24, g=0.0, h=0.0, lam=0.0, direct=True)
+@example(raw=math.nextafter(-_LIMIT, -math.inf), frac_bits=24, g=0.0, h=0.0, lam=0.0, direct=True)
+@example(raw=0.0, frac_bits=31, g=3.0, h=2.8589510969994853e-299, lam=0.0, direct=False)  # w * 2**31 is inf
+def test_leaf_rounding_matches_quantize(raw, frac_bits, g, h, lam, direct):
+    """leaf_weight rounds as int(quantize(w, frac_bits)) does, and refuses
+    what quantize refuses with quantize's message and warnings.  direct
+    cases hit a raw weight exactly (w = -(g / 1.0) for g = -w); the others
+    divide random real totals."""
+    if direct:
+        w = raw / 2.0**frac_bits
+        g, h, lam = -w, 0.0, 1.0
+    if h + lam <= 0.0:
+        return
+    w = -(g / (h + lam))
+    want, want_warnings = _outcome(lambda: int(quantize(w, frac_bits)))
+    got, got_warnings = _outcome(lambda: leaf_weight(g, h, lam, frac_bits))
+    assert got_warnings == want_warnings
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(want)
+    else:
+        assert type(got) is int and got == want
+
+
+def _outcome(call):
+    """call's value or ValueError, and the (category, message) of each warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+        except ValueError as err:
+            value = err
+    return value, [(w.category, str(w.message)) for w in caught]
 
 
 def _hist_from_bins(bins, grads, hess, n_features=1):
@@ -413,7 +499,7 @@ class TestFindBestSplit:
 
 
 @pytest.mark.parametrize("frac_bits", [8, 24, 40, 48])
-@pytest.mark.parametrize("lam", [0.0, 2.0**-20, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 2.0**-20, 1.0, 1e300])
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 @pytest.mark.parametrize("missing", [0.0, 0.3])
 def test_scan_matches_per_candidate_node_term(frac_bits, lam, gamma, missing):
