@@ -85,15 +85,15 @@ def test_multi_block_model_bytes_are_pinned(tmp_path_factory, tmp_path, engines)
     roots = [subsample_indices(5, t, 20000, 0.9).size for t in range(4)]
     assert min(roots) > 2 * HISTOGRAM_BLOCK
     assert _train_sha256(tmp_path, data, "--max-depth", "3", "--trees", "4",
-                         "--subsample", "0.9", "--engines", str(engines),
-                         "--seed", "5") == MULTI_BLOCK_SHA256
+        "--subsample", "0.9", "--engines", str(engines),
+        "--seed", "5") == MULTI_BLOCK_SHA256
 
 
 @pytest.mark.parametrize("engines", [1, 64])
 def test_high_frac_bits_model_bytes_are_pinned(tmp_path, train_csv, engines):
     assert _train_sha256(tmp_path, train_csv, "--max-depth", "4", "--trees", "6",
-                         "--frac-bits", "48", "--engines", str(engines),
-                         "--seed", "7") == HIGH_FRAC_BITS_SHA256
+        "--frac-bits", "48", "--engines", str(engines),
+        "--seed", "7") == HIGH_FRAC_BITS_SHA256
 
 
 # lambda = 0 takes the scan's NaN mask; gamma = 0.5 its gamma pass
@@ -110,7 +110,7 @@ WIDE_SHA256 = "c85f42d2eb2980e6f79c7e639f2dbc6cbbce3362ce5b69b3e383331080c39189"
 def test_regularizer_model_bytes_are_pinned(tmp_path, train_csv, option, value, engines):
     assert _train_sha256(tmp_path, train_csv, "--max-depth", "4", "--trees", "6",
                          option, value, "--engines", str(engines),
-                         "--seed", "9") == REGULARIZER_SHA256[option]
+        "--seed", "9") == REGULARIZER_SHA256[option]
 
 
 @pytest.mark.parametrize("engines", [1, 64])
@@ -118,4 +118,87 @@ def test_wide_model_bytes_are_pinned(tmp_path_factory, tmp_path, engines):
     data = tmp_path_factory.mktemp("golden_wide") / "train.csv"
     _write_csv(data, rows=400, features=300, informative=6, seed=17)
     assert _train_sha256(tmp_path, data, "--max-depth", "3", "--trees", "4",
-                         "--engines", str(engines), "--seed", "2") == WIDE_SHA256
+        "--engines", str(engines), "--seed", "2") == WIDE_SHA256
+
+
+# Every output of the CLI over --frac-bits x --lambda x --gamma, each trained at
+# --engines 1 and 64: sha256 prefixes of the model, the log at 1 and at 64
+# engines, the metrics csv, predict's margins and probabilities and eval's
+# per-tree AUC, all recorded before the scan handed its children their totals.
+# At 48 bits and lambda = 0 a leaf weight leaves int64 and train refuses the
+# config: it pins that one error line, at both engine counts
+GRID_REFUSED = "error: tree 4: fixed-point value 9142953832.257195 does not fit int64 at frac_bits=48"
+GRID_OUTPUTS = ("model", "log_1", "log_64", "metrics", "margins", "proba", "per_tree")
+GRID_SHA256 = {
+    (24, "0", "0"): ("fc19772a95d90d9c", "3a3c331088af8d4f", "7e84359a2e67fad1",
+        "6e61a08e26bb5e8c", "a4eb06a139e0788d", "0afd1afae42b9b16", "2a93e25b91739b77"),
+    (24, "0", "0.5"): ("4456f91b8425b599", "e20b383eda995e9b", "b5e175857452a744",
+        "7064adeae70cf498", "5bd49bc27709e26c", "9010c4d13394a8d1", "2a704078f81bfe54"),
+    (24, "1", "0"): ("0aec64985c33c985", "ee856cc4a2292fb1", "f6e234a71c30afc3",
+        "e4693e3b0ba66091", "715bd7093f8fd364", "b5342095695758e6", "09c1614af0b0bc1e"),
+    (24, "1", "0.5"): ("effe586e2d16cf91", "77512b035ec6e023", "37b14e4b4994577d",
+        "8f9eec883d0c72ae", "1d43719d83e85376", "a5383cd8fb640170", "d6be76e768fbcb67"),
+    (30, "0", "0"): ("c9003b5fcdadde59", "b513528649a58a6e", "84494f80516d6036",
+        "6e61a08e26bb5e8c", "a637afa000011be6", "7a768606bfd18d8f", "2a93e25b91739b77"),
+    (30, "0", "0.5"): ("fa256023f8c8f85c", "98a017574a52f2f2", "7256e53c6646ea88",
+        "7064adeae70cf498", "0b2ead567be3ac23", "56439ad70eac64c2", "2a704078f81bfe54"),
+    (30, "1", "0"): ("72a9ae868791990d", "348ec90877705a8d", "2c903501df408850",
+        "e4693e3b0ba66091", "d3813775fa6a3193", "60aed7f7f13abf80", "09c1614af0b0bc1e"),
+    (30, "1", "0.5"): ("6ba47edacb32afad", "7c853f517781be65", "c13abc32852a9914",
+        "8f9eec883d0c72ae", "ea42d87cca628a2c", "4e87265d955f6b03", "d6be76e768fbcb67"),
+    (48, "0", "0"): GRID_REFUSED,
+    (48, "0", "0.5"): GRID_REFUSED,
+    (48, "1", "0"): ("8a79afa02069ef00", "deb92e2830fde8ea", "9097a6dfaaca1347",
+        "e4693e3b0ba66091", "c7cfb2ba9b3b73f9", "18d1f2c245b0c5c2", "09c1614af0b0bc1e"),
+    (48, "1", "0.5"): ("02275ac45aed84f7", "b85bb26d5378fb48", "9cccb55a08087cd8",
+        "8f9eec883d0c72ae", "302f04fd696b09af", "50001c5f86764663", "d6be76e768fbcb67"),
+}
+
+
+@pytest.fixture(scope="module")
+def grid_csvs(tmp_path_factory):
+    """A 2,000-row training file and a 1,000-row validation file of one
+    seeded 3,000-row draw."""
+    folder = tmp_path_factory.mktemp("golden_grid")
+    _write_csv(folder / "all.csv", rows=3000, features=10, seed=19)
+    lines = (folder / "all.csv").read_text().splitlines(keepends=True)
+    (folder / "train.csv").write_text("".join(lines[:2000]))
+    (folder / "valid.csv").write_text("".join(lines[2000:]))
+    return folder / "train.csv", folder / "valid.csv"
+
+
+@pytest.mark.parametrize("frac_bits, lam, gamma", list(GRID_SHA256))
+def test_cli_outputs_are_pinned_across_the_config_grid(tmp_path, grid_csvs, frac_bits, lam,
+                                                       gamma, capsys):
+    """The same bytes for train, predict and eval, at every engine count."""
+    train_csv, valid_csv = grid_csvs
+    data = ["--format", "csv"]
+    out = {}
+    want = GRID_SHA256[frac_bits, lam, gamma]
+    for engines in (1, 64):
+        model, metrics = tmp_path / f"model_{engines}.json", tmp_path / f"metrics_{engines}.csv"
+        out[f"log_{engines}"] = tmp_path / f"log_{engines}.json"
+        rc = main(["train", "--data", str(train_csv), *data, "--valid", str(valid_csv),
+                   "--max-depth", "4", "--trees", "6", "--subsample", "0.7", "--seed", "4",
+                   "--engines", str(engines), "--frac-bits", str(frac_bits),
+                   "--lambda", lam, "--gamma", gamma, "--model-out", str(model),
+                   "--log-out", str(out[f"log_{engines}"]), "--metrics-out", str(metrics)])
+        err = capsys.readouterr().err
+        if isinstance(want, str):
+            assert (rc, err, model.exists()) == (1, want + "\n", False)
+        else:
+            assert rc == 0, err
+    if isinstance(want, str):
+        return
+    # the engine count reaches only the log
+    assert (tmp_path / "model_1.json").read_bytes() == (tmp_path / "model_64.json").read_bytes()
+    assert (tmp_path / "metrics_1.csv").read_bytes() == (tmp_path / "metrics_64.csv").read_bytes()
+    out["model"], out["metrics"] = tmp_path / "model_1.json", tmp_path / "metrics_1.csv"
+    scored = ["--data", str(valid_csv), *data, "--model", str(out["model"])]
+    for name, extra in (("margins", []), ("proba", ["--proba"])):
+        out[name] = tmp_path / f"{name}.txt"
+        assert main(["predict", *scored, *extra, "--out", str(out[name])]) == 0
+    out["per_tree"] = tmp_path / "per_tree.csv"
+    assert main(["eval", *scored, "--per-tree-out", str(out["per_tree"])]) == 0
+    got = tuple(_sha256(out[name])[:16] for name in GRID_OUTPUTS)
+    assert got == want
