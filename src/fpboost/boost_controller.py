@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine_memory import EngineMemory, init_index_table, load
 from .fixed_point import FRAC_BITS
-from .node_trainer import TrainConfig, build_histogram, find_best_split, node_leaf, split_child_totals
+from .node_trainer import TrainConfig, build_histogram, find_best_split, node_leaf
 from .quantizer import QuantizedMatrix
 from .splitter import TreeModel, apply_tree_update, partition, replay_scores
 
@@ -139,10 +139,10 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
                 mid = partition(memory, (start, end), node)
                 parents.append((node_id, hist, ((start, mid), (mid, end))))
                 continue
-            # children at the depth limit are leaves weighed from the histogram
-            # (never empty: see node_trainer); nothing reads their ranges, so
-            # this node's range is not partitioned
-            for child, totals in zip((2 * node_id, 2 * node_id + 1), split_child_totals(hist, node)):
+            # children at the depth limit are leaves weighed from the left sums
+            # the scan already holds (never empty: see node_trainer); nothing
+            # reads their ranges, so this node's range is not partitioned
+            for child, totals in zip((2 * node_id, 2 * node_id + 1), node.child_totals):
                 tree.put(d + 1, child, node_leaf(totals, config.lam, config.frac_bits))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))
         if not parents:

@@ -8,6 +8,7 @@ integers next to the frac_bits that scale them.
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -41,7 +42,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an integer that converts to one: JSON allows 10**400."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
 
 
 _INT = (_is_int, "an integer")
@@ -92,8 +94,9 @@ def _load(path: str, expected_format: str, schema: dict, where: str) -> dict:
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != expected_format:
         raise ValueError(f"not a {expected_format} file: format={found!r}")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:    # true and 1.0 equal 1
+        raise ValueError(f"unsupported format_version {version!r}")
     return _checked(doc, {**_HEADER, **schema}, where)
 
 

@@ -34,8 +34,8 @@ less the node term is then never NaN.  gamma = 0 skips the subtraction of
 gamma, as x - 0.0 is x bit for bit.
 
 goes_left is the one go-left rule that the partition and every replay apply
-to the stored node.  A split node's gain is kept for inspection only: it is
-never saved and takes no part in ==.
+to the stored node.  A split node's gain and children's totals are by-products
+of the scan: they are never saved and take no part in ==.
 """
 
 import math
@@ -102,7 +102,12 @@ def node_totals(hist: np.ndarray) -> tuple:
 
 @dataclass
 class TreeNode:
-    """A split (feature, threshold_bin, missing_left) or a leaf (leaf_weight_raw)."""
+    """A split (feature, threshold_bin, missing_left) or a leaf (leaf_weight_raw).
+
+    A scanned split also keeps its gain and its children's raw totals
+    ((g_left, h_left), (g_right, h_right)); a leaf or a loaded split has
+    gain 0.0 and child_totals None.
+    """
 
     is_leaf: bool
     feature: int | None = None
@@ -110,6 +115,7 @@ class TreeNode:
     missing_left: bool | None = None
     leaf_weight_raw: int | None = None
     gain: float = field(default=0.0, compare=False)
+    child_totals: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def goes_left(node: TreeNode, bins: np.ndarray) -> np.ndarray:
@@ -177,45 +183,35 @@ def _bin_sums(flat, raw, weights, single_pass: bool) -> np.ndarray:
     return float_pass(raw >> _LIMB_BITS) * (1 << _LIMB_BITS) + low
 
 
-def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent=None, out=None):
-    """Second-order gain of a candidate split, on dequantized (real) sums.
+def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent, out):
+    """Second-order gain of candidate splits, elementwise over float64 arrays
+    of dequantized (real) sums, in the operation order
+    0.5 * (gl*gl / (hl + lam) + gr*gr / (hr + lam) - g*g / (h + lam)) - gamma.
 
-    Elementwise over arrays or plain scalars; both run the identical IEEE
-    operation sequence, so vectorized scans match scalar re-evaluation bitwise.
     parent is the node term g*g / (h + lam) over the node totals g = gl + gr
-    and h = hl + hr; it is computed per element when None.  A caller may pass
+    and h = hl + hr, or None to compute it per element.  A caller may pass
     it once per node only where gl + gr == g and hl + hr == h hold exactly.
-    The inputs are never written.  Temporaries are fresh, or with out, four
-    float64 arrays of the inputs' shape, written in place: the gain goes into
-    the first and is returned.
+    out is four float64 arrays of the inputs' shape, the temporaries, written
+    in place: the gain goes into the first and is returned.  The inputs are
+    never written.
     """
-    gain_buf, den_buf, right_buf, parent_buf = (None,) * 4 if out is None else out
+    gain, den, right, node_term = out
     if parent is None:
-        parent = _fresh(np.add, gl, gr, parent_buf)
+        parent = np.add(gl, gr, out=node_term)
         parent *= parent
-        h = _fresh(np.add, hl, hr, den_buf)
-        h += lam
-        parent /= h
-    gain = _fresh(np.multiply, gl, gl, gain_buf)
-    den = _fresh(np.add, hl, lam, den_buf)
-    gain /= den
-    right = _fresh(np.multiply, gr, gr, right_buf)
-    den = _fresh(np.add, hr, lam, den_buf)
-    right /= den
+        np.add(hl, hr, out=den)
+        den += lam
+        parent /= den
+    np.multiply(gl, gl, out=gain)
+    gain /= np.add(hl, lam, out=den)
+    np.multiply(gr, gr, out=right)
+    right /= np.add(hr, lam, out=den)
     gain += right
     gain -= parent
     gain *= 0.5
     if gamma:               # x - 0.0 is x bit for bit, -0.0 and NaN included
         gain -= gamma
     return gain
-
-
-def _fresh(ufunc, a, b, buf):
-    """np.add or np.multiply of a and b written into buf, or a new value when
-    buf is None (Python floats stay floats: a zero divisor still raises)."""
-    if buf is not None:
-        return ufunc(a, b, out=buf)
-    return a + b if ufunc is np.add else a * b
 
 
 def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> int:
@@ -255,8 +251,10 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     (see the module docstring); gains are NaN only at lam = 0, so only
     lam = 0 masks them.  Ties resolve to the lowest feature, then the
     lowest threshold, then missing-left.  Declares a leaf when no eligible
-    candidate has gain > 0.  buffers are the arrays of make_scan_buffers,
-    fresh when None; hist is never written.
+    candidate has gain > 0.  A split carries its gain and its children's
+    exact raw totals: the winner's left sums come out of the int64 prefix
+    block, and the right ones are the node totals less them.  buffers are
+    the arrays of make_scan_buffers, fresh when None; hist is never written.
     """
     if count == 0:
         return TreeNode(is_leaf=True, leaf_weight_raw=0)
@@ -291,22 +289,13 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
         return node_leaf(totals, config.lam, fb)
     feature, rest = divmod(k, 2 * MISSING_BIN)
     threshold, side = divmod(rest, 2)
+    # read out now: the next scan writes over the prefix block
+    g_left, h_left = left[:, feature, threshold, side].tolist()
     return TreeNode(
         is_leaf=False,
         feature=feature,
         threshold_bin=threshold,
         missing_left=side == 0,
         gain=best_gain,
+        child_totals=((g_left, h_left), (g_tot - g_left, h_tot - h_left)),
     )
-
-
-def split_child_totals(hist: np.ndarray, node: TreeNode) -> tuple:
-    """Exact (g, h) raw totals of both children of a split node."""
-    if node.is_leaf:
-        raise ValueError("leaf node has no children")
-    f, t = node.feature, node.threshold_bin
-    sums = hist[:, f, : t + 1].sum(axis=1)
-    if node.missing_left:
-        sums += hist[:, f, MISSING_BIN]
-    left = tuple(sums.tolist())
-    return left, tuple(tot - v for tot, v in zip(node_totals(hist), left))

@@ -10,9 +10,10 @@ and CSV parsing one cell at a time through Python's float().
 Leaf weights are rounded from exact rationals, with their own int64 range
 check.  ref_scan_split is the histogram split scan with the node term
 evaluated per candidate, the form the library skips where it is exact.
-The scalar gain formula and the fixed-point state update are shared with
-the library on purpose: the oracles exercise the accumulation and search
-machinery around them.
+ref_gain spells the gain formula out in the library's IEEE operation order,
+so that oracle and library can agree on every split bit for bit.  The
+fixed-point state update is shared with the library on purpose: the oracles
+exercise the accumulation and search machinery around it.
 """
 
 import gzip
@@ -23,7 +24,7 @@ import numpy as np
 from mpmath import mp
 
 from fpboost.fixed_point import grad_hess, margin_probability, quantize
-from fpboost.node_trainer import build_histogram, split_gain
+from fpboost.node_trainer import build_histogram
 from fpboost.quantizer import QuantizedMatrix
 
 MISSING = 255
@@ -115,6 +116,14 @@ def masked_sigmoid(x):
     return out
 
 
+def ref_gain(gl, hl, gr, hr, lam, gamma):
+    """Second-order split gain on real sums, elementwise over floats or arrays,
+    with the node term per candidate and split_gain's operation order."""
+    g = gl + gr
+    h = hl + hr
+    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - g * g / (h + lam)) - gamma
+
+
 def exact_gain_fraction(gl, hl, gr, hr, lam, gamma) -> Fraction:
     GL, HL = Fraction(gl), Fraction(hl)
     GR, HR = Fraction(gr), Fraction(hr)
@@ -194,8 +203,8 @@ def ref_best_split(columns, idx, grads, hess, lam, gamma, frac_bits):
                 if nl == 0 or nl == n:
                     continue
                 gl, hl = _sums(grads, hess, idx[left])
-                gain = split_gain(gl / sc, hl / sc, (g_tot - gl) / sc,
-                                  (h_tot - hl) / sc, lam, gamma)
+                gain = ref_gain(gl / sc, hl / sc, (g_tot - gl) / sc,
+                                (h_tot - hl) / sc, lam, gamma)
                 if gain > best_gain:
                     best_gain = gain
                     best = (f, t, missing_left)
@@ -227,10 +236,8 @@ def ref_scan_split(hist, counts, lam, gamma, frac_bits):
     cl = prefix(counts)
     gr = g_tot / sc - gl
     hr = h_tot / sc - hl
-    g = gl + gr
-    h = hl + hr
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - g * g / (h + lam)) - gamma
+        gains = ref_gain(gl, hl, gr, hr, lam, gamma)
     gains[(cl == 0) | (cl == c_tot) | np.isnan(gains)] = -np.inf
     k = int(np.argmax(gains))
     feature, rest = divmod(k, 2 * MISSING)

@@ -127,8 +127,9 @@ def test_wide_model_bytes_are_pinned(tmp_path_factory, tmp_path, engines):
 # per-tree AUC, all recorded before the scan handed its children their totals.
 # At 48 bits and lambda = 0 a leaf weight leaves int64 and train refuses the
 # config: it pins that one error line, at both engine counts
-GRID_REFUSED = "error: tree 4: fixed-point value 9142953832.257195 does not fit int64 at frac_bits=48"
-GRID_OUTPUTS = ("model", "log_1", "log_64", "metrics", "margins", "proba", "per_tree")
+GRID_REFUSED = ("error: tree 4: fixed-point value 9142953832.257195 does not fit int64 "
+                "at frac_bits=48")
+GRID_OUTPUTS = ("model_1", "log_1", "log_64", "metrics_1", "margins", "proba", "per_tree")
 GRID_SHA256 = {
     (24, "0", "0"): ("fc19772a95d90d9c", "3a3c331088af8d4f", "7e84359a2e67fad1",
         "6e61a08e26bb5e8c", "a4eb06a139e0788d", "0afd1afae42b9b16", "2a93e25b91739b77"),
@@ -172,17 +173,15 @@ def test_cli_outputs_are_pinned_across_the_config_grid(tmp_path, grid_csvs, frac
                                                        gamma, capsys):
     """The same bytes for train, predict and eval, at every engine count."""
     train_csv, valid_csv = grid_csvs
-    data = ["--format", "csv"]
-    out = {}
     want = GRID_SHA256[frac_bits, lam, gamma]
     for engines in (1, 64):
-        model, metrics = tmp_path / f"model_{engines}.json", tmp_path / f"metrics_{engines}.csv"
-        out[f"log_{engines}"] = tmp_path / f"log_{engines}.json"
-        rc = main(["train", "--data", str(train_csv), *data, "--valid", str(valid_csv),
+        model = tmp_path / f"model_{engines}"
+        rc = main(["train", "--data", str(train_csv), "--format", "csv", "--valid", str(valid_csv),
                    "--max-depth", "4", "--trees", "6", "--subsample", "0.7", "--seed", "4",
                    "--engines", str(engines), "--frac-bits", str(frac_bits),
                    "--lambda", lam, "--gamma", gamma, "--model-out", str(model),
-                   "--log-out", str(out[f"log_{engines}"]), "--metrics-out", str(metrics)])
+                   "--log-out", str(tmp_path / f"log_{engines}"),
+                   "--metrics-out", str(tmp_path / f"metrics_{engines}")])
         err = capsys.readouterr().err
         if isinstance(want, str):
             assert (rc, err, model.exists()) == (1, want + "\n", False)
@@ -190,15 +189,10 @@ def test_cli_outputs_are_pinned_across_the_config_grid(tmp_path, grid_csvs, frac
             assert rc == 0, err
     if isinstance(want, str):
         return
-    # the engine count reaches only the log
-    assert (tmp_path / "model_1.json").read_bytes() == (tmp_path / "model_64.json").read_bytes()
-    assert (tmp_path / "metrics_1.csv").read_bytes() == (tmp_path / "metrics_64.csv").read_bytes()
-    out["model"], out["metrics"] = tmp_path / "model_1.json", tmp_path / "metrics_1.csv"
-    scored = ["--data", str(valid_csv), *data, "--model", str(out["model"])]
-    for name, extra in (("margins", []), ("proba", ["--proba"])):
-        out[name] = tmp_path / f"{name}.txt"
-        assert main(["predict", *scored, *extra, "--out", str(out[name])]) == 0
-    out["per_tree"] = tmp_path / "per_tree.csv"
-    assert main(["eval", *scored, "--per-tree-out", str(out["per_tree"])]) == 0
-    got = tuple(_sha256(out[name])[:16] for name in GRID_OUTPUTS)
-    assert got == want
+    for name in ("model", "metrics"):       # the engine count reaches only the log
+        assert (tmp_path / f"{name}_1").read_bytes() == (tmp_path / f"{name}_64").read_bytes()
+    scored = ["--data", str(valid_csv), "--format", "csv", "--model", str(tmp_path / "model_1")]
+    assert main(["predict", *scored, "--out", str(tmp_path / "margins")]) == 0
+    assert main(["predict", *scored, "--proba", "--out", str(tmp_path / "proba")]) == 0
+    assert main(["eval", *scored, "--per-tree-out", str(tmp_path / "per_tree")]) == 0
+    assert tuple(_sha256(tmp_path / name)[:16] for name in GRID_OUTPUTS) == want

@@ -1,4 +1,5 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the oracles borrow no code
+they check.
 
 pyflakes and ruff are not dependencies, so this is a small ast scan of
 src/, tests/ and scripts/.  Package __init__.py files are skipped: their
@@ -10,6 +11,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "scripts")
+# the library plumbing tests/reference.py may share: the state update and a
+# per-engine histogram build to merge, never the gain, leaf or split code
+REFERENCE_MAY_IMPORT = {"grad_hess", "margin_probability", "quantize", "build_histogram",
+                        "QuantizedMatrix"}
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +42,26 @@ def test_no_unused_imports():
              if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def fpboost_imports(source: str) -> set:
+    """Every name the source imports from fpboost; a whole module counts as
+    its dotted name, and a star import as '*'."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "fpboost"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fpboost":
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_fpboost_import_scan():
+    source = ("import numpy\nimport fpboost.cli\nfrom fpboost import *\n"
+              "from fpboost.node_trainer import split_gain as g\nfrom mpmath import mp\n")
+    assert fpboost_imports(source) == {"fpboost.cli", "*", "split_gain"}
+
+
+def test_oracles_borrow_only_plumbing():
+    borrowed = fpboost_imports((ROOT / "tests" / "reference.py").read_text())
+    assert borrowed <= REFERENCE_MAY_IMPORT, sorted(borrowed - REFERENCE_MAY_IMPORT)

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpboost.boost_controller import Model, predict_raw, train
 from fpboost.cost_model import CostParams, estimate
@@ -46,15 +49,16 @@ def test_save_load_save_byte_identity(rng, tmp_path):
 
 
 def test_split_gain_is_not_part_of_the_model(rng, tmp_path):
-    # a trained split node keeps its scan gain, the loaded one reads 0, and
-    # the trees still compare equal
+    # a trained split node keeps its scan gain and children's totals, the
+    # loaded one reads 0 and None, and the trees still compare equal
     model, bins, config, _, _ = _trained(rng, n_trees=3, max_depth=3, subsample=1.0)
     splits = [n for t in model.trees for level in t.levels for n in level.values() if not n.is_leaf]
-    assert splits and all(n.gain > 0 for n in splits)
+    assert splits and all(n.gain > 0 and n.child_totals is not None for n in splits)
     path = tmp_path / "m.json"
     save_model(model, bins, config, str(path))
     loaded = load_model(str(path)).model
-    assert all(n.gain == 0 for t in loaded.trees for level in t.levels for n in level.values())
+    assert all(n.gain == 0 and n.child_totals is None
+               for t in loaded.trees for level in t.levels for n in level.values())
     assert loaded.trees == model.trees
 
 
@@ -92,6 +96,20 @@ def test_wrong_version_rejected(tmp_path):
     path.write_text(json.dumps({"format": "fpboost-model", "format_version": 99}))
     with pytest.raises(ValueError, match="format_version"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_version_equal_to_1_but_not_the_integer_rejected(rng, tmp_path, version):
+    model, bins, config, _, log = _trained(rng)
+    for save, load, obj in ((save_model, load_model, (model, bins, config)),
+                            (save_training_log, load_training_log, (log,))):
+        path = tmp_path / "f.json"
+        save(*obj, str(path))
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported format_version"):
+            load(str(path))
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -142,6 +160,28 @@ def test_non_finite_numbers_fail_at_load(rng, tmp_path):
     _rewrite(path, lambda doc: doc.__setitem__("base_score", float("-inf")))
     with pytest.raises(ValueError, match="base_score must be a finite number"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("model", ("base_score",)), ("model", ("config", "lam")), ("model", ("bin_map", "centroids", 0, 0)),
+    ("log", ("config", "eta")), ("log", ("trees", 0, "train_loss")),
+], ids=["base_score", "model_lam", "centroid", "log_eta", "train_loss"])
+def test_integer_beyond_float_range_fails_at_load(rng, tmp_path, kind, path):
+    # JSON integers have no size limit, and 10**400 overflows a float
+    model, bins, config, _, log = _trained(rng)
+    file = tmp_path / "f.json"
+    if kind == "model":
+        save_model(model, bins, config, str(file))
+    else:
+        save_training_log(log, str(file))
+    doc = json.loads(file.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 10**400
+    file.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must be a"):
+        (load_model if kind == "model" else load_training_log)(str(file))
 
 
 _SPLIT_FIELD_MUTATIONS = {
@@ -274,3 +314,79 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
         with pytest.raises(ValueError) as err:
             load_training_log(str(path))
         assert str(err.value).startswith(expected), (expected, str(err.value))
+
+
+_FUZZ_VALUES = (None, "x", [], {}, True, 0.5, -1, 2**64, -2**63, math.nan, 10**400)
+
+
+def _value_paths(doc, prefix=()):
+    """The key path of every value inside a JSON document, the document's own first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+def _numbers_as_floats(text: str) -> str:
+    """A JSON text with every integer spelled as a float: a loader may read
+    an integer where the file holds a float and save it back as one."""
+    return json.dumps(json.loads(text, parse_int=float), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A depth-3, 3-tree model and its training log: for each, the saved
+    text, its value paths, its loader and a saver of what the loader gives."""
+    model, bins, config, _, log = _trained(np.random.default_rng(5), n_trees=3,
+                                           max_depth=3, subsample=1.0)
+    folder = tmp_path_factory.mktemp("fuzz")
+    save_model(model, bins, config, str(folder / "model.json"))
+    save_training_log(log, str(folder / "log.json"))
+    files = {}
+    for kind, load, save in (
+            ("model", load_model, lambda b, path: save_model(b.model, b.bin_map, b.config, path)),
+            ("log", load_training_log, save_training_log)):
+        text = (folder / f"{kind}.json").read_text()
+        files[kind] = (text, list(_value_paths(json.loads(text))), load, save)
+    return folder, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_files_load_alike_or_raise_one_value_error(saved_files, data):
+    """A saved model or log with one value dropped or retyped, or its text
+    cut short, either loads and saves back the same document or raises one
+    single-line ValueError; no KeyError, TypeError or IndexError escapes.
+    "The same" allows an integer where the file held a float to come back
+    spelled as a float.  The only cut that loads drops the final newline."""
+    folder, files = saved_files
+    kind = data.draw(st.sampled_from(sorted(files)), label="kind")
+    text, paths, load, save = files[kind]
+    how = data.draw(st.sampled_from(["drop", "retype", "cut"]), label="how")
+    if how == "cut":
+        body, want = text[:data.draw(st.integers(0, len(text) - 1), label="length")], text
+    else:
+        doc = json.loads(text)
+        path = data.draw(st.sampled_from(paths[1:] if how == "drop" else paths), label="path")
+        value = _DELETED if how == "drop" else data.draw(st.sampled_from(_FUZZ_VALUES),
+                                                         label="value")
+        if not path:
+            doc = value
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETED:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        body = want = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    mutant, resaved = folder / f"{kind}_mutant.json", folder / f"{kind}_resaved.json"
+    mutant.write_text(body)
+    try:
+        loaded = load(str(mutant))
+    except ValueError as err:
+        assert "\n" not in str(err)
+        return
+    save(loaded, str(resaved))
+    assert _numbers_as_floats(resaved.read_text()) == _numbers_as_floats(want)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpboost import node_trainer
-from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
+from fpboost.engine_memory import (EngineMemory, StateMemory, init_index_table, load,
+                                   make_scan_buffers)
 from fpboost.fixed_point import FRAC_BITS, quantize
 from fpboost.node_trainer import (
     MISSING_BIN,
@@ -18,17 +19,17 @@ from fpboost.node_trainer import (
     G,
     H,
     TrainConfig,
-    TreeNode,
     build_histogram,
     find_best_split,
+    goes_left,
     leaf_weight,
     node_totals,
-    split_child_totals,
     split_gain,
 )
 from fpboost.quantizer import BinMap, QuantizedMatrix
 from conftest import random_quantized
-from reference import exact_gain_fraction, ref_best_split, ref_leaf_weight, ref_scan_split
+from reference import (exact_gain_fraction, ref_best_split, ref_gain, ref_leaf_weight,
+                       ref_scan_split)
 
 SCALE = 1 << FRAC_BITS
 
@@ -221,40 +222,55 @@ class TestHistogramSubtraction:
         assert np.array_equal(same, parent)
 
 
+def _gain(gl, hl, gr, hr, lam, gamma):
+    """split_gain over float64 arrays of these values, into fresh out buffers."""
+    sums = np.array([gl, hl, gr, hr], dtype=np.float64).reshape(4, -1)
+    return split_gain(*sums, lam, gamma, None, np.empty_like(sums))
+
+
 class TestSplitGain:
     def test_antisymmetric_gradients(self):
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 1.0, 0.0) == 2.0
+        assert _gain(-2.0, 1.0, 2.0, 1.0, 1.0, 0.0).tolist() == [2.0]
 
     def test_zero_gradients_give_minus_gamma(self):
-        assert split_gain(0.0, 1.0, 0.0, 2.0, 1.0, 0.7) == -0.7
+        assert _gain(0.0, 1.0, 0.0, 2.0, 1.0, 0.7).tolist() == [-0.7]
 
     def test_matches_exact_rational_oracle(self):
-        got = split_gain(1.0, 2.0, 3.0, 4.0, 1.0, 0.0)
+        got = _gain(1.0, 2.0, 3.0, 4.0, 1.0, 0.0)
         exact = exact_gain_fraction(1, 2, 3, 4, 1, 0)
         assert exact == Fraction(-8, 105)
-        assert got == pytest.approx(float(exact), rel=1e-12)
+        assert got.tolist() == pytest.approx([float(exact)], rel=1e-12)
 
     def test_random_values_against_rational_oracle(self, rng):
-        for _ in range(300):
-            gl, gr = rng.normal(scale=5, size=2)
-            hl, hr = rng.random(2) * 10 + 1e-3
-            lam = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
+        for lam in (0.0, 0.5, 1.0, 3.0):
+            gl, gr = rng.normal(scale=5, size=(2, 75))
+            hl, hr = rng.random((2, 75)) * 10 + 1e-3
             gamma = float(rng.random())
-            got = split_gain(gl, hl, gr, hr, lam, gamma)
-            exact = exact_gain_fraction(gl, hl, gr, hr, lam, gamma)
-            assert got == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+            got = _gain(gl, hl, gr, hr, lam, gamma)
+            for i in range(75):
+                exact = exact_gain_fraction(gl[i], hl[i], gr[i], hr[i], lam, gamma)
+                assert got[i] == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
 
-    def test_vectorized_matches_scalar_bitwise(self, rng):
-        gl = rng.normal(size=200)
-        gr = rng.normal(size=200)
-        hl = rng.random(200) + 0.01
-        hr = rng.random(200) + 0.01
+    def test_oracle_gain_matches_bitwise(self, rng):
+        """ref_gain is split_gain bit for bit, NaN and inf included: the exact
+        split match of the config-space test against ref_train rests on it.
+        Among the candidates are zero sums (0/0 and x/0 at lam = 0) and
+        squares that overflow to inf, with a finite node term (an inf gain)
+        or an infinite one (inf - inf)."""
+        n = 300
+        gl, gr = rng.normal(size=(2, n))
+        hl, hr = rng.random((2, n))
+        gl[:20] = gr[10:30] = 0.0
+        hl[:10] = hr[5:15] = 0.0
+        gl[30:40], gr[30:35] = 1e200, -1e200
         inputs = [a.copy() for a in (gl, hl, gr, hr)]
-        vec = split_gain(gl, hl, gr, hr, 1.0, 0.25)
-        assert all(np.array_equal(a, b) for a, b in zip((gl, hl, gr, hr), inputs))
-        for i in range(200):
-            scalar = split_gain(float(gl[i]), float(hl[i]), float(gr[i]), float(hr[i]), 1.0, 0.25)
-            assert vec[i] == scalar
+        for lam, gamma in itertools.product((0.0, 1.0), (0.0, 0.25)):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                got = split_gain(gl, hl, gr, hr, lam, gamma, None, np.empty((4, n)))
+                want = ref_gain(gl, hl, gr, hr, lam, gamma)
+            assert all(np.array_equal(a, b) for a, b in zip((gl, hl, gr, hr), inputs))
+            assert got.tobytes() == want.tobytes(), (lam, gamma)
+            assert np.isnan(got).any() and np.isinf(got).any()
 
 
 class TestLeafWeight:
@@ -377,8 +393,8 @@ class TestFindBestSplit:
         hist = _hist_from_bins([0, 1, 2], [-SCALE, SCALE // 2, -SCALE], [SCALE] * 3)
         cfg = TrainConfig(max_depth=1, lam=1.0, gamma=0.0)
         g_tot, h_tot = node_totals(hist)
-        gains = [split_gain(gl / SCALE, hl / SCALE, (g_tot - gl) / SCALE,
-                            (h_tot - hl) / SCALE, 1.0, 0.0)
+        gains = [ref_gain(gl / SCALE, hl / SCALE, (g_tot - gl) / SCALE,
+                          (h_tot - hl) / SCALE, 1.0, 0.0)
                  for gl, hl in ((-SCALE, SCALE), (-SCALE // 2, 2 * SCALE))]
         assert gains[0] == gains[1] > 0
         decision = find_best_split(hist, 3, cfg)
@@ -427,7 +443,7 @@ class TestFindBestSplit:
         # a real split at lam=0 still has its finite scalar gain
         hist = _hist_from_bins([0, 1], [-SCALE, SCALE], [SCALE, SCALE])
         decision = find_best_split(hist, 2, cfg)
-        assert not decision.is_leaf and decision.gain == split_gain(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+        assert not decision.is_leaf and decision.gain == ref_gain(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
 
     def test_empty_node_is_zero_leaf(self):
         hist = np.zeros((2, 2, N_BINS), dtype=np.int64)
@@ -577,25 +593,39 @@ class TestScanBuffers:
         assert peak < 256 * 1024
 
 
-class TestSplitChildTotals:
-    def test_children_tile_parent(self, rng):
-        mem = _memory(rng, 140, 4)
-        hist = build_histogram(mem, (0, 140))
-        totals = node_totals(hist)
-        cfg = TrainConfig(max_depth=2, lam=1.0, gamma=0.0)
-        decision = find_best_split(hist, 140, cfg)
-        assert not decision.is_leaf
-        (gl, hl), (gr, hr) = split_child_totals(hist, decision)
-        assert (gl + gr, hl + hr) == totals
-        # against a direct partition of the samples
-        b = mem.matrix.columns[decision.feature]
-        left = b <= decision.threshold_bin
-        if decision.missing_left:
-            left |= b == 255
-        assert gl == int(mem.state.grads_raw[left].sum())
-        assert hl == int(mem.state.hess_raw[left].sum())
+class TestChildTotals:
+    def test_split_holds_a_direct_partitions_sums(self, rng):
+        """A split's child_totals are the raw sums of its samples on each side
+        of a direct partition, for winners that send the missing bin either
+        way, at 24 and 48 fractional bits.  Every scan shares one set of
+        buffers, so each split's totals must outlive the scans after it."""
+        buffers, found = make_scan_buffers(3), []
+        for frac_bits, _ in itertools.product((24, 48), range(40)):
+            one = 1 << frac_bits
+            n = int(rng.integers(2, 200))
+            matrix, _ = random_quantized(rng, n, 3, missing_frac=0.3)
+            grads = rng.integers(-one, one + 1, size=n)
+            hess = rng.integers(1, one + 1, size=n)
+            state = StateMemory(np.zeros(n, dtype=np.int64), grads, hess,
+                                np.zeros(n, dtype=np.int8), frac_bits)
+            mem = EngineMemory(matrix, state, init_index_table(np.arange(n)))
+            node = find_best_split(build_histogram(mem, (0, n)), n,
+                                   TrainConfig(frac_bits=frac_bits), buffers)
+            if node.is_leaf:
+                assert node.child_totals is None
+                continue
+            left = goes_left(node, matrix.columns[node.feature])
+            want = tuple((sum(grads[side].tolist()), sum(hess[side].tolist()))
+                         for side in (left, ~left))
+            found.append((frac_bits, node.missing_left, node, want))
+        assert {(fb, missing_left) for fb, missing_left, _, _ in found} == {
+            (24, True), (24, False), (48, True), (48, False)}
+        for _, _, node, want in found:
+            assert node.child_totals == want
 
-    def test_leaf_rejected(self, rng):
-        hist = np.zeros((2, 1, N_BINS), dtype=np.int64)
-        with pytest.raises(ValueError):
-            split_child_totals(hist, TreeNode(is_leaf=True, leaf_weight_raw=0))
+    def test_leaf_has_none(self):
+        cfg = TrainConfig()
+        one_bin = _hist_from_bins([3, 3], [SCALE, -SCALE // 2], [SCALE] * 2)
+        assert find_best_split(one_bin, 2, cfg).child_totals is None
+        empty = np.zeros((2, 1, N_BINS), dtype=np.int64)
+        assert find_best_split(empty, 0, cfg).child_totals is None
