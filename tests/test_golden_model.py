@@ -5,7 +5,9 @@ before sibling histograms were taken by subtraction; the multi-block and
 48-bit digests before histograms gathered row-major blocks; the lambda = 0,
 gamma = 0.5 and 300-feature digests before the scan skipped its NaN mask
 for lambda > 0 and its gamma pass for gamma = 0, and before leaf weights
-were rounded without numpy.  Any speed-up of node training must leave the
+were rounded without numpy; the dense digest before histograms gathered
+precomputed keys and a scan of a node without missing values scanned one
+side only.  Any speed-up of node training must leave the
 files byte-identical for every engine count.
 """
 
@@ -119,6 +121,18 @@ def test_wide_model_bytes_are_pinned(tmp_path_factory, tmp_path, engines):
     _write_csv(data, rows=400, features=300, informative=6, seed=17)
     assert _train_sha256(tmp_path, data, "--max-depth", "3", "--trees", "4",
         "--engines", str(engines), "--seed", "2") == WIDE_SHA256
+
+
+# no missing cell: every node's missing bin is empty
+DENSE_SHA256 = "0130ebb837bd9105f8814d040346754b9ef8f96f6a3fb03fd1837701b0ddbb6f"
+
+
+@pytest.mark.parametrize("engines", [1, 64])
+def test_dense_model_bytes_are_pinned(tmp_path_factory, tmp_path, engines):
+    data = tmp_path_factory.mktemp("golden_dense") / "train.csv"
+    _write_csv(data, rows=3000, features=10, missing=0.0, seed=23)
+    assert _train_sha256(tmp_path, data, "--max-depth", "3", "--trees", "8",
+        "--engines", str(engines), "--seed", "6") == DENSE_SHA256
 
 
 # Every output of the CLI over --frac-bits x --lambda x --gamma, each trained at
