@@ -7,19 +7,26 @@ first, so its children own the two halves.
 
 The feature memory is held twice.  The column-major bins of the matrix
 serve partitioning and routing, which read one feature of many samples.
-A row-major uint8 copy, one sample's features per row as the paper's
-feature memory streams them, serves the histogram build, which reads
-every feature of a node's samples; it costs n_samples * n_features bytes.
-Two block buffers of the histogram build (intp bin keys and float64
-weights, HISTOGRAM_BLOCK * n_features entries each at most) are kept for
-reuse by every block and node.  So are the split scan's buffers: one
-(2, n_features, 255, 2) int64 block of G and H prefix sums, eight float64
-planes of the candidates' (n_features, 255, 2) shape (the dequantized sums
-of both sides, the gain and three temporaries of split_gain) and a bool
-eligibility mask, which only a scan at lam = 0 writes, about 1.2 MB at 28
-features.  Every node's scan writes over them, and the tree keeps only the
-TreeNode each scan returns.  All of these are made on first use, so a
-memory that never builds a histogram or scans one never holds them.
+The histogram build reads every feature of a node's samples, and it reads
+the key matrix: one sample's features per row, as the paper's feature
+memory streams them, each cell holding its flat histogram key
+bin + 256 * feature.  It is built once per memory, so once per train(),
+uint16 while n_features <= 256 (the largest key is then 65,535) and uint32
+above, at 2 * n_samples * n_features bytes in the narrow case.  A block of
+the build is then one gather of whole rows and one widening copy into
+bincount's intp keys.
+Three block buffers of the histogram build (gathered keys of the key
+matrix's type, intp keys and float64 weights, HISTOGRAM_BLOCK * n_features
+entries each at most) are kept for reuse by every block and node.  So are
+the split scan's buffers: one (2, n_features, 255, 2) int64 block of G and
+H prefix sums, eight float64 planes of the candidates' (n_features, 255, 2)
+shape (the dequantized sums of both sides, the gain and three temporaries
+of split_gain) and a bool eligibility mask, which only a scan at lam = 0
+writes, about 1.2 MB at 28 features.  A node without missing values scans
+the one-sided (n_features, 255, 1) layout of the same memory.  Every
+node's scan writes over them, and the tree keeps only the TreeNode each
+scan returns.  All of these are made on first use, so a memory that never
+builds a histogram or scans one never holds them.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +36,8 @@ import numpy as np
 
 from .fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize
 from .quantizer import MISSING_BIN, QuantizedMatrix
+
+N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
 
 
 @dataclass
@@ -51,15 +60,22 @@ class EngineMemory:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """Row-major (n_samples, n_features) uint8 copy of the bins."""
-        return np.ascontiguousarray(self.matrix.columns.T)
+        """Row-major (n_samples, n_features) key matrix bin + 256 * feature,
+        uint16 while n_features <= 256 and uint32 above."""
+        n_features = self.matrix.n_features
+        dtype = np.uint16 if n_features <= 256 else np.uint32
+        keys = np.empty((self.matrix.n_samples, n_features), dtype=dtype)
+        np.add(self.matrix.columns.T, np.arange(n_features, dtype=dtype) * N_BINS, out=keys)
+        return keys
 
     def block_buffers(self, size: int) -> tuple:
-        """(keys, weights) scratch of at least size * n_features intp and
-        float64 entries, kept for reuse and regrown only for a larger size."""
+        """(gathered, keys, weights) scratch of at least size * n_features
+        entries of the rows' dtype, intp and float64, kept for reuse and
+        regrown only for a larger size."""
         need = size * self.matrix.n_features
         if not self._block_buffers or self._block_buffers[0].size < need:
-            self._block_buffers = (np.empty(need, dtype=np.intp), np.empty(need, dtype=np.float64))
+            self._block_buffers = (np.empty(need, dtype=self.rows.dtype),
+                                   np.empty(need, dtype=np.intp), np.empty(need, dtype=np.float64))
         return self._block_buffers
 
     @cached_property
@@ -69,15 +85,25 @@ class EngineMemory:
 
 
 def make_scan_buffers(n_features: int) -> tuple:
-    """(prefix, planes, mask) buffers of one split scan over n_features.
+    """The split scan's buffers over n_features in its two layouts, indexed
+    by the number of missing-bin sides less one.
 
-    prefix is the (2, n_features, 255, 2) int64 block of G and H prefix
-    sums, planes eight float64 arrays of the candidates' (n_features, 255, 2)
-    shape, mask a bool array of that shape.
+    Each layout is (prefix, planes, mask) for a candidate shape
+    (n_features, 255, sides): prefix the (2, *shape) int64 block of G and H
+    prefix sums, planes eight float64 arrays of that shape, mask a bool array
+    of it.  The one-sided layout is a contiguous view of the front of the
+    two-sided one's memory.
     """
-    shape = (n_features, MISSING_BIN, 2)
-    return (np.empty((2, *shape), dtype=np.int64), np.empty((8, *shape), dtype=np.float64),
-            np.empty(shape, dtype=bool))
+    size = n_features * MISSING_BIN * 2
+    prefix, planes, mask = (np.empty(2 * size, dtype=np.int64),
+                            np.empty(8 * size, dtype=np.float64), np.empty(size, dtype=bool))
+
+    def layout(sides):
+        shape, n = (n_features, MISSING_BIN, sides), size * sides // 2
+        return (prefix[:2 * n].reshape(2, *shape), planes[:8 * n].reshape(8, *shape),
+                mask[:n].reshape(shape))
+
+    return layout(1), layout(2)
 
 
 def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,

@@ -42,8 +42,10 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A float, or an integer that converts to one: JSON allows 10**400."""
-    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+    """A float, or an integer that a float holds exactly: JSON allows 10**400
+    and 2**53 + 1, and a load must not round either."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max
+                                        and float(value) == value)
 
 
 _INT = (_is_int, "an integer")

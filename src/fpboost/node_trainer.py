@@ -33,6 +33,13 @@ least 2**-frac_bits, and the node term is finite.  The side terms' sum
 less the node term is then never NaN.  gamma = 0 skips the subtraction of
 gamma, as x - 0.0 is x bit for bit.
 
+A node without missing values (its missing bin empty in every feature)
+scans one side only.  Its two sides' prefix sums are then the same int64
+sums, so both sides' gains are the same bits, and the tie order picks the
+missing-left side first.  Scanning the missing-left side alone therefore
+returns the same winner, gain and children's totals, with half the
+candidates.
+
 goes_left is the one go-left rule that the partition and every replay apply
 to the stored node.  A split node's gain and children's totals are by-products
 of the scan: they are never saved and take no part in ==.
@@ -43,11 +50,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine_memory import EngineMemory, make_scan_buffers
+from .engine_memory import N_BINS, EngineMemory, make_scan_buffers
 from .fixed_point import FRAC_BITS, INT64_LIMIT, quantize, scale
 from .quantizer import MISSING_BIN
 
-N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
 G, H = 0, 1                   # channels of a (2, n_features, N_BINS) histogram
 _LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
 # Samples per histogram accumulation block; it sizes the block buffers.  At
@@ -131,11 +137,12 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     """Accumulate (grad, hess) of one node's samples into feature bins.
 
     The range is streamed in blocks of HISTOGRAM_BLOCK samples.  Each block
-    gathers its samples' rows of the row-major bins, one sample's features
-    per row, and writes their flat bin keys and repeated weights into the
-    memory's reused block buffers.  Block sums are exact and add up in
-    int64, exactly too while n * 2**frac_bits < 2**63, which train()
-    checks; so the order the samples are gathered in cannot change a bin.
+    gathers its samples' rows of the memory's key matrix, whose cells hold
+    the flat keys bin + 256 * feature already, into a reused buffer, and
+    widens them into bincount's intp keys; the repeated weights go into a
+    third reused buffer.  Block sums are exact and add up in int64, exactly
+    too while n * 2**frac_bits < 2**63, which train() checks; so the order
+    the samples are gathered in cannot change a bin.
 
     A block of m samples sums G and H in one float64 bincount each while
     m * 2**frac_bits < 2**53, else each in two 24-bit limbs.
@@ -146,13 +153,17 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     hist = np.zeros((2, n_features, N_BINS), dtype=np.int64)
     block = HISTOGRAM_BLOCK
     # sized for the largest block any node of this memory streams
-    keys, weights = memory.block_buffers(min(block, max(end - start, memory.matrix.n_samples)))
-    offsets = np.arange(n_features, dtype=np.intp) * N_BINS
+    gathered, keys, weights = memory.block_buffers(
+        min(block, max(end - start, memory.matrix.n_samples)))
     for lo in range(start, end, block):
         idx = memory.table[lo:min(lo + block, end)]
         m = idx.size
+        block_keys = gathered[:m * n_features]
+        # mode="clip" lets take write into out unbuffered; init_index_table keeps
+        # every id in range, and grads_raw[idx] below raises on one past the end
+        np.take(memory.rows, idx, axis=0, out=block_keys.reshape(m, n_features), mode="clip")
         flat = keys[:m * n_features]
-        np.add(np.take(memory.rows, idx, axis=0), offsets, out=flat.reshape(m, n_features))
+        np.copyto(flat, block_keys)
         block_weights = weights[:m * n_features].reshape(m, n_features)
         # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
         # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
@@ -250,11 +261,14 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     NaN gain is not eligible, and one that leaves a side empty never wins
     (see the module docstring); gains are NaN only at lam = 0, so only
     lam = 0 masks them.  Ties resolve to the lowest feature, then the
-    lowest threshold, then missing-left.  Declares a leaf when no eligible
+    lowest threshold, then missing-left.  A node with an empty missing bin
+    in every feature scans the missing-left side only, which gives the same
+    result (see the module docstring).  Declares a leaf when no eligible
     candidate has gain > 0.  A split carries its gain and its children's
     exact raw totals: the winner's left sums come out of the int64 prefix
     block, and the right ones are the node totals less them.  buffers are
-    the arrays of make_scan_buffers, fresh when None; hist is never written.
+    the two layouts of make_scan_buffers, fresh when None; hist is never
+    written.
     """
     if count == 0:
         return TreeNode(is_leaf=True, leaf_weight_raw=0)
@@ -264,11 +278,14 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
 
     # one (channel, feature, threshold, side) block of G and H: side 0 groups
     # the missing bin left, side 1 right; per channel, row-major order is the
-    # tie order
-    left, planes, ineligible = make_scan_buffers(hist.shape[1]) if buffers is None else buffers
+    # tie order.  With no missing value side 1 would repeat side 0
+    sides = 2 if np.count_nonzero(hist[:, :, MISSING_BIN]) else 1     # cheaper than .any()
+    layouts = make_scan_buffers(hist.shape[1]) if buffers is None else buffers
+    left, planes, ineligible = layouts[sides - 1]
     gl, hl, gr, hr = planes[:4]
-    np.cumsum(hist[:, :, :MISSING_BIN], axis=2, out=left[..., 1])
-    np.add(left[..., 1], hist[:, :, MISSING_BIN:], out=left[..., 0])
+    np.cumsum(hist[:, :, :MISSING_BIN], axis=2, out=left[..., -1])
+    if sides == 2:
+        np.add(left[..., 1], hist[:, :, MISSING_BIN:], out=left[..., 0])
     inv = 2.0 ** -fb                # exact: x * inv == x / 2**fb for every sum here
     g_node, h_node = g_tot * inv, h_tot * inv
     # gl, hl, then their complements gr, hr, each pair in one call
@@ -287,8 +304,8 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     best_gain = float(gains.flat[k])
     if best_gain <= 0.0:
         return node_leaf(totals, config.lam, fb)
-    feature, rest = divmod(k, 2 * MISSING_BIN)
-    threshold, side = divmod(rest, 2)
+    feature, rest = divmod(k, sides * MISSING_BIN)
+    threshold, side = divmod(rest, sides)
     # read out now: the next scan writes over the prefix block
     g_left, h_left = left[:, feature, threshold, side].tolist()
     return TreeNode(

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fpboost import boost_controller
-from fpboost.engine_memory import init_index_table, load
+from fpboost.engine_memory import N_BINS, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS
 from fpboost.node_trainer import TreeNode, TrainConfig
+from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
 from fpboost.splitter import partition
 from conftest import random_quantized
 
@@ -163,3 +164,18 @@ def test_feature_memory_is_read_only(rng):
     mem = load(matrix, labels, 0.0)
     with pytest.raises(ValueError):
         mem.matrix.columns[0, 0] = 3
+
+
+@pytest.mark.parametrize("n_features, dtype", [(256, np.uint16), (257, np.uint32)])
+def test_rows_are_the_key_matrix(rng, n_features, dtype):
+    """rows holds bin + 256 * feature, one sample per row, in the narrowest
+    unsigned type that holds 256 * n_features - 1."""
+    n = 30
+    columns = rng.integers(0, N_BINS, size=(n_features, n)).astype(np.uint8)
+    columns[-1, :2] = 0, MISSING_BIN        # the last feature's smallest and largest keys
+    matrix = QuantizedMatrix(columns=columns, bin_map=BinMap([np.arange(255.0)] * n_features))
+    keys = load(matrix, np.zeros(n)).rows
+    assert keys.dtype == dtype and keys.flags.c_contiguous
+    assert keys.nbytes == n * n_features * np.dtype(dtype).itemsize
+    assert keys.tolist() == [[b + N_BINS * f for f, b in enumerate(row)]
+                             for row in columns.T.tolist()]

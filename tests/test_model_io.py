@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -162,12 +163,8 @@ def test_non_finite_numbers_fail_at_load(rng, tmp_path):
         load_model(str(path))
 
 
-@pytest.mark.parametrize("kind, path", [
-    ("model", ("base_score",)), ("model", ("config", "lam")), ("model", ("bin_map", "centroids", 0, 0)),
-    ("log", ("config", "eta")), ("log", ("trees", 0, "train_loss")),
-], ids=["base_score", "model_lam", "centroid", "log_eta", "train_loss"])
-def test_integer_beyond_float_range_fails_at_load(rng, tmp_path, kind, path):
-    # JSON integers have no size limit, and 10**400 overflows a float
+def _saved_with(rng, tmp_path, kind, path):
+    """A saved model or log, and a loader of it with the value at path set."""
     model, bins, config, _, log = _trained(rng)
     file = tmp_path / "f.json"
     if kind == "model":
@@ -178,10 +175,37 @@ def test_integer_beyond_float_range_fails_at_load(rng, tmp_path, kind, path):
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = 10**400
-    file.write_text(json.dumps(doc))
+
+    def load_with(value):
+        target[path[-1]] = value
+        file.write_text(json.dumps(doc))
+        return (load_model if kind == "model" else load_training_log)(str(file))
+
+    return load_with
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("model", ("base_score",)), ("model", ("config", "lam")), ("model", ("bin_map", "centroids", 0, 0)),
+    ("log", ("config", "eta")), ("log", ("trees", 0, "train_loss")),
+], ids=["base_score", "model_lam", "centroid", "log_eta", "train_loss"])
+def test_integer_beyond_float_range_fails_at_load(rng, tmp_path, kind, path):
+    # JSON integers have no size limit, and 10**400 overflows a float
+    load_with = _saved_with(rng, tmp_path, kind, path)
     with pytest.raises(ValueError, match="must be a"):
-        (load_model if kind == "model" else load_training_log)(str(file))
+        load_with(10**400)
+
+
+@pytest.mark.parametrize("kind, path, where", [
+    ("model", ("base_score",), "model: base_score"), ("model", ("config", "lam"), "model config: lam"),
+    ("model", ("bin_map", "centroids", 0, -1), "model bin_map: centroids"),
+    ("log", ("trees", 0, "train_loss"), "log tree 0: train_loss"),
+], ids=["base_score", "model_lam", "centroid", "train_loss"])
+def test_integer_a_float_would_round_fails_at_load(rng, tmp_path, kind, path, where):
+    # 2**53 + 1 loaded as a float would be 2**53; 2**53 + 2 is one exactly
+    load_with = _saved_with(rng, tmp_path, kind, path)
+    load_with(2**53 + 2)
+    with pytest.raises(ValueError, match=f"^{where} must be a .*{2**53 + 1}"):
+        load_with(2**53 + 1)
 
 
 _SPLIT_FIELD_MUTATIONS = {
@@ -316,7 +340,7 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
         assert str(err.value).startswith(expected), (expected, str(err.value))
 
 
-_FUZZ_VALUES = (None, "x", [], {}, True, 0.5, -1, 2**64, -2**63, math.nan, 10**400)
+_FUZZ_VALUES = (None, "x", [], {}, True, 0.5, -1, 2**64, -2**63, 2**53 + 1, math.nan, 10**400)
 
 
 def _value_paths(doc, prefix=()):
@@ -327,10 +351,17 @@ def _value_paths(doc, prefix=()):
             yield from _value_paths(value, prefix + (key,))
 
 
+def _exact_float(token: str):
+    """A JSON integer as the float that holds it exactly, else as the integer."""
+    value = int(token)
+    return float(value) if abs(value) <= sys.float_info.max and float(value) == value else value
+
+
 def _numbers_as_floats(text: str) -> str:
-    """A JSON text with every integer spelled as a float: a loader may read
-    an integer where the file holds a float and save it back as one."""
-    return json.dumps(json.loads(text, parse_int=float), sort_keys=True)
+    """A JSON text with every integer that a float holds exactly spelled as
+    a float: a loader may read such an integer where the file holds a float
+    and save it back as one, but it may not round one."""
+    return json.dumps(json.loads(text, parse_int=_exact_float), sort_keys=True)
 
 
 @pytest.fixture(scope="module")

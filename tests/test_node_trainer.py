@@ -143,6 +143,21 @@ class TestBuildHistogram:
                 want[H, f, b] += int(hess[i])
         assert hist.tolist() == want.tolist()
 
+    def test_warm_build_allocates_no_block_keys(self, rng):
+        """A root of several blocks gathers its keys into the memory's block
+        buffers: a warm build allocates less than one uint16 copy of a
+        block's keys, a quarter of an intp one."""
+        n, n_features = 2 * node_trainer.HISTOGRAM_BLOCK + 100, 28
+        mem = _memory(rng, n, n_features)
+        build_histogram(mem, (0, n))        # builds rows and the block buffers
+        tracemalloc.start()
+        try:
+            build_histogram(mem, (0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < node_trainer.HISTOGRAM_BLOCK * n_features * 2
+
     def test_bitwise_conservation(self, rng):
         mem = _memory(rng, 257, 5)
         hist = build_histogram(mem, (0, 257))
@@ -577,11 +592,42 @@ class TestScanBuffers:
         assert mem.scan_buffers is mem.scan_buffers
         assert EngineMemory(mem.matrix, mem.state).scan_buffers[0] is not mem.scan_buffers[0]
 
+    def test_one_set_serves_dense_and_sparse_nodes_in_turn(self, rng):
+        """A node without missing values scans the one-sided layout, one with
+        them the two-sided layout, and both are views of the same memory."""
+        buffers = make_scan_buffers(6)
+        nodes = []
+        for missing_frac in (0.1, 0.0):
+            mem = _memory(rng, 400, 6, missing_frac=missing_frac)
+            mem.table = init_index_table(rng.permutation(400))
+            hists = [build_histogram(mem, (0, n)) for n in (400, 90)]
+            assert all(hist[:, :, MISSING_BIN].any() == (missing_frac > 0) for hist in hists)
+            nodes += zip(hists, (400, 90))
+        for lam in (0.0, 0.5):
+            cfg = TrainConfig(max_depth=3, lam=lam)
+            fresh = [find_best_split(hist, n, cfg) for hist, n in nodes]
+            assert not any(node.is_leaf for node in fresh)
+            assert all(node.missing_left for node in fresh[2:])
+            for i in (0, 2, 1, 3, 3, 0, 2):
+                got = find_best_split(*nodes[i], cfg, buffers)
+                assert got == fresh[i] and got.gain.hex() == fresh[i].gain.hex()
+                assert got.child_totals == fresh[i].child_totals
+        assert np.shares_memory(buffers[0][0], buffers[1][0])
+        assert np.shares_memory(buffers[0][1], buffers[1][1])
+
     def test_scan_with_memory_buffers_allocates_little(self, rng):
+        self._check_scan_allocates_little(rng, missing_frac=0.1)
+
+    def test_dense_scan_allocates_little(self, rng):
+        self._check_scan_allocates_little(rng, missing_frac=0.0)
+
+    @staticmethod
+    def _check_scan_allocates_little(rng, missing_frac):
         # without reused buffers one scan at 28 features peaks at about 1.2 MB;
         # what is left is numpy's casting buffers and a few Python objects
-        mem = _memory(rng, 2000, 28)
+        mem = _memory(rng, 2000, 28, missing_frac=missing_frac)
         hist = build_histogram(mem, (0, 2000))
+        assert hist[:, :, MISSING_BIN].any() == (missing_frac > 0)
         cfg = TrainConfig()
         assert not find_best_split(hist, 2000, cfg, mem.scan_buffers).is_leaf    # warm-up
         tracemalloc.start()
