@@ -1,12 +1,16 @@
 """First-order clock-cycle model of the training datapath.
 
-Streaming passes process one sample per clock per engine; node training
-adds a serial ordered-bin gain sweep with all features scored in parallel.
+Streaming passes process one sample per clock per engine, so a pass over
+s samples takes data_parallel.engine_block(s, engines) clocks, the fullest
+engine's share, plus the pipeline latency.  Node training adds a serial
+ordered-bin gain sweep with all features scored in parallel.
 The constants are parameters so the model can be re-calibrated; out of the
 box it is an order-of-magnitude estimator, not a cycle-accurate one.
 """
 
 from dataclasses import dataclass
+
+from .data_parallel import engine_block
 
 
 @dataclass(frozen=True)
@@ -33,10 +37,6 @@ class CostReport:
     wall_seconds: float
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def to_wall_time(cycles: int, clock_hz: float) -> float:
     if clock_hz <= 0:
         raise ValueError("clock_hz must be positive")
@@ -51,6 +51,8 @@ def estimate(log, n_samples: int, config, params: CostParams = CostParams(),
     node sample counts for the histogram pass and for the partition pass.
     Scoring n_validation extra samples per tree is off by default.
     """
+    if n_validation < 0:
+        raise ValueError(f"n_validation must be >= 0, got {n_validation}")
     engines = config.n_engines
     lat = params.pipeline_latency_cycles
     hist_cycles = 0
@@ -59,13 +61,13 @@ def estimate(log, n_samples: int, config, params: CostParams = CostParams(),
     update_cycles = 0
     for tree in log.trees:
         for depth in tree.depths:
-            hist_cycles += sum(_ceil_div(s, engines) for s in depth.trained_sizes) + lat
+            hist_cycles += sum(engine_block(s, engines) for s in depth.trained_sizes) + lat
             if depth.split_sizes:
-                split_cycles += sum(_ceil_div(s, engines) for s in depth.split_sizes) + lat
+                split_cycles += sum(engine_block(s, engines) for s in depth.split_sizes) + lat
             scan_cycles += params.gain_scan_cycles * len(depth.trained_sizes)
-        update_cycles += _ceil_div(n_samples, engines) + lat
-        if n_validation:
-            update_cycles += _ceil_div(n_validation, engines)
+        # validation rows ride the score-update pass, without a latency of their own
+        update_cycles += (engine_block(n_samples, engines) + engine_block(n_validation, engines)
+                          + lat)
     overhead_cycles = params.per_tree_overhead_cycles * len(log.trees)
     total = hist_cycles + split_cycles + update_cycles + scan_cycles + overhead_cycles
     return CostReport(
@@ -79,29 +81,26 @@ def estimate(log, n_samples: int, config, params: CostParams = CostParams(),
     )
 
 
+# (CostReport field, text label) of each cycle count, in report order
+_REPORT_ROWS = (
+    ("histogram_cycles", "histogram passes"),
+    ("split_cycles", "partition passes"),
+    ("scan_cycles", "gain scans"),
+    ("update_cycles", "score updates"),
+    ("overhead_cycles", "per-tree overhead"),
+    ("total_cycles", "total"),
+)
+
+
 def format_text(report: CostReport) -> str:
-    rows = [
-        ("histogram passes", report.histogram_cycles),
-        ("partition passes", report.split_cycles),
-        ("gain scans", report.scan_cycles),
-        ("score updates", report.update_cycles),
-        ("per-tree overhead", report.overhead_cycles),
-        ("total", report.total_cycles),
-    ]
-    width = max(len(name) for name, _ in rows)
-    lines = [f"{name:<{width}}  {cycles:>14,} cycles" for name, cycles in rows]
+    width = max(len(label) for _, label in _REPORT_ROWS)
+    lines = [f"{label:<{width}}  {getattr(report, key):>14,} cycles"
+             for key, label in _REPORT_ROWS]
     lines.append(f"{'wall time':<{width}}  {report.wall_seconds * 1e3:>14.6f} ms")
     return "\n".join(lines)
 
 
 def format_keyvalue(report: CostReport) -> str:
-    pairs = [
-        ("histogram_cycles", report.histogram_cycles),
-        ("split_cycles", report.split_cycles),
-        ("scan_cycles", report.scan_cycles),
-        ("update_cycles", report.update_cycles),
-        ("overhead_cycles", report.overhead_cycles),
-        ("total_cycles", report.total_cycles),
-        ("wall_seconds", repr(report.wall_seconds)),
-    ]
-    return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
+    lines = [f"{key}={getattr(report, key)}" for key, _ in _REPORT_ROWS]
+    lines.append(f"wall_seconds={report.wall_seconds!r}")
+    return "\n".join(lines) + "\n"

@@ -271,6 +271,8 @@ def load_dataset(path: str, fmt: str, label_col: int = 0, n_features=None,
     """
     if max_rows is not None and max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
+    if label_col < -1:
+        raise ValueError(f"label_col must be >= -1, got {label_col}")
     if fmt == "csv":
         values, labels = _load_csv(path, label_col, max_rows, strict_labels)
     elif fmt == "libsvm":

@@ -15,21 +15,23 @@ uint16 while n_features <= 256 (the largest key is then 65,535) and uint32
 above, at 2 * n_samples * n_features bytes in the narrow case.  A block of
 the build is then one gather of whole rows and one widening copy into
 bincount's intp keys.
-Three block buffers of the histogram build (gathered keys of the key
-matrix's type, intp keys and float64 weights, HISTOGRAM_BLOCK * n_features
-entries each at most) are kept for reuse by every block and node.  So are
-the split scan's buffers: one (2, n_features, 255, 2) int64 block of G and
-H prefix sums, eight float64 planes of the candidates' (n_features, 255, 2)
-shape (the dequantized sums of both sides, the gain and three temporaries
-of split_gain) and a bool eligibility mask, which only a scan at lam = 0
-writes, about 1.2 MB at 28 features.  A node without missing values scans
-the one-sided (n_features, 255, 1) layout of the same memory.  Every
-node's scan writes over them, and the tree keeps only the TreeNode each
-scan returns.  All of these are made on first use, so a memory that never
-builds a histogram or scans one never holds them.
+The histogram build streams a node's range in blocks of
+min(HISTOGRAM_BLOCK, n_samples) samples through three buffers of that many
+rows, made at first use and never resized: the gathered keys (of the key
+matrix's type), intp keys and float64 weights.  A table longer than
+n_samples streams in more blocks.
+The split scan's buffers are kept too: two layouts over one allocation,
+each a (2, n_features, 255, sides) int64 block of G and H prefix sums and
+eight float64 planes of the candidates' (n_features, 255, sides) shape
+(both sides' dequantized sums, the gain and three temporaries of
+split_gain), about 1.1 MB at 28 features; a node without missing values
+scans the one-sided layout.  Every node's scan writes over them, and the
+tree keeps only the TreeNode each scan returns.  All of these are made on
+first use, so a memory that never builds a histogram or scans one never
+holds them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +40,14 @@ from .fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize
 from .quantizer import MISSING_BIN, QuantizedMatrix
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
+# Samples per histogram accumulation block; it sizes the block buffers.  At
+# 2048, the histogram builds of a warm deep-1e-sized train() took 0.245 s
+# instead of 0.208 s (medians of 8 alternating process pairs, 2-core Xeon,
+# numpy 2.4), and train() itself was level within the noise.  Why is
+# unverified: a node histogram (114,688 B at 28 features) stays below
+# glibc's initial 128 KiB mmap threshold, and repeated builds of one node
+# took the same time at both sizes.
+HISTOGRAM_BLOCK = 8192
 
 
 @dataclass
@@ -56,7 +66,6 @@ class EngineMemory:
     matrix: QuantizedMatrix
     state: StateMemory
     table: np.ndarray | None = None     # int64 active sample ids of the current tree
-    _block_buffers: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -68,15 +77,14 @@ class EngineMemory:
         np.add(self.matrix.columns.T, np.arange(n_features, dtype=dtype) * N_BINS, out=keys)
         return keys
 
-    def block_buffers(self, size: int) -> tuple:
-        """(gathered, keys, weights) scratch of at least size * n_features
-        entries of the rows' dtype, intp and float64, kept for reuse and
-        regrown only for a larger size."""
-        need = size * self.matrix.n_features
-        if not self._block_buffers or self._block_buffers[0].size < need:
-            self._block_buffers = (np.empty(need, dtype=self.rows.dtype),
-                                   np.empty(need, dtype=np.intp), np.empty(need, dtype=np.float64))
-        return self._block_buffers
+    @cached_property
+    def block_buffers(self) -> tuple:
+        """(gathered, keys, weights): the histogram build's block scratch of
+        min(HISTOGRAM_BLOCK, n_samples) rows, n_features entries a row, of the
+        key matrix's dtype, intp and float64."""
+        shape = (min(HISTOGRAM_BLOCK, self.matrix.n_samples), self.matrix.n_features)
+        return (np.empty(shape, dtype=self.rows.dtype), np.empty(shape, dtype=np.intp),
+                np.empty(shape, dtype=np.float64))
 
     @cached_property
     def scan_buffers(self) -> tuple:
@@ -88,20 +96,17 @@ def make_scan_buffers(n_features: int) -> tuple:
     """The split scan's buffers over n_features in its two layouts, indexed
     by the number of missing-bin sides less one.
 
-    Each layout is (prefix, planes, mask) for a candidate shape
-    (n_features, 255, sides): prefix the (2, *shape) int64 block of G and H
-    prefix sums, planes eight float64 arrays of that shape, mask a bool array
-    of it.  The one-sided layout is a contiguous view of the front of the
-    two-sided one's memory.
+    Each layout is (prefix, planes) for a candidate shape (n_features, 255,
+    sides): prefix the (2, *shape) int64 block of G and H prefix sums,
+    planes eight float64 arrays of that shape.  The one-sided layout is a
+    contiguous view of the front of the two-sided one's memory.
     """
     size = n_features * MISSING_BIN * 2
-    prefix, planes, mask = (np.empty(2 * size, dtype=np.int64),
-                            np.empty(8 * size, dtype=np.float64), np.empty(size, dtype=bool))
+    prefix, planes = np.empty(2 * size, dtype=np.int64), np.empty(8 * size, dtype=np.float64)
 
     def layout(sides):
         shape, n = (n_features, MISSING_BIN, sides), size * sides // 2
-        return (prefix[:2 * n].reshape(2, *shape), planes[:8 * n].reshape(8, *shape),
-                mask[:n].reshape(shape))
+        return prefix[:2 * n].reshape(2, *shape), planes[:8 * n].reshape(8, *shape)
 
     return layout(1), layout(2)
 

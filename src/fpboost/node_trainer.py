@@ -22,10 +22,14 @@ G = H = 0, and the side with all of them has the node's own sums, so its
 complement is 0.0 exactly.  Such a candidate's gain is then
 0.5 * (term - term) - gamma = -gamma <= 0 for lam > 0, in the node-term and
 the per-candidate form alike, and 0/0 = NaN for lam = 0, which the scan
-masks.  It can never be a positive split, and a node whose best gain is not
-positive is a leaf.  So both children of a split node hold samples.
+turns into -inf.  It can never be a positive split, and a node whose best
+gain is not positive is a leaf.  So both children of a split node hold
+samples.
 
-The NaN mask runs only at lam = 0, since no other lam can give a NaN gain.
+At lam = 0 the scan overwrites the gains with np.fmax(gains, -inf), with no
+mask buffer: fmax returns the other operand where one is NaN, so a NaN gain
+becomes -inf and every other gain keeps its bits, -0.0 and +-inf included.
+It runs only at lam = 0, since no other lam can give a NaN gain.
 For lam > 0 every denominator h + lam is positive, so no term is 0/0, and
 a side term g*g / (h + lam) is >= 0, finite or +inf.  Every raw hessian is
 at least 1 unit, so the node's h, and each candidate's hl + hr, is at
@@ -56,14 +60,6 @@ from .quantizer import MISSING_BIN
 
 G, H = 0, 1                   # channels of a (2, n_features, N_BINS) histogram
 _LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
-# Samples per histogram accumulation block; it sizes the block buffers.  At
-# 2048, the histogram builds of a warm deep-1e-sized train() took 0.245 s
-# instead of 0.208 s (medians of 8 alternating process pairs, 2-core Xeon,
-# numpy 2.4), and train() itself was level within the noise.  Why is
-# unverified: a node histogram (114,688 B at 28 features) stays below
-# glibc's initial 128 KiB mmap threshold, and repeated builds of one node
-# took the same time at both sizes.
-HISTOGRAM_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,8 @@ def goes_left(node: TreeNode, bins: np.ndarray) -> np.ndarray:
 def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     """Accumulate (grad, hess) of one node's samples into feature bins.
 
-    The range is streamed in blocks of HISTOGRAM_BLOCK samples.  Each block
+    The range is streamed in blocks of the memory's block buffers' rows,
+    min(HISTOGRAM_BLOCK, n_samples) samples (see engine_memory).  Each block
     gathers its samples' rows of the memory's key matrix, whose cells hold
     the flat keys bin + 256 * feature already, into a reused buffer, and
     widens them into bincount's intp keys; the repeated weights go into a
@@ -151,20 +148,18 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     n_features = memory.matrix.n_features
     frac_bits = memory.state.frac_bits
     hist = np.zeros((2, n_features, N_BINS), dtype=np.int64)
-    block = HISTOGRAM_BLOCK
-    # sized for the largest block any node of this memory streams
-    gathered, keys, weights = memory.block_buffers(
-        min(block, max(end - start, memory.matrix.n_samples)))
+    gathered, keys, weights = memory.block_buffers
+    block = len(gathered) or 1      # 0 rows only in a 0-sample memory, whose ranges are empty
     for lo in range(start, end, block):
         idx = memory.table[lo:min(lo + block, end)]
         m = idx.size
-        block_keys = gathered[:m * n_features]
+        block_keys = gathered[:m]
         # mode="clip" lets take write into out unbuffered; init_index_table keeps
         # every id in range, and grads_raw[idx] below raises on one past the end
-        np.take(memory.rows, idx, axis=0, out=block_keys.reshape(m, n_features), mode="clip")
-        flat = keys[:m * n_features]
-        np.copyto(flat, block_keys)
-        block_weights = weights[:m * n_features].reshape(m, n_features)
+        np.take(memory.rows, idx, axis=0, out=block_keys, mode="clip")
+        flat = keys[:m].ravel()         # a view: the buffers are C-contiguous
+        np.copyto(flat, block_keys.ravel())
+        block_weights = weights[:m]
         # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
         # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
         single_pass = (m << frac_bits) < (1 << 53)
@@ -260,8 +255,8 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     bin <= threshold"; the missing bin joins either side.  A candidate with a
     NaN gain is not eligible, and one that leaves a side empty never wins
     (see the module docstring); gains are NaN only at lam = 0, so only
-    lam = 0 masks them.  Ties resolve to the lowest feature, then the
-    lowest threshold, then missing-left.  A node with an empty missing bin
+    lam = 0 turns them into -inf.  Ties resolve to the lowest feature, then
+    the lowest threshold, then missing-left.  A node with an empty missing bin
     in every feature scans the missing-left side only, which gives the same
     result (see the module docstring).  Declares a leaf when no eligible
     candidate has gain > 0.  A split carries its gain and its children's
@@ -281,7 +276,7 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     # tie order.  With no missing value side 1 would repeat side 0
     sides = 2 if np.count_nonzero(hist[:, :, MISSING_BIN]) else 1     # cheaper than .any()
     layouts = make_scan_buffers(hist.shape[1]) if buffers is None else buffers
-    left, planes, ineligible = layouts[sides - 1]
+    left, planes = layouts[sides - 1]
     gl, hl, gr, hr = planes[:4]
     np.cumsum(hist[:, :, :MISSING_BIN], axis=2, out=left[..., -1])
     if sides == 2:
@@ -297,8 +292,7 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, out=planes[4:])
     if config.lam == 0.0:           # only lam = 0 gives NaN gains (module docstring)
-        np.isnan(gains, out=ineligible)
-        np.copyto(gains, -np.inf, where=ineligible)
+        np.fmax(gains, -np.inf, out=gains)      # NaN to -inf, every other value kept
 
     k = int(np.argmax(gains))
     best_gain = float(gains.flat[k])

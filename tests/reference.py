@@ -5,8 +5,9 @@ bins by one binary search per value (no guess table), splits by direct
 sample partitioning (no histograms, no prefix sums, no index tables),
 sigmoid in arbitrary precision and as two masked passes,
 gain in exact rationals, AUC by pair counting, the subsample generator in
-pure-Python integers, node histograms built engine by engine and merged,
-and CSV parsing one cell at a time through Python's float().
+pure-Python integers, engine shards by an exact rational ceiling, node
+histograms built engine by engine and merged, and CSV parsing one cell at
+a time through Python's float().
 Leaf weights are rounded from exact rationals, with their own int64 range
 check.  ref_scan_split is the histogram split scan with the node term
 evaluated per candidate, the form the library skips where it is exact.
@@ -324,6 +325,17 @@ def assert_trees_match(tree_model, ref_root, frac_bits, ulp_tol=1):
 
 
 # ------------------------------------------------------- data parallelism
+
+def shard(active_indices, n_engines: int) -> list:
+    """Contiguous block partition of ceil(n / n_engines) samples an engine;
+    trailing engines may be empty."""
+    if n_engines < 1:
+        raise ValueError("n_engines must be >= 1")
+    idx = np.asarray(active_indices, dtype=np.int64)
+    n = idx.size
+    block = math.ceil(Fraction(n, n_engines))
+    return [idx[k * block: min((k + 1) * block, n)] for k in range(n_engines)]
+
 
 def merge_histograms(hists: list) -> np.ndarray:
     """Elementwise int64 sum of per-engine histograms, engine order ascending."""

@@ -15,7 +15,6 @@ import pytest
 
 from fpboost.boost_controller import predict_raw, train
 from fpboost.cost_model import CostParams, estimate
-from fpboost.data_parallel import shard
 from fpboost.dataset import load_dataset
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, grad_hess, margin_probability
@@ -24,7 +23,7 @@ from fpboost.model_io import load_model, save_model
 from fpboost.node_trainer import TrainConfig, build_histogram
 from fpboost.quantizer import RawDataset, fit_bin_map, transform
 from conftest import random_quantized, random_raw
-from reference import assert_trees_match, merge_histograms, mp_grad_hess, ref_train
+from reference import assert_trees_match, merge_histograms, mp_grad_hess, ref_train, shard
 
 SCALE = 1 << FRAC_BITS
 

@@ -198,6 +198,28 @@ def test_unit_lambda_trains_in_range_at_every_frac_bits(tmp_path, separable_csv,
     assert max(abs(w) for w in leaves) <= 1 << (int(frac_bits) + 1)
 
 
+def test_label_col_below_minus_one_is_single_line_error(tmp_path, csv_pair, capsys):
+    train_csv, _ = csv_pair
+    rc = main(["train", "--data", train_csv, "--format", "csv", "--label-col", "-2",
+               "--model-out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: label_col must be >= -1, got -2\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_negative_validation_rows_is_single_line_error(tmp_path, csv_pair, capsys):
+    train_csv, _ = csv_pair
+    log = tmp_path / "log.json"
+    assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
+                 "--model-out", str(tmp_path / "m.json"), "--log-out", str(log)]) == 0
+    capsys.readouterr()
+    rc = main(["cost", "--log", str(log), "--n-validation", "-1000",
+               "--out", str(tmp_path / "report.kv")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: n_validation must be >= 0, got -1000\n")
+    assert not (tmp_path / "report.kv").exists()
+
+
 def test_bad_data_error_mentions_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.5\n0,zzz\n")

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from fpboost.boost_controller import DepthLog, TrainingLog, TreeLog, train
 from fpboost.cost_model import CostParams, estimate, format_keyvalue, format_text, to_wall_time
 from fpboost.node_trainer import TrainConfig
 from conftest import random_quantized
+from reference import shard
 
 
 def _log(tree_logs, config, n_samples=0, n_features=1):
@@ -103,6 +105,28 @@ class TestEstimate:
         without = estimate(_log([tree], cfg), 1024, cfg, params)
         with_valid = estimate(_log([tree], cfg), 1024, cfg, params, n_validation=1024)
         assert with_valid.total_cycles == without.total_cycles + 128
+
+    def test_negative_validation_rows_rejected(self):
+        cfg = TrainConfig(n_engines=8)
+        with pytest.raises(ValueError, match="^n_validation must be >= 0, got -1000$"):
+            estimate(_log([_stump_tree_log(4)], cfg), 4, cfg, CostParams(), n_validation=-1000)
+
+    @pytest.mark.parametrize("engines", [1, 2, 3, 7, 64])
+    def test_pass_charge_is_the_fullest_shard(self, engines):
+        """Every streaming pass over n samples costs the largest block of a
+        contiguous split of n samples over the engines, plus one latency."""
+        cfg = TrainConfig(n_engines=engines)
+        params = CostParams()
+        lat = params.pipeline_latency_cycles
+        for n in range(301):
+            fullest = max(part.size for part in shard(np.arange(n), engines))
+            tree = TreeLog(n_subsampled=n, n_leaves=2, train_loss=0.5,
+                           depths=[DepthLog(trained_sizes=[n], split_sizes=[n])])
+            report = estimate(_log([tree], cfg), n, cfg, params)
+            assert report.histogram_cycles == report.split_cycles == fullest + lat
+            assert report.update_cycles == fullest + lat
+            with_valid = estimate(_log([tree], cfg), 0, cfg, params, n_validation=n)
+            assert with_valid.update_cycles == fullest + lat
 
 
 class TestParamsAndFormat:

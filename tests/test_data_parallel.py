@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from fpboost.data_parallel import shard
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.node_trainer import N_BINS, TrainConfig, build_histogram, find_best_split
 from conftest import random_quantized
-from reference import merge_histograms, merged_node_histogram
+from reference import merge_histograms, merged_node_histogram, shard
 
 
 class TestShard:

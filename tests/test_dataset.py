@@ -303,6 +303,15 @@ def test_max_rows_below_one_is_rejected(tmp_path, fmt, max_rows):
         load_dataset(str(path), fmt, max_rows=max_rows)
 
 
+@pytest.mark.parametrize("label_col", [-2, -3])
+def test_label_col_below_minus_one_is_rejected(tmp_path, label_col):
+    """-1 means no label column; a lower index would read a labeled file as
+    unlabeled, with its labels as a feature."""
+    path = _write(tmp_path, "d.csv", "1,0.5\n0,1.5\n")
+    with pytest.raises(ValueError, match=f"^label_col must be >= -1, got {label_col}$"):
+        load_dataset(path, "csv", label_col=label_col)
+
+
 def test_malformed_tail_after_max_rows_is_never_parsed(tmp_path):
     c = CSV_CHUNK_LINES
     path = tmp_path / "d.csv"

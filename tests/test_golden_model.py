@@ -18,7 +18,7 @@ import pytest
 
 from fpboost.boost_controller import subsample_indices
 from fpboost.cli import main
-from fpboost.node_trainer import HISTOGRAM_BLOCK
+from fpboost.engine_memory import HISTOGRAM_BLOCK
 
 MODEL_SHA256 = "1efe6616ab8a9937c50c17a9ae0ffa6a35696fe008535b5598cfe31252ecb690"
 # the log records the engine count in its config, so its bytes differ per count

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpboost import node_trainer
+from fpboost import engine_memory
 from fpboost.engine_memory import (EngineMemory, StateMemory, init_index_table, load,
                                    make_scan_buffers)
 from fpboost.fixed_point import FRAC_BITS, quantize
@@ -104,19 +104,35 @@ class TestBuildHistogram:
         double = build_histogram(mem, (0, 80))
         assert np.array_equal(double, 2 * single)
 
-    def test_one_memory_serves_any_block_size_in_turn(self, rng):
-        # the block buffers kept by the memory must fit each build's block size,
-        # however earlier builds sized them
-        mem = _memory(rng, 50, 4, missing_frac=0.05)
-        mem.table = init_index_table(rng.permutation(50))
-        want = {r: build_histogram(EngineMemory(mem.matrix, mem.state, mem.table), r)
-                for r in [(0, 50), (7, 40)]}
-        for block in (3, 64, 1, 7, 64):
+    def test_block_buffers_are_made_once(self, rng):
+        """The memory sizes its block buffers at first use, to
+        min(HISTOGRAM_BLOCK, n_samples) rows, and every later build streams
+        through the same ones: a short range, the whole table, and a table
+        longer than n_samples."""
+        for n, block in ((50, 16), (50, 64), (10, 10)):
+            mem = _memory(rng, n, 4, missing_frac=0.05)
+            mem.table = init_index_table(rng.permutation(n))
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(node_trainer, "HISTOGRAM_BLOCK", block)
-                for r, expected in want.items():
-                    got = build_histogram(mem, r)
-                    assert np.array_equal(got, expected)
+                mp.setattr(engine_memory, "HISTOGRAM_BLOCK", block)
+                build_histogram(mem, (3, 7))
+            buffers = mem.block_buffers
+            assert [b.size for b in buffers] == [min(block, n) * 4] * 3
+            whole = build_histogram(mem, (0, n))
+            mem.table = np.concatenate([mem.table, mem.table, mem.table[:5]])
+            assert np.array_equal(build_histogram(mem, (0, n)), whole)
+            tripled = build_histogram(mem, (0, 2 * n))
+            assert np.array_equal(tripled, 2 * whole)
+            assert all(a is b for a, b in zip(mem.block_buffers, buffers))
+
+    def test_zero_sample_memory_builds_the_zero_histogram(self):
+        matrix = QuantizedMatrix(columns=np.empty((3, 0), dtype=np.uint8),
+                                 bin_map=BinMap([np.arange(3.0)] * 3))
+        mem = EngineMemory(matrix, StateMemory(*(np.empty(0, dtype=np.int64),) * 3,
+                                               np.empty(0, dtype=np.int8)),
+                           init_index_table([]))
+        assert mem.block_buffers[0].shape == (0, 3)
+        hist = build_histogram(mem, (0, 0))
+        assert hist.shape == (2, 3, N_BINS) and not hist.any()
 
     @pytest.mark.parametrize("n_features", [256, 257])
     def test_key_width_boundary_matches_int_sums(self, rng, n_features):
@@ -134,7 +150,7 @@ class TestBuildHistogram:
                             np.zeros(n, dtype=np.int8), 30)
         mem = EngineMemory(matrix, state, init_index_table(rng.permutation(n)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(node_trainer, "HISTOGRAM_BLOCK", 16)
+            mp.setattr(engine_memory, "HISTOGRAM_BLOCK", 16)
             hist = build_histogram(mem, (start, n))
         want = np.zeros((2, n_features, N_BINS), dtype=object)     # Python ints
         for i in mem.table[start:].tolist():
@@ -147,7 +163,7 @@ class TestBuildHistogram:
         """A root of several blocks gathers its keys into the memory's block
         buffers: a warm build allocates less than one uint16 copy of a
         block's keys, a quarter of an intp one."""
-        n, n_features = 2 * node_trainer.HISTOGRAM_BLOCK + 100, 28
+        n, n_features = 2 * engine_memory.HISTOGRAM_BLOCK + 100, 28
         mem = _memory(rng, n, n_features)
         build_histogram(mem, (0, n))        # builds rows and the block buffers
         tracemalloc.start()
@@ -156,7 +172,7 @@ class TestBuildHistogram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < node_trainer.HISTOGRAM_BLOCK * n_features * 2
+        assert peak < engine_memory.HISTOGRAM_BLOCK * n_features * 2
 
     def test_bitwise_conservation(self, rng):
         mem = _memory(rng, 257, 5)
@@ -201,7 +217,7 @@ def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme, block, 
     table = init_index_table(rng.permutation(total))
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(node_trainer, "HISTOGRAM_BLOCK", block)
+            mp.setattr(engine_memory, "HISTOGRAM_BLOCK", block)
         hist = build_histogram(EngineMemory(matrix, state, table), (start, start + n))
     node = table[start:start + n]
     g_list, h_list = grads.tolist(), hess.tolist()
@@ -616,27 +632,33 @@ class TestScanBuffers:
         assert np.shares_memory(buffers[0][1], buffers[1][1])
 
     def test_scan_with_memory_buffers_allocates_little(self, rng):
-        self._check_scan_allocates_little(rng, missing_frac=0.1)
+        assert self._scan_peak(rng, missing_frac=0.1) < 256 * 1024
 
     def test_dense_scan_allocates_little(self, rng):
-        self._check_scan_allocates_little(rng, missing_frac=0.0)
+        assert self._scan_peak(rng, missing_frac=0.0) < 256 * 1024
+
+    def test_lam_zero_scan_allocates_no_mask(self, rng):
+        """At lam = 0 the scan turns NaN gains into -inf in place: it stays
+        under the gate above, and at 256 features it allocates less than a
+        bool mask of its 130,560 candidates would take."""
+        assert self._scan_peak(rng, missing_frac=0.1, lam=0.0) < 256 * 1024
+        assert self._scan_peak(rng, missing_frac=0.1, lam=0.0, n_features=256) < 256 * 255 * 2
 
     @staticmethod
-    def _check_scan_allocates_little(rng, missing_frac):
-        # without reused buffers one scan at 28 features peaks at about 1.2 MB;
+    def _scan_peak(rng, missing_frac, lam=1.0, n_features=28):
+        # without reused buffers one scan at 28 features peaks at about 1.1 MB;
         # what is left is numpy's casting buffers and a few Python objects
-        mem = _memory(rng, 2000, 28, missing_frac=missing_frac)
+        mem = _memory(rng, 2000, n_features, missing_frac=missing_frac)
         hist = build_histogram(mem, (0, 2000))
         assert hist[:, :, MISSING_BIN].any() == (missing_frac > 0)
-        cfg = TrainConfig()
+        cfg = TrainConfig(lam=lam)
         assert not find_best_split(hist, 2000, cfg, mem.scan_buffers).is_leaf    # warm-up
         tracemalloc.start()
         try:
             find_best_split(hist, 2000, cfg, mem.scan_buffers)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 1024
 
 
 class TestChildTotals:
