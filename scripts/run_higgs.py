@@ -37,6 +37,14 @@ def main() -> int:
     parser.add_argument("--model-out", default=None)
     parser.add_argument("--log-out", default=None)
     args = parser.parse_args()
+    # the run reports the best AUC over its trees, so it needs one; a bad
+    # clock is refused before the data is read
+    if args.trees < 1:
+        raise SystemExit(f"error: --trees must be >= 1, got {args.trees}")
+    try:
+        params = CostParams(clock_hz=args.clock_mhz * 1e6)
+    except ValueError as err:
+        raise SystemExit(f"error: --clock-mhz: {err}") from None
 
     print(f"loading {2 * args.rows} rows from {args.data} ...")
     full = load_dataset(args.data, "csv", label_col=0, max_rows=2 * args.rows)
@@ -57,7 +65,7 @@ def main() -> int:
     print(f"bins + {config.n_trees} trees + per-tree eval in {seconds:.2f}s (software)")
     print(f"final train loss      = {log.trees[-1].train_loss:.5f}")
     print(f"max validation AUC    = {max_auc:.4f} (tree {history.index(max_auc) + 1})")
-    report = estimate(log, log.n_samples, config, CostParams(clock_hz=args.clock_mhz * 1e6))
+    report = estimate(log, log.n_samples, config, params)
     print(f"cycle model at {args.clock_mhz:g} MHz:")
     print(format_text(report))
 

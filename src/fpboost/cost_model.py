@@ -8,9 +8,11 @@ The constants are parameters so the model can be re-calibrated; out of the
 box it is an order-of-magnitude estimator, not a cycle-accurate one.
 """
 
+import math
 from dataclasses import dataclass
 
 from .data_parallel import engine_block
+from .fixed_point import is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -21,9 +23,11 @@ class CostParams:
     per_tree_overhead_cycles: int = 64      # init/handshake per boosting round
 
     def __post_init__(self):
-        if min(self.clock_hz, self.pipeline_latency_cycles,
-               self.gain_scan_cycles, self.per_tree_overhead_cycles) <= 0:
-            raise ValueError("all cost parameters must be positive")
+        _check_clock(self.clock_hz)
+        for name in ("pipeline_latency_cycles", "gain_scan_cycles", "per_tree_overhead_cycles"):
+            value = getattr(self, name)
+            if not (is_int(value) and value > 0):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,9 +41,14 @@ class CostReport:
     wall_seconds: float
 
 
+def _check_clock(clock_hz) -> None:
+    # NaN fails every comparison, and an infinite clock makes any run take 0 s
+    if not (is_real(clock_hz) and math.isfinite(clock_hz) and clock_hz > 0):
+        raise ValueError(f"clock_hz must be a finite number > 0, got {clock_hz!r}")
+
+
 def to_wall_time(cycles: int, clock_hz: float) -> float:
-    if clock_hz <= 0:
-        raise ValueError("clock_hz must be positive")
+    _check_clock(clock_hz)
     return cycles / clock_hz
 
 

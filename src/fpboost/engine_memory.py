@@ -22,11 +22,12 @@ matrix's type), intp keys and float64 weights.  A table longer than
 n_samples streams in more blocks.
 The split scan's buffers are kept too: two layouts over one allocation,
 each a (2, n_features, 255, sides) int64 block of G and H prefix sums and
-eight float64 planes of the candidates' (n_features, 255, sides) shape
-(both sides' dequantized sums, the gain and three temporaries of
-split_gain), about 1.1 MB at 28 features; a node without missing values
-scans the one-sided layout.  Every node's scan writes over them, and the
-tree keeps only the TreeNode each scan returns.  All of these are made on
+six float64 planes of the candidates' (n_features, 255, sides) shape
+(both sides' dequantized sums, which split_gain turns into the gain in
+place, and two planes for a per-candidate node term), about 0.91 MB at 28
+features; a node without missing values scans the one-sided layout.
+Every node's scan writes over them, and the tree keeps only the TreeNode
+each scan returns.  All of these are made on
 first use, so a memory that never builds a histogram or scans one never
 holds them.
 """
@@ -98,15 +99,17 @@ def make_scan_buffers(n_features: int) -> tuple:
 
     Each layout is (prefix, planes) for a candidate shape (n_features, 255,
     sides): prefix the (2, *shape) int64 block of G and H prefix sums,
-    planes eight float64 arrays of that shape.  The one-sided layout is a
-    contiguous view of the front of the two-sided one's memory.
+    planes six float64 arrays of that shape (gl, hl, gr, hr, which the gain
+    is computed over in place, and two for a per-candidate node term), about
+    0.91 MB at 28 features.  The one-sided layout is a contiguous view of
+    the front of the two-sided one's memory.
     """
     size = n_features * MISSING_BIN * 2
-    prefix, planes = np.empty(2 * size, dtype=np.int64), np.empty(8 * size, dtype=np.float64)
+    prefix, planes = np.empty(2 * size, dtype=np.int64), np.empty(6 * size, dtype=np.float64)
 
     def layout(sides):
         shape, n = (n_features, MISSING_BIN, sides), size * sides // 2
-        return prefix[:2 * n].reshape(2, *shape), planes[:8 * n].reshape(8, *shape)
+        return prefix[:2 * n].reshape(2, *shape), planes[:6 * n].reshape(6, *shape)
 
     return layout(1), layout(2)
 

@@ -6,10 +6,24 @@ integers, so sums are exact and independent of summation order; only the
 final gain/weight ratios are evaluated in double precision.
 """
 
+import sys
+
 import numpy as np
 
 FRAC_BITS = 24
 INT64_LIMIT = float(1 << 63)      # raw values lie in [-2**63, 2**63)
+
+
+def is_int(value) -> bool:
+    """An integer parameter: a Python int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real parameter: a float, or an integer that a float holds exactly.
+    A JSON file may spell 10**400 or 2**53 + 1, and neither may be rounded."""
+    return isinstance(value, float) or (is_int(value) and abs(value) <= sys.float_info.max
+                                        and float(value) == value)
 
 
 def scale(frac_bits: int = FRAC_BITS) -> float:

@@ -8,12 +8,12 @@ integers next to the frac_bits that scale them.
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .boost_controller import DepthLog, Model, TrainingLog, TreeLog
+from .fixed_point import is_int, is_real
 from .node_trainer import TrainConfig, TreeNode
 from .quantizer import MISSING_BIN, BinMap
 from .splitter import TreeModel
@@ -37,29 +37,18 @@ def _dump(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A float, or an integer that a float holds exactly: JSON allows 10**400
-    and 2**53 + 1, and a load must not round either."""
-    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max
-                                        and float(value) == value)
-
-
-_INT = (_is_int, "an integer")
-_NUMBER = (lambda v: _is_real(v) and math.isfinite(v), "a finite number")
+_INT = (is_int, "an integer")
+_NUMBER = (lambda v: is_real(v) and math.isfinite(v), "a finite number")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
-_INT_LIST = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+_INT_LIST = (lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers")
 _CHECKED = (lambda v: True, "")           # a value the caller has checked already
 
 # the keys each saved object holds, with the check on each value
 _HEADER = {"format": _CHECKED, "format_version": _CHECKED}
 # BinMap checks that centroids are finite and names the feature
 _BIN_MAP = {"centroids": (lambda v: isinstance(v, list) and all(
-    isinstance(c, list) and all(map(_is_real, c)) for c in v), "a list of lists of numbers")}
+    isinstance(c, list) and all(map(is_real, c)) for c in v), "a list of lists of numbers")}
 _MODEL = {"frac_bits": _INT, "base_score": _NUMBER, "config": _OBJECT,
           "bin_map": _OBJECT, "trees": _LIST}
 _LOG = {"n_samples": _INT, "n_features": _INT, "config": _OBJECT, "trees": _LIST}
@@ -97,7 +86,7 @@ def _load(path: str, expected_format: str, schema: dict, where: str) -> dict:
     if found != expected_format:
         raise ValueError(f"not a {expected_format} file: format={found!r}")
     version = doc.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:    # true and 1.0 equal 1
+    if not is_int(version) or version != FORMAT_VERSION:    # true and 1.0 equal 1
         raise ValueError(f"unsupported format_version {version!r}")
     return _checked(doc, {**_HEADER, **schema}, where)
 
@@ -122,7 +111,7 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 
 _LEAF = {"is_leaf": _CHECKED,
-         "leaf_weight_raw": (lambda v: _is_int(v) and INT64_MIN <= v <= INT64_MAX,
+         "leaf_weight_raw": (lambda v: is_int(v) and INT64_MIN <= v <= INT64_MAX,
                              "an int64 integer")}
 
 
@@ -133,9 +122,9 @@ def _node_from_dict(doc, where: str, n_features: int) -> TreeNode:
         return TreeNode(**_checked(doc, _LEAF, where))
     return TreeNode(**_checked(doc, {
         "is_leaf": _CHECKED,
-        "feature": (lambda v: _is_int(v) and 0 <= v < n_features,
+        "feature": (lambda v: is_int(v) and 0 <= v < n_features,
                     f"an integer in [0, {n_features})"),
-        "threshold_bin": (lambda v: _is_int(v) and 0 <= v < MISSING_BIN,
+        "threshold_bin": (lambda v: is_int(v) and 0 <= v < MISSING_BIN,
                           f"an integer in [0, {MISSING_BIN - 1}]"),
         "missing_left": (lambda v: isinstance(v, bool), "true or false"),
     }, where))

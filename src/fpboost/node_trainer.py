@@ -34,8 +34,14 @@ For lam > 0 every denominator h + lam is positive, so no term is 0/0, and
 a side term g*g / (h + lam) is >= 0, finite or +inf.  Every raw hessian is
 at least 1 unit, so the node's h, and each candidate's hl + hr, is at
 least 2**-frac_bits, and the node term is finite.  The side terms' sum
-less the node term is then never NaN.  gamma = 0 skips the subtraction of
-gamma, as x - 0.0 is x bit for bit.
+less the node term is then never NaN.  So the scan silences numpy's divide
+and invalid warnings at lam = 0 only: at lam > 0 neither can occur.
+gamma = 0 skips the subtraction of gamma, as x - 0.0 is x bit for bit.
+
+The gains are computed in place over the scan's four planes of
+dequantized sums gl, hl, gr, hr (split_gain).  Each element sees the
+operations of the formula in their written order, so every gain has the
+bits that a computation into fresh temporaries would give.
 
 A node without missing values (its missing bin empty in every feature)
 scans one side only.  Its two sides' prefix sums are then the same int64
@@ -50,12 +56,12 @@ of the scan: they are never saved and take no part in ==.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .engine_memory import N_BINS, EngineMemory, make_scan_buffers
-from .fixed_point import FRAC_BITS, INT64_LIMIT, quantize, scale
+from .fixed_point import FRAC_BITS, INT64_LIMIT, is_int, is_real, quantize, scale
 from .quantizer import MISSING_BIN
 
 G, H = 0, 1                   # channels of a (2, n_features, N_BINS) histogram
@@ -77,6 +83,14 @@ class TrainConfig:
     frac_bits: int = FRAC_BITS
 
     def __post_init__(self):
+        # the types load_model and load_training_log accept, so that every
+        # config made here saves and loads back
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and not is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is float and not is_real(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         # NaN passes the sign check below
         if not (math.isfinite(self.lam) and math.isfinite(self.gamma)):
             raise ValueError(f"lam and gamma must be finite numbers, got lam={self.lam!r}, "
@@ -139,7 +153,9 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     widens them into bincount's intp keys; the repeated weights go into a
     third reused buffer.  Block sums are exact and add up in int64, exactly
     too while n * 2**frac_bits < 2**63, which train() checks; so the order
-    the samples are gathered in cannot change a bin.
+    the samples are gathered in cannot change a bin.  The histogram is made
+    without a zero fill: the first block's sums are written into it, and
+    later blocks add to them.  An empty range gives the zero histogram.
 
     A block of m samples sums G and H in one float64 bincount each while
     m * 2**frac_bits < 2**53, else each in two 24-bit limbs.
@@ -147,9 +163,11 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     start, end = node_range
     n_features = memory.matrix.n_features
     frac_bits = memory.state.frac_bits
-    hist = np.zeros((2, n_features, N_BINS), dtype=np.int64)
+    if end <= start:
+        return np.zeros((2, n_features, N_BINS), dtype=np.int64)
+    hist = np.empty((2, n_features, N_BINS), dtype=np.int64)
     gathered, keys, weights = memory.block_buffers
-    block = len(gathered) or 1      # 0 rows only in a 0-sample memory, whose ranges are empty
+    block = len(gathered)           # >= 1: a non-empty range holds a sample id
     for lo in range(start, end, block):
         idx = memory.table[lo:min(lo + block, end)]
         m = idx.size
@@ -163,30 +181,36 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
         # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
         # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
         single_pass = (m << frac_bits) < (1 << 53)
-        hist[G] += _bin_sums(flat, memory.state.grads_raw[idx], block_weights, single_pass)
-        hist[H] += _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass)
+        first = lo == start
+        _bin_sums(flat, memory.state.grads_raw[idx], block_weights, single_pass, hist[G], first)
+        _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass, hist[H], first)
     return hist
 
 
-def _bin_sums(flat, raw, weights, single_pass: bool) -> np.ndarray:
-    """Exact int64 (n_features, 256) bin sums of a block's raw values.
+def _bin_sums(flat, raw, weights, single_pass: bool, out, first: bool) -> None:
+    """Write (first) or add the exact bin sums of a block's raw values into
+    out, one int64 (n_features, 256) channel of the node histogram.
 
     weights is the (m, n_features) buffer that repeats each sample's value
-    once per feature, in the order of the flat keys.
+    once per feature, in the order of the flat keys.  Each float64 bincount
+    holds exact integers, so the unsafe cast into int64 is exact, and later
+    additions run in int64.
     """
-    n_features = weights.shape[1]
-
-    def float_pass(values):
-        np.copyto(weights, values.astype(np.float64)[:, None])
-        sums = np.bincount(flat, weights=weights.ravel(), minlength=n_features * N_BINS)
-        return sums.astype(np.int64).reshape(n_features, N_BINS)
-
-    if single_pass:
-        return float_pass(raw)
     # value = high * 2**24 + low with 0 <= low < 2**24 and |high| <= 2**24;
-    # float64 adds either limb exactly for fewer than 2**29 samples
-    low = float_pass(raw & ((1 << _LIMB_BITS) - 1))
-    return float_pass(raw >> _LIMB_BITS) * (1 << _LIMB_BITS) + low
+    # float64 adds either limb exactly for fewer than 2**29 samples, and
+    # scales the high limb's sums by 2**24 exactly
+    limbs = ((raw, 1),) if single_pass else (
+        (raw >> _LIMB_BITS, 1 << _LIMB_BITS), (raw & ((1 << _LIMB_BITS) - 1), 1))
+    for values, unit in limbs:
+        np.copyto(weights, values.astype(np.float64)[:, None])
+        sums = np.bincount(flat, weights=weights.ravel(), minlength=out.size).reshape(out.shape)
+        if unit != 1:
+            sums *= unit
+        if first:
+            np.copyto(out, sums, casting="unsafe")
+            first = False
+        else:
+            np.add(out, sums, out=out, dtype=np.int64, casting="unsafe")
 
 
 def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent, out):
@@ -194,30 +218,33 @@ def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent, out):
     of dequantized (real) sums, in the operation order
     0.5 * (gl*gl / (hl + lam) + gr*gr / (hr + lam) - g*g / (h + lam)) - gamma.
 
+    The four sum planes are written over in place, one operation at a time
+    over one contiguous plane, and the gain comes back in gl's memory.
     parent is the node term g*g / (h + lam) over the node totals g = gl + gr
-    and h = hl + hr, or None to compute it per element.  A caller may pass
-    it once per node only where gl + gr == g and hl + hr == h hold exactly.
-    out is four float64 arrays of the inputs' shape, the temporaries, written
-    in place: the gain goes into the first and is returned.  The inputs are
-    never written.
+    and h = hl + hr, or None to compute it per element into out, two float64
+    arrays of the sums' shape, before the sums are written over.  A caller
+    may pass it once per node only where gl + gr == g and hl + hr == h hold
+    exactly.
     """
-    gain, den, right, node_term = out
     if parent is None:
-        parent = np.add(gl, gr, out=node_term)
+        parent, den = out
+        np.add(gl, gr, out=parent)
         parent *= parent
         np.add(hl, hr, out=den)
         den += lam
         parent /= den
-    np.multiply(gl, gl, out=gain)
-    gain /= np.add(hl, lam, out=den)
-    np.multiply(gr, gr, out=right)
-    right /= np.add(hr, lam, out=den)
-    gain += right
-    gain -= parent
-    gain *= 0.5
+    gl *= gl
+    hl += lam
+    gl /= hl
+    gr *= gr
+    hr += lam
+    gr /= hr
+    gl += gr
+    gl -= parent
+    gl *= 0.5
     if gamma:               # x - 0.0 is x bit for bit, -0.0 and NaN included
-        gain -= gamma
-    return gain
+        gl -= gamma
+    return gl
 
 
 def leaf_weight(g: float, h: float, lam: float, frac_bits: int = FRAC_BITS) -> int:
@@ -262,8 +289,9 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     candidate has gain > 0.  A split carries its gain and its children's
     exact raw totals: the winner's left sums come out of the int64 prefix
     block, and the right ones are the node totals less them.  buffers are
-    the two layouts of make_scan_buffers, fresh when None; hist is never
-    written.
+    the two layouts of make_scan_buffers, fresh when None: the gains are
+    computed in place over the four planes of dequantized sums, and the
+    other two take a per-candidate node term.  hist is never written.
     """
     if count == 0:
         return TreeNode(is_leaf=True, leaf_weight_raw=0)
@@ -289,10 +317,12 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     # one node term while gl + gr == g_node and hl + hr == h_node exactly
     # (the count bound in the module docstring), else one per candidate
     parent = g_node * g_node / (h_node + config.lam) if (count << fb) < (1 << 53) else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, out=planes[4:])
-    if config.lam == 0.0:           # only lam = 0 gives NaN gains (module docstring)
+    if config.lam == 0.0:           # only lam = 0 gives x/0 and NaN gains (module docstring)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, planes[4:])
         np.fmax(gains, -np.inf, out=gains)      # NaN to -inf, every other value kept
+    else:
+        gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, planes[4:])
 
     k = int(np.argmax(gains))
     best_gain = float(gains.flat[k])

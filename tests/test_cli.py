@@ -220,6 +220,21 @@ def test_negative_validation_rows_is_single_line_error(tmp_path, csv_pair, capsy
     assert not (tmp_path / "report.kv").exists()
 
 
+@pytest.mark.parametrize("clock", ["nan", "inf"])
+def test_non_finite_clock_is_single_line_error(tmp_path, csv_pair, capsys, clock):
+    train_csv, _ = csv_pair
+    log = tmp_path / "log.json"
+    assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
+                 "--model-out", str(tmp_path / "m.json"), "--log-out", str(log)]) == 0
+    capsys.readouterr()
+    rc = main(["cost", "--log", str(log), "--clock-hz", clock,
+               "--out", str(tmp_path / "report.kv")])
+    assert rc == 1
+    err = f"error: clock_hz must be a finite number > 0, got {clock}\n"
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "report.kv").exists()
+
+
 def test_bad_data_error_mentions_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.5\n0,zzz\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,10 @@ class TestToWallTime:
         assert to_wall_time(1, 1.0) == 1.0
 
     def test_bad_clock(self):
-        with pytest.raises(ValueError):
-            to_wall_time(1, 0.0)
+        # a NaN clock gave a NaN wall time, and an infinite one 0.0 s
+        for clock_hz in (0.0, -1.0, math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match="clock_hz must be a finite number > 0"):
+                to_wall_time(1000, clock_hz)
 
 
 class TestEstimate:
@@ -135,6 +139,18 @@ class TestParamsAndFormat:
             CostParams(clock_hz=0)
         with pytest.raises(ValueError):
             CostParams(pipeline_latency_cycles=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("clock_hz", math.nan), ("clock_hz", math.inf), ("clock_hz", True),
+        pytest.param("clock_hz", 10**400, id="clock_hz-10**400"),
+        ("pipeline_latency_cycles", True), ("gain_scan_cycles", 256.0),
+        ("per_tree_overhead_cycles", 2.5), ("per_tree_overhead_cycles", math.nan),
+    ])
+    def test_params_must_be_finite_and_of_their_type(self, name, value):
+        """The clock is a finite number, and the cycle counts are positive
+        integers, not bools."""
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            CostParams(**{name: value})
 
     def test_text_and_keyvalue_formats(self):
         cfg = TrainConfig(n_engines=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -140,6 +141,20 @@ def test_training_log_round_trip(rng, tmp_path):
     a = estimate(log, log.n_samples, log.config, params)
     b = estimate(loaded, loaded.n_samples, loaded.config, params)
     assert a == b
+
+
+@pytest.mark.parametrize("reals", [
+    dict(lam=2, gamma=0, subsample=1, eta=1),      # integers that a float holds
+    dict(lam=np.float64(0.5), gamma=np.float64(0.25), subsample=np.float64(0.5),
+         eta=np.float64(0.75)),
+])
+def test_accepted_config_saves_and_loads_back(rng, tmp_path, reals):
+    model, bins, config, _, log = _trained(rng, **reals)
+    save_model(model, bins, config, str(tmp_path / "m.json"))
+    save_training_log(log, str(tmp_path / "log.json"))
+    assert load_training_log(str(tmp_path / "log.json")).config == config
+    loaded = load_model(str(tmp_path / "m.json")).config
+    assert loaded == dataclasses.replace(config, n_engines=loaded.n_engines)
 
 
 def _rewrite(path, edit):

@@ -61,6 +61,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_depth", 2.5), ("max_depth", 2.0), ("max_depth", True), ("n_trees", 2.0),
+        ("n_engines", 2.5), ("seed", 1.0), ("seed", False), ("frac_bits", 24.0),
+        ("frac_bits", np.int64(24)), ("lam", True), ("gamma", False), ("subsample", True),
+        ("eta", True), ("lam", "1.0"), pytest.param("lam", 10**400, id="lam-10**400"),
+        ("lam", 2**53 + 1),
+    ])
+    def test_wrong_type_is_refused_by_name(self, name, value):
+        """The integer fields take ints and the real ones floats or ints a
+        float holds exactly, never bools: the types the model and log
+        loaders accept."""
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            TrainConfig(**{name: value})
+
     def test_defaults(self):
         cfg = TrainConfig()
         assert (cfg.lam, cfg.gamma, cfg.max_depth, cfg.n_trees) == (1.0, 0.0, 1, 100)
@@ -72,6 +86,16 @@ class TestBuildHistogram:
         mem = _memory(rng, 10, 3)
         hist = build_histogram(mem, (4, 4))
         assert hist.shape == (2, 3, N_BINS) and hist.dtype == np.int64 and not hist.any()
+
+    def test_empty_range_after_builds_is_all_zero(self, rng):
+        """A histogram is made without a zero fill, so an empty range of a
+        memory that has built histograms before, whose freed memory a new
+        array may reuse, must still come back zero."""
+        mem = _memory(rng, 60, 28)
+        for _ in range(3):
+            assert build_histogram(mem, (0, 60)).any()
+        for node_range in ((4, 4), (60, 60), (9, 2)):
+            assert not build_histogram(mem, node_range).any()
 
     def test_hand_accumulation(self):
         # one feature, bins [0, 0, 2]; grads .5, -.25, .25; hessians all .25
@@ -174,6 +198,22 @@ class TestBuildHistogram:
             tracemalloc.stop()
         assert peak < engine_memory.HISTOGRAM_BLOCK * n_features * 2
 
+    def test_warm_small_build_allocates_one_histogram_and_one_bincount(self, rng):
+        """A build writes its first block's sums into the node histogram
+        (4,096 bytes a feature), with no zero fill and no int64 copies of the
+        float64 bincount output (2,048 bytes a feature): a warm 40-sample
+        build peaks under both plus 1,024 bytes a feature."""
+        n_features = 28
+        mem = _memory(rng, 40, n_features)
+        build_histogram(mem, (0, 40))       # builds rows and the block buffers
+        tracemalloc.start()
+        try:
+            build_histogram(mem, (0, 40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7168 * n_features
+
     def test_bitwise_conservation(self, rng):
         mem = _memory(rng, 257, 5)
         hist = build_histogram(mem, (0, 257))
@@ -254,9 +294,10 @@ class TestHistogramSubtraction:
 
 
 def _gain(gl, hl, gr, hr, lam, gamma):
-    """split_gain over float64 arrays of these values, into fresh out buffers."""
+    """split_gain over fresh float64 planes of these values, which it writes
+    over, with fresh node-term planes."""
     sums = np.array([gl, hl, gr, hr], dtype=np.float64).reshape(4, -1)
-    return split_gain(*sums, lam, gamma, None, np.empty_like(sums))
+    return split_gain(*sums, lam, gamma, None, np.empty_like(sums[:2]))
 
 
 class TestSplitGain:
@@ -294,12 +335,12 @@ class TestSplitGain:
         gl[:20] = gr[10:30] = 0.0
         hl[:10] = hr[5:15] = 0.0
         gl[30:40], gr[30:35] = 1e200, -1e200
-        inputs = [a.copy() for a in (gl, hl, gr, hr)]
         for lam, gamma in itertools.product((0.0, 1.0), (0.0, 0.25)):
+            planes = np.array([gl, hl, gr, hr])     # fresh: split_gain writes over them
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                got = split_gain(gl, hl, gr, hr, lam, gamma, None, np.empty((4, n)))
+                got = split_gain(*planes, lam, gamma, None, np.empty((2, n)))
                 want = ref_gain(gl, hl, gr, hr, lam, gamma)
-            assert all(np.array_equal(a, b) for a, b in zip((gl, hl, gr, hr), inputs))
+            assert np.shares_memory(got, planes[0]) and got.shape == (n,)
             assert got.tobytes() == want.tobytes(), (lam, gamma)
             assert np.isnan(got).any() and np.isinf(got).any()
 
@@ -630,6 +671,18 @@ class TestScanBuffers:
                 assert got.child_totals == fresh[i].child_totals
         assert np.shares_memory(buffers[0][0], buffers[1][0])
         assert np.shares_memory(buffers[0][1], buffers[1][1])
+
+    def test_buffers_hold_six_planes(self):
+        """A prefix block and six float64 planes of F * 255 * 2 candidates:
+        the four sums the gain is computed over in place, and two for a
+        per-candidate node term; 913,920 bytes at 28 features."""
+        size = 28 * MISSING_BIN * 2
+        (_, planes1), (prefix, planes) = make_scan_buffers(28)
+        assert planes.shape == (6, 28, MISSING_BIN, 2) and planes.dtype == np.float64
+        assert prefix.shape == (2, 28, MISSING_BIN, 2) and prefix.dtype == np.int64
+        assert planes.nbytes == 6 * size * 8 and prefix.nbytes + planes.nbytes == 913_920
+        assert planes.base.nbytes == planes.nbytes and prefix.base.nbytes == prefix.nbytes
+        assert planes1.shape == (6, 28, MISSING_BIN, 1) and np.shares_memory(planes1, planes)
 
     def test_scan_with_memory_buffers_allocates_little(self, rng):
         assert self._scan_peak(rng, missing_frac=0.1) < 256 * 1024

@@ -74,3 +74,20 @@ def test_reference_experiment_shape(tmp_path, monkeypatch, capsys):
     report = estimate(log, 3000, log.config, CostParams(clock_hz=100e6))
     assert report.total_cycles > 0
     assert report.wall_seconds < 0.05
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trees", "0"], "error: --trees must be >= 1, got 0"),
+    (["--clock-mhz", "nan"], "error: --clock-mhz: clock_hz must be a finite number > 0, got nan"),
+])
+def test_refused_up_front(tmp_path, monkeypatch, capsys, argv, message):
+    """The run reports the best AUC over its trees and the wall time at its
+    clock: zero trees and a NaN clock are refused with one error line before
+    the data is read."""
+    (tmp_path / "synthetic.csv").write_text("".join(_higgs_like_lines(200)))
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), "--data", str(tmp_path / "synthetic.csv"),
+                                     "--rows", "100", *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert done.value.code == message
+    assert capsys.readouterr().out == ""
