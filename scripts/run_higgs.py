@@ -38,13 +38,21 @@ def main() -> int:
     parser.add_argument("--log-out", default=None)
     args = parser.parse_args()
     # the run reports the best AUC over its trees, so it needs one; a bad
-    # clock is refused before the data is read
+    # row count, clock or training parameter is refused before the data is read
     if args.trees < 1:
         raise SystemExit(f"error: --trees must be >= 1, got {args.trees}")
+    if args.rows < 1:
+        raise SystemExit(f"error: --rows must be >= 1, got {args.rows}")
     try:
         params = CostParams(clock_hz=args.clock_mhz * 1e6)
     except ValueError as err:
         raise SystemExit(f"error: --clock-mhz: {err}") from None
+    try:
+        config = TrainConfig(lam=args.lam, gamma=args.gamma, max_depth=args.max_depth,
+                             n_trees=args.trees, subsample=args.subsample,
+                             n_engines=args.engines, seed=args.seed)
+    except ValueError as err:
+        raise SystemExit(f"error: {err}") from None
 
     print(f"loading {2 * args.rows} rows from {args.data} ...")
     full = load_dataset(args.data, "csv", label_col=0, max_rows=2 * args.rows)
@@ -52,10 +60,6 @@ def main() -> int:
         raise SystemExit(f"error: need {2 * args.rows} rows, file has {full.n_samples}")
     train_raw = RawDataset(values=full.values[: args.rows], labels=full.labels[: args.rows])
     valid_raw = RawDataset(values=full.values[args.rows:], labels=full.labels[args.rows:])
-
-    config = TrainConfig(lam=args.lam, gamma=args.gamma, max_depth=args.max_depth,
-                         n_trees=args.trees, subsample=args.subsample,
-                         n_engines=args.engines, seed=args.seed)
 
     started = time.monotonic()
     model, log, bins, history = train_and_evaluate(train_raw, config, valid_raw)

@@ -16,10 +16,12 @@ above, at 2 * n_samples * n_features bytes in the narrow case.  A block of
 the build is then one gather of whole rows and one widening copy into
 bincount's intp keys.
 The histogram build streams a node's range in blocks of
-min(HISTOGRAM_BLOCK, n_samples) samples through three buffers of that many
-rows, made at first use and never resized: the gathered keys (of the key
-matrix's type), intp keys and float64 weights.  A table longer than
-n_samples streams in more blocks.
+min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) samples through
+three buffers of that many rows, made at first use and never resized: the
+gathered keys (of the key matrix's type), intp keys and float64 weights.
+The last keeps one float64 bincount of a block exact; it binds from
+frac_bits 40 (8,191 samples) up to 48 (31).
+A table longer than n_samples streams in more blocks.
 The split scan's buffers are kept too: two layouts over one allocation,
 each a (2, n_features, 255, sides) int64 block of G and H prefix sums and
 six float64 planes of the candidates' (n_features, 255, sides) shape
@@ -37,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize
+from .fixed_point import FRAC_BITS, exact_count, grad_hess, margin_probability, quantize
 from .quantizer import MISSING_BIN, QuantizedMatrix
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
@@ -81,9 +83,10 @@ class EngineMemory:
     @cached_property
     def block_buffers(self) -> tuple:
         """(gathered, keys, weights): the histogram build's block scratch of
-        min(HISTOGRAM_BLOCK, n_samples) rows, n_features entries a row, of the
-        key matrix's dtype, intp and float64."""
-        shape = (min(HISTOGRAM_BLOCK, self.matrix.n_samples), self.matrix.n_features)
+        min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) rows,
+        n_features entries a row, of the key matrix's dtype, intp and float64."""
+        rows = min(HISTOGRAM_BLOCK, self.matrix.n_samples, exact_count(self.state.frac_bits))
+        shape = (rows, self.matrix.n_features)
         return (np.empty(shape, dtype=self.rows.dtype), np.empty(shape, dtype=np.intp),
                 np.empty(shape, dtype=np.float64))
 

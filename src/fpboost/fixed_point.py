@@ -14,6 +14,13 @@ FRAC_BITS = 24
 INT64_LIMIT = float(1 << 63)      # raw values lie in [-2**63, 2**63)
 
 
+def exact_count(frac_bits: int = FRAC_BITS) -> int:
+    """The largest m with m * 2**frac_bits < 2**53: the partial sums of m
+    raw values, each at most 2**frac_bits in magnitude as every raw gradient
+    and hessian is, are then all exact float64 integers."""
+    return ((1 << 53) - 1) >> frac_bits
+
+
 def is_int(value) -> bool:
     """An integer parameter: a Python int, never a bool."""
     return isinstance(value, int) and not isinstance(value, bool)

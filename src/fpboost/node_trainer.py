@@ -11,7 +11,7 @@ The split scan reads the histogram, the config and the node's sample
 count, which the caller knows as the length of the node's range, and
 returns the TreeNode the tree stores.  An empty node is the zero leaf.  The
 scan evaluates the node term g*g / (h + lam) of the gain once per node when
-count * 2**frac_bits < 2**53: every raw grad and hess is at most
+count <= exact_count(frac_bits): every raw grad and hess is at most
 2**frac_bits in magnitude, so each candidate's left sum and its complement
 are exact float64 integers that add back to the node totals bit for bit.
 Larger nodes evaluate the term per candidate; the gains are the same bits
@@ -61,11 +61,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .engine_memory import N_BINS, EngineMemory, make_scan_buffers
-from .fixed_point import FRAC_BITS, INT64_LIMIT, is_int, is_real, quantize, scale
+from .fixed_point import FRAC_BITS, INT64_LIMIT, exact_count, is_int, is_real, quantize, scale
 from .quantizer import MISSING_BIN
 
 G, H = 0, 1                   # channels of a (2, n_features, N_BINS) histogram
-_LIMB_BITS = 24               # limb width of the exact high-frac_bits histogram path
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,9 @@ class TrainConfig:
             raise ValueError("eta must be in (0, 1]")
         if self.n_engines < 1:
             raise ValueError("n_engines must be >= 1")
+        # subsample_indices hashes the seed as one 64-bit word
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 1 <= self.frac_bits <= 48:
             raise ValueError("frac_bits must be in [1, 48]")
 
@@ -147,22 +149,20 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     """Accumulate (grad, hess) of one node's samples into feature bins.
 
     The range is streamed in blocks of the memory's block buffers' rows,
-    min(HISTOGRAM_BLOCK, n_samples) samples (see engine_memory).  Each block
-    gathers its samples' rows of the memory's key matrix, whose cells hold
-    the flat keys bin + 256 * feature already, into a reused buffer, and
-    widens them into bincount's intp keys; the repeated weights go into a
-    third reused buffer.  Block sums are exact and add up in int64, exactly
-    too while n * 2**frac_bits < 2**63, which train() checks; so the order
-    the samples are gathered in cannot change a bin.  The histogram is made
+    min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) samples (see
+    engine_memory).  Each block gathers its samples' rows of the memory's
+    key matrix, whose cells hold the flat keys bin + 256 * feature already,
+    into a reused buffer, and widens them into bincount's intp keys; the
+    repeated weights go into a third reused buffer.  A block then sums G and
+    H in one float64 bincount each, exact because the block holds at most
+    exact_count(frac_bits) samples.  Block sums add up in int64, exactly too
+    while n * 2**frac_bits < 2**63, which train() checks; so the order the
+    samples are gathered in cannot change a bin.  The histogram is made
     without a zero fill: the first block's sums are written into it, and
     later blocks add to them.  An empty range gives the zero histogram.
-
-    A block of m samples sums G and H in one float64 bincount each while
-    m * 2**frac_bits < 2**53, else each in two 24-bit limbs.
     """
     start, end = node_range
     n_features = memory.matrix.n_features
-    frac_bits = memory.state.frac_bits
     if end <= start:
         return np.zeros((2, n_features, N_BINS), dtype=np.int64)
     hist = np.empty((2, n_features, N_BINS), dtype=np.int64)
@@ -178,39 +178,28 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
         flat = keys[:m].ravel()         # a view: the buffers are C-contiguous
         np.copyto(flat, block_keys.ravel())
         block_weights = weights[:m]
-        # every raw grad/hess is at most 2**frac_bits in magnitude, so partial sums
-        # of one float64 pass stay exact integers while m * 2**frac_bits < 2**53
-        single_pass = (m << frac_bits) < (1 << 53)
         first = lo == start
-        _bin_sums(flat, memory.state.grads_raw[idx], block_weights, single_pass, hist[G], first)
-        _bin_sums(flat, memory.state.hess_raw[idx], block_weights, single_pass, hist[H], first)
+        _bin_sums(flat, memory.state.grads_raw[idx], block_weights, hist[G], first)
+        _bin_sums(flat, memory.state.hess_raw[idx], block_weights, hist[H], first)
     return hist
 
 
-def _bin_sums(flat, raw, weights, single_pass: bool, out, first: bool) -> None:
+def _bin_sums(flat, raw, weights, out, first: bool) -> None:
     """Write (first) or add the exact bin sums of a block's raw values into
     out, one int64 (n_features, 256) channel of the node histogram.
 
     weights is the (m, n_features) buffer that repeats each sample's value
-    once per feature, in the order of the flat keys.  Each float64 bincount
-    holds exact integers, so the unsafe cast into int64 is exact, and later
-    additions run in int64.
+    once per feature, in the order of the flat keys.  The block holds at
+    most exact_count(frac_bits) samples, so the float64 bincount holds exact
+    integers, the unsafe cast into int64 is exact, and later additions run
+    in int64.
     """
-    # value = high * 2**24 + low with 0 <= low < 2**24 and |high| <= 2**24;
-    # float64 adds either limb exactly for fewer than 2**29 samples, and
-    # scales the high limb's sums by 2**24 exactly
-    limbs = ((raw, 1),) if single_pass else (
-        (raw >> _LIMB_BITS, 1 << _LIMB_BITS), (raw & ((1 << _LIMB_BITS) - 1), 1))
-    for values, unit in limbs:
-        np.copyto(weights, values.astype(np.float64)[:, None])
-        sums = np.bincount(flat, weights=weights.ravel(), minlength=out.size).reshape(out.shape)
-        if unit != 1:
-            sums *= unit
-        if first:
-            np.copyto(out, sums, casting="unsafe")
-            first = False
-        else:
-            np.add(out, sums, out=out, dtype=np.int64, casting="unsafe")
+    np.copyto(weights, raw.astype(np.float64)[:, None])
+    sums = np.bincount(flat, weights=weights.ravel(), minlength=out.size).reshape(out.shape)
+    if first:
+        np.copyto(out, sums, casting="unsafe")
+    else:
+        np.add(out, sums, out=out, dtype=np.int64, casting="unsafe")
 
 
 def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent, out):
@@ -316,7 +305,7 @@ def find_best_split(hist: np.ndarray, count: int, config: TrainConfig,
     np.subtract(np.array([g_node, h_node]).reshape(2, 1, 1, 1), planes[:2], out=planes[2:4])
     # one node term while gl + gr == g_node and hl + hr == h_node exactly
     # (the count bound in the module docstring), else one per candidate
-    parent = g_node * g_node / (h_node + config.lam) if (count << fb) < (1 << 53) else None
+    parent = g_node * g_node / (h_node + config.lam) if count <= exact_count(fb) else None
     if config.lam == 0.0:           # only lam = 0 gives x/0 and NaN gains (module docstring)
         with np.errstate(divide="ignore", invalid="ignore"):
             gains = split_gain(gl, hl, gr, hr, config.lam, config.gamma, parent, planes[4:])

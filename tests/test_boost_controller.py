@@ -226,9 +226,10 @@ class TestTrain:
         assert model.n_trees == 1
 
     def test_engine_count_invariance_at_high_frac_bits(self, rng):
-        # at 46 fractional bits nodes of 128 or more samples, the root among
-        # them, are built by 24-bit limbs and smaller ones by a single float64
-        # pass; the engine count must change no split
+        # at 46 fractional bits a histogram block holds exact_count(46) = 127
+        # samples, so nodes of 128 or more, the root among them, are built in
+        # several blocks and smaller ones in one; the engine count must change
+        # no split
         matrix, labels = random_quantized(rng, 400, 3, missing_frac=0.05)
         models = [
             train(matrix, labels, TrainConfig(n_trees=4, max_depth=3, subsample=0.8,

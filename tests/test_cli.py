@@ -156,6 +156,15 @@ def test_non_finite_regularizer_is_single_line_error(tmp_path, csv_pair, capsys,
         assert not (tmp_path / name).exists()
 
 
+def test_out_of_range_seed_is_single_line_error(tmp_path, csv_pair, capsys):
+    rc = main(_train_args(*csv_pair, tmp_path, extra=("--seed", "-1")))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be in [0, 2**64), got -1\n"
+    for name in ("model.json", "log.json", "metrics.csv"):
+        assert not (tmp_path / name).exists()
+
+
 @pytest.fixture
 def separable_csv(tmp_path):
     """2,000 rows of 3 features, label = feature 0 > 0 with 5 labels flipped:

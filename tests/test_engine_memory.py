@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fpboost import boost_controller
-from fpboost.engine_memory import N_BINS, init_index_table, load
-from fpboost.fixed_point import FRAC_BITS
+from fpboost.engine_memory import HISTOGRAM_BLOCK, N_BINS, init_index_table, load
+from fpboost.fixed_point import FRAC_BITS, exact_count
 from fpboost.node_trainer import TreeNode, TrainConfig
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
 from fpboost.splitter import partition
@@ -179,3 +179,15 @@ def test_rows_are_the_key_matrix(rng, n_features, dtype):
     assert keys.nbytes == n * n_features * np.dtype(dtype).itemsize
     assert keys.tolist() == [[b + N_BINS * f for f, b in enumerate(row)]
                              for row in columns.T.tolist()]
+
+
+@pytest.mark.parametrize("frac_bits, rows", [(24, 8192), (40, 8191), (41, 4095), (48, 31)])
+@pytest.mark.parametrize("n", [20000, 100])
+def test_block_rows_keep_one_float64_pass_exact(rng, frac_bits, rows, n):
+    """A histogram block holds min(HISTOGRAM_BLOCK, n_samples,
+    exact_count(frac_bits)) samples, so one float64 bincount of its raw
+    values, each at most 2**frac_bits in magnitude, sums exactly."""
+    assert min(HISTOGRAM_BLOCK, exact_count(frac_bits)) == rows
+    matrix, labels = random_quantized(rng, n, 2)
+    buffers = load(matrix, labels, 0.0, frac_bits).block_buffers
+    assert [b.shape for b in buffers] == [(min(rows, n), 2)] * 3

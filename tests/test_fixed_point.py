@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fpboost.fixed_point import (
     FRAC_BITS,
     dequantize,
+    exact_count,
     grad_hess,
     margin_probability,
     quantize,
@@ -85,7 +86,7 @@ def test_grad_bounds(raw, label):
     assert 1 <= int(h[0]) <= SCALE // 4
 
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_INT64_MIN = -(1 << 63)
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
             700.5, -700.5, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
 
@@ -109,6 +110,12 @@ def test_sigmoid_is_bit_equal_to_the_masked_reference(values, nan_bits, negative
         s = sigmoid(v)
         assert type(s) is float
         assert np.float64(s).view(np.int64) == np.float64(w).view(np.int64)
+
+
+def test_exact_count_is_the_largest_count_below_2_to_53():
+    for frac_bits in range(1, 49):
+        m = exact_count(frac_bits)
+        assert m << frac_bits < 1 << 53 <= (m + 1) << frac_bits
 
 
 @pytest.mark.parametrize("frac_bits", [1, 24, 48])

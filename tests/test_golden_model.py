@@ -76,7 +76,7 @@ def _train_sha256(tmp_path, data, *options) -> str:
 # 20,000 rows at subsample 0.9: every root streams about 18,000 samples,
 # three histogram blocks of HISTOGRAM_BLOCK = 8192
 MULTI_BLOCK_SHA256 = "b6ce9a98e2eacdfcfc1a1b80f2e9b590a6ed7a051eef4dc64a34b7679cd314cb"
-# 48 fractional bits: every block of 32 or more samples takes the 24-bit limb pass
+# 48 fractional bits: histogram blocks hold exact_count(48) = 31 samples
 HIGH_FRAC_BITS_SHA256 = "7b7ef2158ed655a89945d0d6d3b0fe8b3763d1f0485e1b1df0545f7e575b8f90"
 
 

@@ -1,5 +1,5 @@
-"""No module imports a name it never uses, and the oracles borrow no code
-they check.
+"""No module imports a name it never uses or binds a private module-level
+name it never reads, and the oracles borrow no code they check.
 
 pyflakes and ruff are not dependencies, so this is a small ast scan of
 src/, tests/ and scripts/.  Package __init__.py files are skipped: their
@@ -41,6 +41,38 @@ def test_no_unused_imports():
              for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))
              if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
+    assert found == []
+
+
+def unloaded_private_names(source: str) -> list:
+    """(line, name) of every module-level _name, bound by an assignment, def
+    or class, that the module itself never loads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(n.lineno, n.id) for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for line, name in bound
+                  if name.startswith("_") and not name.startswith("__") and name not in loaded)
+
+
+def test_private_name_scan_tells_loaded_from_unloaded():
+    source = ("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n\ndef _f():\n    _local = 1\n    return _A\n"
+              "\nclass _K:\n    pass\n\n_x = [_f]\n_x = None\n")
+    assert unloaded_private_names(source) == [(1, "_B"), (2, "_C"), (9, "_K"), (12, "_x"),
+                                              (13, "_x")]
+
+
+def test_no_unloaded_private_names():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))
+             for line, name in unloaded_private_names(path.read_text())]
     assert found == []
 
 

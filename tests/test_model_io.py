@@ -223,6 +223,16 @@ def test_integer_a_float_would_round_fails_at_load(rng, tmp_path, kind, path, wh
         load_with(2**53 + 1)
 
 
+@pytest.mark.parametrize("kind", ["model", "log"])
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_out_of_range_seed_fails_at_load(rng, tmp_path, kind, seed):
+    # the loaders build a TrainConfig, which refuses a seed outside 64 bits
+    load_with = _saved_with(rng, tmp_path, kind, ("config", "seed"))
+    load_with((1 << 64) - 1)
+    with pytest.raises(ValueError, match=rf"{kind} config: seed must be in \[0, 2\*\*64\)"):
+        load_with(seed)
+
+
 _SPLIT_FIELD_MUTATIONS = {
     "feature": [-1, "n_features", 1.5, "0", None, True],
     "threshold_bin": [-1, 255, 300, 2.0, None],

@@ -75,6 +75,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an? "):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        """subsample_indices hashes the seed as one 64-bit word, so a seed
+        outside [0, 2**64) would train the trees of another seed."""
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            TrainConfig(seed=seed)
+        assert TrainConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
     def test_defaults(self):
         cfg = TrainConfig()
         assert (cfg.lam, cfg.gamma, cfg.max_depth, cfg.n_trees) == (1.0, 0.0, 1, 100)
@@ -227,9 +235,9 @@ class TestBuildHistogram:
 @given(frac_bits=st.integers(1, 48), n=st.integers(1, 3000),
        seed=st.integers(0, 2**32 - 1), extreme=st.booleans(),
        block=st.sampled_from([None, 1, 3, 7]), start=st.integers(0, 9), one_bin=st.booleans())
-@example(frac_bits=48, n=3000, seed=0, extreme=True, block=None, start=0, one_bin=False)
-@example(frac_bits=42, n=2047, seed=1, extreme=True, block=None, start=0, one_bin=False)   # largest single float64 pass
-@example(frac_bits=42, n=2048, seed=1, extreme=True, block=None, start=0, one_bin=False)   # smallest 24-bit limb pass
+@example(frac_bits=48, n=3000, seed=0, extreme=True, block=None, start=0, one_bin=False)   # 96 blocks of 31 and a tail of 24
+@example(frac_bits=42, n=2047, seed=1, extreme=True, block=None, start=0, one_bin=False)   # one full block of 2047
+@example(frac_bits=42, n=2048, seed=1, extreme=True, block=None, start=0, one_bin=False)   # one full block and a tail of one
 @example(frac_bits=48, n=3000, seed=2, extreme=True, block=7, start=5, one_bin=False)     # 428 full blocks and a tail of 4
 @example(frac_bits=30, n=10, seed=3, extreme=False, block=3, start=9, one_bin=False)      # tail of one sample
 @example(frac_bits=24, n=1, seed=4, extreme=False, block=1, start=1, one_bin=False)

@@ -79,11 +79,14 @@ def test_reference_experiment_shape(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--trees", "0"], "error: --trees must be >= 1, got 0"),
     (["--clock-mhz", "nan"], "error: --clock-mhz: clock_hz must be a finite number > 0, got nan"),
+    (["--rows", "0"], "error: --rows must be >= 1, got 0"),
+    (["--max-depth", "0"], "error: max_depth must be >= 1"),
+    (["--subsample", "0"], "error: subsample must be in (0, 1]"),
 ])
 def test_refused_up_front(tmp_path, monkeypatch, capsys, argv, message):
     """The run reports the best AUC over its trees and the wall time at its
-    clock: zero trees and a NaN clock are refused with one error line before
-    the data is read."""
+    clock: zero trees or rows, a NaN clock and a config TrainConfig refuses
+    are each refused with one error line before the data is read."""
     (tmp_path / "synthetic.csv").write_text("".join(_higgs_like_lines(200)))
     monkeypatch.setattr("sys.argv", [str(SCRIPT), "--data", str(tmp_path / "synthetic.csv"),
                                      "--rows", "100", *argv])
