@@ -13,14 +13,17 @@ memory streams them, each cell holding its flat histogram key
 bin + 256 * feature.  It is built once per memory, so once per train(),
 uint16 while n_features <= 256 (the largest key is then 65,535) and uint32
 above, at 2 * n_samples * n_features bytes in the narrow case.  A block of
-the build is then one gather of whole rows and one widening copy into
-bincount's intp keys.
+the build is then one gather of whole rows, whose keys np.add.at takes as
+they are.
 The histogram build streams a node's range in blocks of
 min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) samples through
-three buffers of that many rows, made at first use and never resized: the
-gathered keys (of the key matrix's type), intp keys and float64 weights.
-The last keeps one float64 bincount of a block exact; it binds from
-frac_bits 40 (8,191 samples) up to 48 (31).
+four buffers, made at first use and never resized: the gathered keys (of
+the key matrix's type), n_features cells a row; the complex128 values
+grad + 1j * hess, one a row; the complex128 weights, n_features cells a row
+for min(WEIGHT_ROWS, block) rows, which the block's samples pass through
+in turn; and the complex128 (n_features, 256) bin sums.  The
+exact_count(frac_bits) bound keeps the float64 real and imaginary sums of
+a block exact; it binds from frac_bits 40 (8,191 samples) up to 48 (31).
 A table longer than n_samples streams in more blocks.
 The split scan's buffers are kept too: two layouts over one allocation,
 each a (2, n_features, 255, sides) int64 block of G and H prefix sums and
@@ -44,13 +47,19 @@ from .quantizer import MISSING_BIN, QuantizedMatrix
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
 # Samples per histogram accumulation block; it sizes the block buffers.  At
-# 2048, the histogram builds of a warm deep-1e-sized train() took 0.245 s
-# instead of 0.208 s (medians of 8 alternating process pairs, 2-core Xeon,
-# numpy 2.4), and train() itself was level within the noise.  Why is
-# unverified: a node histogram (114,688 B at 28 features) stays below
-# glibc's initial 128 KiB mmap threshold, and repeated builds of one node
-# took the same time at both sizes.
+# 2048, the histogram builds of a warm deep-1e-sized train() (10,048 x 28,
+# 40 depth-6 trees) took a median 0.198 s against 0.185 s at 8192, 8192
+# faster in 9 of 12 alternating in-process pairs, and train() 0.891 s
+# against 0.832 s; a second set gave 0.188 s against 0.182 s, 8 of 12
+# (2-core Xeon under load from other tenants, numpy 2.4).
 HISTOGRAM_BLOCK = 8192
+# Samples whose repeated complex weights one np.add.at pass of the build
+# reads: 458,752 bytes at 28 features, which are still in cache when the
+# pass reads them.  On a 5,024-row root at 28 features the build took a
+# median 464 us against 513 us with the whole block's weights in one pass
+# (11 alternating in-process rounds, 2-core Xeon, numpy 2.4); 512 and 2048
+# rows were in between.
+WEIGHT_ROWS = 1024
 
 
 @dataclass
@@ -82,13 +91,19 @@ class EngineMemory:
 
     @cached_property
     def block_buffers(self) -> tuple:
-        """(gathered, keys, weights): the histogram build's block scratch of
-        min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) rows,
-        n_features entries a row, of the key matrix's dtype, intp and float64."""
+        """(gathered, weights, values, sums): the histogram build's block
+        scratch for blocks of min(HISTOGRAM_BLOCK, n_samples,
+        exact_count(frac_bits)) rows.  gathered (of the key matrix's dtype)
+        holds n_features entries a row and values one complex128 a row;
+        weights holds min(WEIGHT_ROWS, rows) rows of n_features complex128
+        entries, and sums is the complex128 (n_features, 256) bin
+        accumulator."""
         rows = min(HISTOGRAM_BLOCK, self.matrix.n_samples, exact_count(self.state.frac_bits))
-        shape = (rows, self.matrix.n_features)
-        return (np.empty(shape, dtype=self.rows.dtype), np.empty(shape, dtype=np.intp),
-                np.empty(shape, dtype=np.float64))
+        n_features = self.matrix.n_features
+        return (np.empty((rows, n_features), dtype=self.rows.dtype),
+                np.empty((min(WEIGHT_ROWS, rows), n_features), dtype=np.complex128),
+                np.empty(rows, dtype=np.complex128),
+                np.empty((n_features, N_BINS), dtype=np.complex128))
 
     @cached_property
     def scan_buffers(self) -> tuple:

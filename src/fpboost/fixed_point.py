@@ -66,10 +66,13 @@ def sigmoid(x):
 
     With ex = exp(-|x|), 1 / (1 + ex) for x >= 0 and ex / (1 + ex) below:
     exp never overflows, and no branch splits the array.  minimum(x, -x) is
-    -|x| that keeps a NaN's sign and payload, as exp(x) does.
+    -|x| that keeps a NaN's sign and payload, as exp(x) does.  Some of
+    numpy's exp kernels flag a signalling NaN as invalid; the NaN still
+    comes back, so that flag is ignored.
     """
     x = np.asarray(x, dtype=np.float64)
-    ex = np.exp(np.minimum(x, -x))
+    with np.errstate(invalid="ignore"):
+        ex = np.exp(np.minimum(x, -x))
     out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
     return float(out) if out.ndim == 0 else out
 

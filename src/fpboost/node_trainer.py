@@ -152,21 +152,28 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) samples (see
     engine_memory).  Each block gathers its samples' rows of the memory's
     key matrix, whose cells hold the flat keys bin + 256 * feature already,
-    into a reused buffer, and widens them into bincount's intp keys; the
-    repeated weights go into a third reused buffer.  A block then sums G and
-    H in one float64 bincount each, exact because the block holds at most
-    exact_count(frac_bits) samples.  Block sums add up in int64, exactly too
-    while n * 2**frac_bits < 2**63, which train() checks; so the order the
-    samples are gathered in cannot change a bin.  The histogram is made
-    without a zero fill: the first block's sums are written into it, and
-    later blocks add to them.  An empty range gives the zero histogram.
+    into a reused buffer.  np.add.at then sums both channels of the block
+    into the zeroed complex (n_features, 256) accumulator, taking the
+    gathered keys as they are, in one pass per WEIGHT_ROWS samples; each
+    pass first repeats its samples' grad + 1j * hess once per feature into
+    a reused complex128 buffer.  A complex addition is two separate float64
+    additions, so the real parts sum G and the imaginary parts H, each exact
+    because the block holds at most exact_count(frac_bits) samples.  Block
+    sums add up in int64, exactly too while n * 2**frac_bits < 2**63, which
+    train() checks; so the order the samples are gathered in cannot change
+    a bin.  The histogram is made
+    without a zero fill: the first block's sums are cast into it, and later
+    blocks add to them.  An empty range gives the zero histogram.
     """
     start, end = node_range
     n_features = memory.matrix.n_features
     if end <= start:
         return np.zeros((2, n_features, N_BINS), dtype=np.int64)
     hist = np.empty((2, n_features, N_BINS), dtype=np.int64)
-    gathered, keys, weights = memory.block_buffers
+    gathered, weights, values, sums = memory.block_buffers
+    flat_sums = sums.ravel()            # a view: the buffers are C-contiguous
+    # sums' real (G) and imaginary (H) parts as a (2, n_features, 256) float64 view
+    channels = sums.view(np.float64).reshape(n_features, N_BINS, 2).transpose(2, 0, 1)
     block = len(gathered)           # >= 1: a non-empty range holds a sample id
     for lo in range(start, end, block):
         idx = memory.table[lo:min(lo + block, end)]
@@ -175,31 +182,21 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
         # mode="clip" lets take write into out unbuffered; init_index_table keeps
         # every id in range, and grads_raw[idx] below raises on one past the end
         np.take(memory.rows, idx, axis=0, out=block_keys, mode="clip")
-        flat = keys[:m].ravel()         # a view: the buffers are C-contiguous
-        np.copyto(flat, block_keys.ravel())
-        block_weights = weights[:m]
-        first = lo == start
-        _bin_sums(flat, memory.state.grads_raw[idx], block_weights, hist[G], first)
-        _bin_sums(flat, memory.state.hess_raw[idx], block_weights, hist[H], first)
+        block_values = values[:m]
+        block_values.real = memory.state.grads_raw[idx]
+        block_values.imag = memory.state.hess_raw[idx]
+        sums.fill(0)
+        for c in range(0, m, len(weights)):
+            chunk_values = block_values[c:c + len(weights)]
+            chunk_weights = weights[:len(chunk_values)]
+            np.copyto(chunk_weights, chunk_values[:, None])
+            # 1-d keys and weights: numpy's fast ufunc.at path takes no 2-d index
+            np.add.at(flat_sums, block_keys[c:c + len(weights)].ravel(), chunk_weights.ravel())
+        if lo == start:
+            np.copyto(hist, channels, casting="unsafe")
+        else:
+            np.add(hist, channels, out=hist, dtype=np.int64, casting="unsafe")
     return hist
-
-
-def _bin_sums(flat, raw, weights, out, first: bool) -> None:
-    """Write (first) or add the exact bin sums of a block's raw values into
-    out, one int64 (n_features, 256) channel of the node histogram.
-
-    weights is the (m, n_features) buffer that repeats each sample's value
-    once per feature, in the order of the flat keys.  The block holds at
-    most exact_count(frac_bits) samples, so the float64 bincount holds exact
-    integers, the unsafe cast into int64 is exact, and later additions run
-    in int64.
-    """
-    np.copyto(weights, raw.astype(np.float64)[:, None])
-    sums = np.bincount(flat, weights=weights.ravel(), minlength=out.size).reshape(out.shape)
-    if first:
-        np.copyto(out, sums, casting="unsafe")
-    else:
-        np.add(out, sums, out=out, dtype=np.int64, casting="unsafe")
 
 
 def split_gain(gl, hl, gr, hr, lam: float, gamma: float, parent, out):

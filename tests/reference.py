@@ -111,8 +111,10 @@ def masked_sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
+    # like sigmoid, ignore the invalid flag some exp kernels raise on a signalling NaN
+    with np.errstate(invalid="ignore"):
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
 

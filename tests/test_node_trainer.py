@@ -138,17 +138,21 @@ class TestBuildHistogram:
 
     def test_block_buffers_are_made_once(self, rng):
         """The memory sizes its block buffers at first use, to
-        min(HISTOGRAM_BLOCK, n_samples) rows, and every later build streams
-        through the same ones: a short range, the whole table, and a table
-        longer than n_samples."""
-        for n, block in ((50, 16), (50, 64), (10, 10)):
+        min(HISTOGRAM_BLOCK, n_samples) rows (the weights to at most
+        WEIGHT_ROWS of them, the bin accumulator to one complex pair a bin),
+        and every later build streams through the same ones: a short range,
+        the whole table, and a table longer than n_samples."""
+        for n, block, weight_rows in ((50, 16, 5), (50, 64, 1024), (10, 10, 3)):
             mem = _memory(rng, n, 4, missing_frac=0.05)
             mem.table = init_index_table(rng.permutation(n))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine_memory, "HISTOGRAM_BLOCK", block)
+                mp.setattr(engine_memory, "WEIGHT_ROWS", weight_rows)
                 build_histogram(mem, (3, 7))
             buffers = mem.block_buffers
-            assert [b.size for b in buffers] == [min(block, n) * 4] * 3
+            rows = min(block, n)
+            assert [b.shape for b in buffers] == [
+                (rows, 4), (min(weight_rows, rows), 4), (rows,), (4, N_BINS)]
             whole = build_histogram(mem, (0, n))
             mem.table = np.concatenate([mem.table, mem.table, mem.table[:5]])
             assert np.array_equal(build_histogram(mem, (0, n)), whole)
@@ -206,11 +210,11 @@ class TestBuildHistogram:
             tracemalloc.stop()
         assert peak < engine_memory.HISTOGRAM_BLOCK * n_features * 2
 
-    def test_warm_small_build_allocates_one_histogram_and_one_bincount(self, rng):
-        """A build writes its first block's sums into the node histogram
-        (4,096 bytes a feature), with no zero fill and no int64 copies of the
-        float64 bincount output (2,048 bytes a feature): a warm 40-sample
-        build peaks under both plus 1,024 bytes a feature."""
+    def test_warm_small_build_allocates_one_histogram(self, rng):
+        """A build casts its first block's sums from the memory's complex
+        accumulator into the node histogram (4,096 bytes a feature), with no
+        zero fill, no bin-sum output and no int64 copies of the sums: a warm
+        40-sample build peaks under the histogram plus 1,024 bytes a feature."""
         n_features = 28
         mem = _memory(rng, 40, n_features)
         build_histogram(mem, (0, 40))       # builds rows and the block buffers
@@ -220,7 +224,7 @@ class TestBuildHistogram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7168 * n_features
+        assert peak < 5120 * n_features
 
     def test_bitwise_conservation(self, rng):
         mem = _memory(rng, 257, 5)
