@@ -2,8 +2,11 @@
 """Generate a synthetic binary-classification CSV (label first, no header).
 
 The signal is a noisy linear combination of a few informative features.
-With the defaults, 100 boosted stumps (scripts/run_higgs.py) reach a maximum
-per-tree validation AUC of about 0.67: handy for offline pipeline runs.
+An offline stand-in for the README's HIGGS recipe is two files that share
+--task-seed and have different --seeds, say --rows 10048 --seed 1 for
+training and --rows 10048 --seed 2 for validation: 100 boosted stumps
+(`fpboost train` with its defaults) reach a maximum per-tree validation AUC
+of about 0.67 on them.
 """
 
 import argparse

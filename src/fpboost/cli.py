@@ -35,14 +35,15 @@ def _read(args, path=None) -> "RawDataset":
 
 
 def _cmd_train(args) -> int:
-    # both files are read before anything is written, the training file first
-    raw = _read(args)
-    valid_raw = _read(args, args.valid) if args.valid else None
+    # a bad config is refused before any data is read; both files are read
+    # before anything is written, the training file first
     config = TrainConfig(
         lam=args.lam, gamma=args.gamma, max_depth=args.max_depth,
         n_trees=args.trees, subsample=args.subsample, eta=args.eta,
         n_engines=args.engines, seed=args.seed, frac_bits=args.frac_bits,
     )
+    raw = _read(args)
+    valid_raw = _read(args, args.valid) if args.valid else None
     model, log, bins, auc_history = train_and_evaluate(raw, config, valid_raw, args.max_bins)
     save_model(model, bins, config, args.model_out)
     if args.log_out:

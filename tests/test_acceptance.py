@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from fpboost.boost_controller import predict_raw, train
+from fpboost.cli import main as cli_main
 from fpboost.cost_model import CostParams, estimate
-from fpboost.dataset import load_dataset
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, grad_hess, margin_probability
-from fpboost.metrics import train_and_evaluate
 from fpboost.model_io import load_model, save_model
 from fpboost.node_trainer import TrainConfig, build_histogram
 from fpboost.quantizer import RawDataset, fit_bin_map, transform
@@ -26,6 +25,7 @@ from conftest import random_quantized, random_raw
 from reference import assert_trees_match, merge_histograms, mp_grad_hess, ref_train, shard
 
 SCALE = 1 << FRAC_BITS
+HIGGS_HALVES = ("higgs_train.csv.gz", "higgs_valid.csv.gz")
 
 
 @contextmanager
@@ -94,36 +94,34 @@ def test_02_engine_count_invariance(tmp_path):
 
 
 def _find_higgs():
-    candidates = []
-    env = os.environ.get("FPBOOST_HIGGS")
-    if env:
-        candidates.append(Path(env))
+    """The directory holding scripts/fetch_higgs.py's two halves: the one
+    FPBOOST_HIGGS names, else data/ at the repository root."""
     here = Path(__file__).resolve().parent.parent
-    candidates += [here / "data" / "HIGGS.csv", here / "data" / "HIGGS.csv.gz"]
-    for c in candidates:
-        if c.is_file():
-            return str(c)
+    directory = Path(os.environ.get("FPBOOST_HIGGS") or here / "data")
+    if all((directory / name).is_file() for name in HIGGS_HALVES):
+        return directory
     return None
 
 
-def test_03_higgs_auc_band():
+def test_03_higgs_auc_band(tmp_path):
     higgs = _find_higgs()
     if higgs is None:
         print("[acceptance] 3 Higgs AUC band: SKIP (dataset file not present)")
         pytest.skip(
-            "HIGGS dataset not available: place the UCI file at data/HIGGS.csv[.gz] "
-            "or set FPBOOST_HIGGS (see scripts/fetch_higgs.py)"
+            "HIGGS dataset not available: write data/higgs_train.csv.gz and "
+            "data/higgs_valid.csv.gz with scripts/fetch_higgs.py, or set FPBOOST_HIGGS "
+            "to their directory"
         )
     with criterion("3 Higgs max per-tree validation AUC in [0.73, 0.78]"):
         started = time.monotonic()
-        full = load_dataset(higgs, "csv", label_col=0, max_rows=20_096)
-        assert full.n_samples == 20_096, "need at least 20,096 rows of HIGGS"
-        train_raw = RawDataset(values=full.values[:10_048], labels=full.labels[:10_048])
-        valid_raw = RawDataset(values=full.values[10_048:], labels=full.labels[10_048:])
-        config = TrainConfig(lam=1.0, gamma=0.0, max_depth=1, n_trees=100,
-                             subsample=0.5, eta=1.0, n_engines=64, seed=0)
-        *_, history = train_and_evaluate(train_raw, config, valid_raw)
-        max_auc = max(history)
+        # the README recipe; the CLI's defaults are the experiment's parameters
+        train_half, valid_half = (str(higgs / name) for name in HIGGS_HALVES)
+        metrics = tmp_path / "metrics.csv"
+        assert cli_main(["train", "--data", train_half, "--format", "csv",
+                         "--valid", valid_half, "--model-out", str(tmp_path / "model.json"),
+                         "--metrics-out", str(metrics)]) == 0
+        max_auc = max(float(row.split(",")[2])
+                      for row in metrics.read_text().splitlines()[1:])
         elapsed = time.monotonic() - started
         print(f"  higgs max per-tree validation AUC = {max_auc:.4f} ({elapsed:.1f}s)")
         assert 0.73 <= max_auc <= 0.78, f"max AUC {max_auc:.4f} outside band"

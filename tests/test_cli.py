@@ -119,6 +119,19 @@ def test_missing_file_is_single_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-depth", "0", "error: max_depth must be >= 1\n"),
+    ("--subsample", "0", "error: subsample must be in (0, 1]\n"),
+    ("--max-rows", "0", "error: max_rows must be >= 1, got 0\n"),
+], ids=["max-depth", "subsample", "max-rows"])
+def test_bad_option_is_refused_before_the_data_is_read(tmp_path, capsys, option, value,
+                                                       message):
+    rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--format", "csv",
+               option, value, "--model-out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_overflowing_frac_bits_is_single_line_error(tmp_path, capsys):
     # 2**15 samples at 48 fractional bits can overflow int64 node totals
@@ -297,12 +310,11 @@ def test_loaded_leaf_that_overflows_scores_names_the_tree(tmp_path, csv_pair, ca
 
 
 def _readme_cli_commands() -> list:
-    """Every `fpboost ...` command in the README's `## CLI` fenced block,
+    """Every `fpboost ...` command in the README's fenced blocks,
     continuation lines joined, split into arguments."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1]
-    block = re.search(r"```[a-z]*\n(.*?)```", section, re.S).group(1)
-    joined = re.sub(r"\\\n", " ", block)
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme, re.S)
+    joined = re.sub(r"\\\n", " ", "".join(blocks))
     return [shlex.split(line)[1:] for line in joined.splitlines()
             if line.startswith("fpboost ")]
 
