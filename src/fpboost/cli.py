@@ -100,13 +100,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    log = load_training_log(args.log)
+    # checked before the log is read, so a bad option is refused up front
     params = CostParams(
         clock_hz=args.clock_hz,
         pipeline_latency_cycles=args.pipeline_latency,
         gain_scan_cycles=args.gain_scan_cycles,
         per_tree_overhead_cycles=args.per_tree_overhead,
     )
+    log = load_training_log(args.log)
     report = estimate(log, log.n_samples, log.config, params, n_validation=args.n_validation)
     print(format_text(report))
     if args.out:

@@ -257,6 +257,14 @@ def test_non_finite_clock_is_single_line_error(tmp_path, csv_pair, capsys, clock
     assert not (tmp_path / "report.kv").exists()
 
 
+def test_nan_clock_is_refused_before_the_log_is_read(tmp_path, capsys):
+    rc = main(["cost", "--log", str(tmp_path / "nope.json"), "--clock-hz", "nan",
+               "--out", str(tmp_path / "report.kv")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: clock_hz must be a finite number > 0, got nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_data_error_mentions_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("1,0.5\n0,zzz\n")
