@@ -12,7 +12,7 @@ from .fixed_point import dequantize, margin_probability
 from .metrics import evaluate_per_tree, train_and_evaluate
 from .model_io import load_model, load_training_log, save_model, save_training_log
 from .node_trainer import TrainConfig
-from .quantizer import MAX_BINS, transform
+from .quantizer import MAX_BINS, check_max_bins, transform
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -42,6 +42,7 @@ def _cmd_train(args) -> int:
         n_trees=args.trees, subsample=args.subsample, eta=args.eta,
         n_engines=args.engines, seed=args.seed, frac_bits=args.frac_bits,
     )
+    check_max_bins(args.max_bins)
     raw = _read(args)
     valid_raw = _read(args, args.valid) if args.valid else None
     model, log, bins, auc_history = train_and_evaluate(raw, config, valid_raw, args.max_bins)

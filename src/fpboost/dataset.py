@@ -28,6 +28,7 @@ import gzip
 import io
 import itertools
 import locale
+import os
 
 import numpy as np
 
@@ -83,7 +84,8 @@ def _parse_lines(lines, line_no: int, width, label_col: int, want, strict_labels
     """Parse text lines numbered from line_no + 1 cell by cell, stopping
     after the `want`-th row without reading the line that follows it.
 
-    Returns (values or None, labels, width, number of the last line read).
+    Returns (cells or None, labels, width, number of the last line read); the
+    cells are a rows x width array that still holds the label column.
     """
     rows = []
     labels = []
@@ -100,11 +102,13 @@ def _parse_lines(lines, line_no: int, width, label_col: int, want, strict_labels
             if label_col >= len(cells):
                 raise ValueError(f"line {line_no}: no label column {label_col}")
             labels.append(_parse_label(cells[label_col], line_no, strict_labels))
-            cells = cells[:label_col] + cells[label_col + 1:]
         else:
             labels.append(0)
         row = np.empty(len(cells), dtype=np.float64)
         for j, cell in enumerate(cells):
+            if j == label_col:
+                row[j] = labels[-1]         # _store drops it
+                continue
             cell = cell.strip()
             if cell == "" or cell.lower() == "nan":
                 row[j] = np.nan
@@ -173,14 +177,34 @@ def _parse_block(chunk: list, line_no: int, width, label_col: int, want, strict_
         for i in odd.tolist():
             token = rows[i].strip().split(b",")[label_col].decode()
             labels[i] = _parse_label(token, line_no + kept_at[i] + 1, strict_labels)
-    return np.delete(table, label_col, axis=1), labels, width, end_no
+    return table, labels, width, end_no
+
+
+def _first_capacity(fh, chunk: list, rows: int, width: int, max_rows) -> int:
+    """Rows to make room for once the first chunk holding rows is parsed.
+
+    For a plain file, the rows its size gives at that chunk's bytes per row,
+    with 1/16 to spare, and never more than a row per `width` bytes (the
+    shortest row is its commas and newline); for a gzip file, whose size does
+    not tell, CSV_CHUNK_LINES.  Never more than max_rows.
+    """
+    if isinstance(fh, gzip.GzipFile):
+        predicted = CSV_CHUNK_LINES
+    else:
+        size = os.fstat(fh.fileno()).st_size
+        predicted = min(size * rows // sum(map(len, chunk)) * 17 // 16, size // width + 1)
+    if max_rows is not None:
+        predicted = min(predicted, max_rows)
+    return max(rows, predicted)
 
 
 def _load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
-    # the rows fill one array, doubled in place when full and cut to size at
-    # the end, so a load never holds its values twice
-    values = labels = None
-    n_rows = 0
+    # the values fill one flat buffer, one run of `capacity` cells per
+    # feature; it starts at the rows the file's size predicts, is doubled in
+    # place if they fall short, and is cut to size at the end, so a load never
+    # holds its values twice
+    buffer = labels = None
+    n_rows = n_features = capacity = 0
     width = None
     line_no = 0
     with _open_binary(path) as fh:
@@ -197,24 +221,50 @@ def _load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
             if block_values is None:
                 continue
             end = n_rows + block_labels.size
-            if values is None:
-                values = np.empty((max(end, CSV_CHUNK_LINES), block_values.shape[1]))
-                labels = np.empty(values.shape[0], dtype=np.int8)
-            elif end > values.shape[0]:
-                _resize(values, labels, max(end, 2 * values.shape[0]))
-            values[n_rows:end] = block_values
+            if buffer is None:
+                n_features = width - (label_col >= 0)
+                capacity = _first_capacity(fh, chunk, end, width, max_rows)
+                buffer = np.empty(n_features * capacity)
+                labels = np.empty(capacity, dtype=np.int8)
+            elif end > capacity:
+                capacity = _resize(buffer, labels, n_features, capacity, n_rows,
+                                   max(end, 2 * capacity))
+            _store(buffer.reshape(n_features, capacity)[:, n_rows:end], block_values, label_col)
             labels[n_rows:end] = block_labels
             n_rows = end
     if not n_rows:
         raise ValueError("no samples")
-    _resize(values, labels, n_rows)
-    return values, labels
+    _resize(buffer, labels, n_features, capacity, n_rows, n_rows)
+    return buffer.reshape(n_features, n_rows).T, labels
 
 
-def _resize(values: np.ndarray, labels: np.ndarray, n_rows: int) -> None:
-    """Grow or cut both arrays to n_rows rows in place; no view of them may exist."""
-    values.resize((n_rows, values.shape[1]), refcheck=False)
-    labels.resize(n_rows, refcheck=False)
+def _store(columns: np.ndarray, cells: np.ndarray, label_col: int) -> None:
+    """Write a rows x width chunk into a features x rows view, without the label column."""
+    if label_col < 0:
+        columns[...] = cells.T
+    else:
+        columns[:label_col] = cells[:, :label_col].T
+        columns[label_col:] = cells[:, label_col + 1:].T
+
+
+def _resize(buffer: np.ndarray, labels: np.ndarray, n_features: int, capacity: int,
+            n_rows: int, new_capacity: int) -> int:
+    """Grow or cut the runs of buffer and labels to new_capacity cells in
+    place, keeping the first n_rows cells of each; no view of them may exist.
+
+    Returns new_capacity.
+    """
+    growing = new_capacity > capacity
+    if growing:
+        buffer.resize(n_features * new_capacity, refcheck=False)
+    # each run moves to its new start; growing, the last run moves first, so
+    # no run is written over before it has moved
+    for f in (range(n_features - 1, 0, -1) if growing else range(1, n_features)):
+        buffer[f * new_capacity:f * new_capacity + n_rows] = buffer[f * capacity:f * capacity + n_rows]
+    if not growing:
+        buffer.resize(n_features * new_capacity, refcheck=False)
+    labels.resize(new_capacity, refcheck=False)
+    return new_capacity
 
 
 def _load_libsvm(path: str, n_features, max_rows):
@@ -251,11 +301,11 @@ def _load_libsvm(path: str, n_features, max_rows):
         raise ValueError("no features present")
     if max_seen > width:
         raise ValueError(f"feature index {max_seen} exceeds n_features {width}")
-    values = np.full((len(entries), width), np.nan, dtype=np.float64)
+    columns = np.full((width, len(entries)), np.nan, dtype=np.float64)
     for i, row in enumerate(entries):
         for j, v in row.items():
-            values[i, j] = v
-    return values, np.asarray(labels, dtype=np.int8)
+            columns[j, i] = v
+    return columns.T, np.asarray(labels, dtype=np.int8)
 
 
 def load_dataset(path: str, fmt: str, label_col: int = 0, n_features=None,
@@ -267,7 +317,9 @@ def load_dataset(path: str, fmt: str, label_col: int = 0, n_features=None,
     libsvm: leading token is the label (any value > 0 counts as 1 when
     strict_labels is off); feature ids are 1-based; absent ids are missing.
     With max_rows, reading stops after that many rows: later lines are never
-    read, so they cannot fail the load.
+    read, so they cannot fail the load.  The values are column-contiguous:
+    one features x rows array, returned transposed, so each feature's column
+    is one run of memory.
     """
     if max_rows is not None and max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")

@@ -43,8 +43,20 @@ def nearest_centroid_scan(value: float, centroids) -> int:
     return best
 
 
+def nearest_centroid_scan_all(values, centroids) -> np.ndarray:
+    """nearest_centroid_scan of every value at once: the first index of the least |value - c|.
+
+    A distance that overflows is inf, as in the scalar scan.  A NaN value
+    gives index 0; callers skip it.
+    """
+    v = np.asarray(values, dtype=np.float64)[:, None]
+    c = np.asarray(centroids, dtype=np.float64)[None, :]
+    with np.errstate(over="ignore"):
+        return np.argmin(np.abs(v - c), axis=1)
+
+
 def ref_transform(raw, bins):
-    """Nearest-centroid bins by one searchsorted per value, with no guess table.
+    """Nearest-centroid bins by one searchsorted of the centroids per value, with no table.
 
     Across centroids that span more than the float range a distance may
     overflow to inf; the comparison still picks the nearer side, so callers

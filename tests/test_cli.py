@@ -123,7 +123,8 @@ def test_missing_file_is_single_line_error(tmp_path, capsys):
     ("--max-depth", "0", "error: max_depth must be >= 1\n"),
     ("--subsample", "0", "error: subsample must be in (0, 1]\n"),
     ("--max-rows", "0", "error: max_rows must be >= 1, got 0\n"),
-], ids=["max-depth", "subsample", "max-rows"])
+    ("--max-bins", "0", "error: max_bins must be in [1, 255]\n"),
+], ids=["max-depth", "subsample", "max-rows", "max-bins"])
 def test_bad_option_is_refused_before_the_data_is_read(tmp_path, capsys, option, value,
                                                        message):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--format", "csv",

@@ -331,7 +331,8 @@ def test_gzip_input_spans_chunks(tmp_path):
 @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
 @pytest.mark.parametrize("max_rows", [None, 1, 3 * CSV_CHUNK_LINES + 5, 5 * CSV_CHUNK_LINES + 3])
 def test_rows_fill_one_array_cut_to_size(tmp_path, suffix, max_rows):
-    # 5 chunks and a tail: the value array doubles twice and is cut at the end
+    # 5 chunks and a tail: a gzip file's buffer doubles twice, a plain file's
+    # starts at the rows its size predicts, and both are cut at the end
     n = 5 * CSV_CHUNK_LINES + 3
     path = tmp_path / f"d{suffix}"
     text = "".join(line + "\n" for line in _rows(n))
@@ -342,6 +343,52 @@ def test_rows_fill_one_array_cut_to_size(tmp_path, suffix, max_rows):
             fh.write(text)
     got = _check_against_reference(path, max_rows=max_rows)
     assert got.n_samples == (max_rows or n)
-    for array in (got.values, got.labels):
-        assert array.flags.owndata and array.flags.c_contiguous
-        assert array.shape[0] == got.n_samples
+    assert got.labels.flags.owndata and got.labels.flags.c_contiguous
+    assert got.labels.shape == (got.n_samples,)
+    _assert_one_features_by_rows_buffer(got.values, got.n_samples)
+
+
+def test_rows_beyond_the_size_prediction_grow_the_buffer(tmp_path):
+    # the first chunk's long rows predict about a third of the rows the file holds
+    long = [f"{i % 2},{i / 7:.17g},{-i / 3:.17g},{i / 9:.17g}" for i in range(CSV_CHUNK_LINES)]
+    short = [f"{i % 2},{i % 10},{i % 3},{i % 7}" for i in range(4 * CSV_CHUNK_LINES)]
+    path = tmp_path / "d.csv"
+    path.write_text("".join(line + "\n" for line in long + short))
+    got = _check_against_reference(path)
+    assert got.n_samples == 5 * CSV_CHUNK_LINES
+    _assert_one_features_by_rows_buffer(got.values, got.n_samples)
+
+
+def _assert_one_features_by_rows_buffer(values, n_rows):
+    """values is the transpose of one buffer of exactly n_features x n_rows cells."""
+    assert values.shape[0] == n_rows
+    assert values.flags.f_contiguous
+    assert values.base.flags.owndata and values.base.size == values.size
+
+
+def test_libsvm_columns_are_contiguous(tmp_path):
+    path = _write(tmp_path, "d.libsvm", "1 1:0.5 3:2.0\n0 2:1.5\n1 3:-1.0\n")
+    raw = load_dataset(path, "libsvm")
+    _assert_one_features_by_rows_buffer(raw.values, 3)
+    assert np.array_equal(raw.values, [[0.5, np.nan, 2.0], [np.nan, 1.5, np.nan],
+                                       [np.nan, np.nan, -1.0]], equal_nan=True)
+
+
+@pytest.mark.parametrize("label_col", [-1, 0, 1, 3])
+def test_csv_columns_are_contiguous_wherever_the_label_is(tmp_path, label_col):
+    # chunk 1 goes through np.loadtxt and chunk 2, with a "1_0.0" cell that
+    # only float() reads, through the line parser; both drop the label cell
+    n = CSV_CHUNK_LINES + 5
+    rows = np.arange(4.0 * n).reshape(n, 4)
+    if label_col >= 0:
+        rows[:, label_col] %= 2
+    rows[n - 2, 2] = 10.0
+    cells = [[repr(v) for v in row] for row in rows.tolist()]
+    cells[n - 2][2] = "1_0.0"
+    path = _write(tmp_path, "d.csv", "".join(",".join(row) + "\n" for row in cells))
+    raw = load_dataset(path, "csv", label_col=label_col)
+    _assert_one_features_by_rows_buffer(raw.values, n)
+    if label_col >= 0:
+        assert np.array_equal(raw.labels, rows[:, label_col])
+        rows = np.delete(rows, label_col, axis=1)
+    assert np.array_equal(raw.values, rows)

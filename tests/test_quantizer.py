@@ -10,7 +10,8 @@ from fpboost.boost_controller import train
 from fpboost.model_io import save_model
 from fpboost.node_trainer import TrainConfig
 from fpboost.quantizer import MISSING_BIN, BinMap, RawDataset, fit_bin_map, fit_bins, transform
-from reference import nearest_centroid_scan, ref_transform, sort_rank_quantiles
+from reference import (nearest_centroid_scan, nearest_centroid_scan_all, ref_transform,
+                       sort_rank_quantiles)
 
 
 def _matrix(values, centroids_per_feature):
@@ -143,20 +144,22 @@ def _transform_column(values, centroids):
 
 @pytest.fixture
 def searched(monkeypatch):
-    """Sizes of the value arrays transform passes to searchsorted, table edges excluded."""
+    """Sizes of the value arrays transform binary-searches instead of reading its table."""
     sizes = []
-    search = quantizer._insertion_points
+    search = quantizer._search
 
-    def spy(c, v):
-        if v.size != quantizer.GUESS_BUCKETS:
-            sizes.append(v.size)
-        return search(c, v)
+    def spy(thresholds, v):
+        sizes.append(v.size)
+        return search(thresholds, v)
 
-    monkeypatch.setattr(quantizer, "_insertion_points", spy)
+    monkeypatch.setattr(quantizer, "_search", spy)
     return sizes
 
 
 class TestGuessTable:
+    """The decision table's guess per bucket (see quantizer._Decision), checked
+    by one compare, and the binary search that replaces it."""
+
     def test_bucket_index_clips_before_subtracting(self):
         # 1.7e308 - (-1e308) overflows; the clip to 1e307 comes first
         values = [1.7e308, -1.7e308, 0.0, 5e306]
@@ -180,7 +183,7 @@ class TestGuessTable:
         assert _transform_column(values, [1.0, 3.0]) == [0, 0, 0, 1, 1, 1, MISSING_BIN, 0]
 
     def test_every_value_misses(self, searched):
-        # all values fall in bucket 0, whose guess is 1; each lies above c[1]
+        # the first three thresholds crowd bucket 0, where every value falls
         cents = [0.0, 1e-12, 2e-12, 3e-12, 1.0]
         values = [1.2e-12, 1.8e-12, 2.2e-12, 2.9e-12, 3e-12, 2e-12 + 1e-25]
         assert _transform_column(values, cents) == [1, 2, 2, 3, 3, 2]
@@ -251,17 +254,77 @@ def _columns(draw):
 def test_transform_matches_search_per_value_and_linear_scan(column):
     values, cents = column
     got = _transform_column(values, cents)
-    for v, b in zip(values, got):
+    for v, b, scan in zip(values, got, nearest_centroid_scan_all(values, cents).tolist()):
         if np.isnan(v):
             assert b == MISSING_BIN
             continue
-        scan = nearest_centroid_scan(v, cents)
         assert abs(v - cents[b]) == abs(v - cents[scan])
         # the scan breaks a tie between rounded distances at the lowest index
         # anywhere; transform compares only the two neighbours of v, so it can
         # pick the upper of them when the distances of centroids below v round
         # to the same float
         assert b == scan or (scan < b and cents[b] <= v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_columns())
+def test_vectorised_scan_matches_the_scalar_scan(column):
+    values, cents = column
+    for v, got in zip(values, nearest_centroid_scan_all(values, cents).tolist()):
+        if not np.isnan(v):
+            assert got == nearest_centroid_scan(v, cents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_columns())
+def test_c_and_f_ordered_values_give_the_same_bins(column):
+    values, cents = column
+    bins = BinMap([cents, cents])
+    stacked = np.column_stack([values, values[::-1]])
+    labels = np.zeros(len(values), dtype=np.int8)
+    with np.errstate(over="ignore"):        # see _transform_column
+        expected = ref_transform(RawDataset(values=stacked, labels=labels), bins)
+    for order in "CF":
+        raw = RawDataset(values=np.asarray(stacked, order=order), labels=labels)
+        assert raw.values.flags[f"{order}_CONTIGUOUS"]
+        assert transform(raw, bins).columns.tobytes() == expected.columns.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_centroid_lists())
+def test_thresholds_are_the_last_values_that_take_the_lower_centroid(centroids):
+    cents = np.array(sorted(set(centroids)))
+    thresholds = BinMap([cents]).decisions[0].thresholds
+    assert thresholds.shape == (cents.size - 1,)
+    with np.errstate(over="ignore"):        # a distance across a huge span is inf
+        for a, b, t in zip(cents[:-1], cents[1:], thresholds):
+            assert a <= t < b
+            assert (t - a) <= (b - t)
+            up = np.nextafter(t, np.inf)
+            assert not (up - a) <= (b - up)
+
+
+def test_any_nan_is_missing():
+    # quiet and signalling NaNs of either sign; the table's end slots hold them
+    bits = [0x7FF8000000000000, 0x7FF0000000000001, -0x0008000000000000, -0x000FFFFFFFFFFFFF]
+    nans = np.array(bits, dtype=np.int64).view(np.float64)
+    assert np.isnan(nans).all() and np.signbit(nans).tolist() == [False, False, True, True]
+    values = np.concatenate([nans, [0.0, 1e307]])
+    # through a table, and over a span too wide for one
+    assert _transform_column(values, [1.0, 2.0, 3.0]) == [MISSING_BIN] * 4 + [0, 2]
+    assert _transform_column(values, [-1e308, 1e308]) == [MISSING_BIN] * 4 + [0, 1]
+
+
+def test_c_and_f_ordered_workload_values_give_the_same_bytes(rng):
+    values = rng.normal(size=(3000, 6))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    labels = np.zeros(3000, dtype=np.int8)
+    raw = RawDataset(values=values, labels=labels)
+    bins = fit_bin_map(raw)
+    c_order = transform(raw, bins)
+    f_order = transform(RawDataset(values=np.asfortranarray(values), labels=labels), bins)
+    assert c_order.columns.tobytes() == f_order.columns.tobytes()
+    assert np.array_equal(c_order.columns, ref_transform(raw, bins).columns)
 
 
 finite_columns = st.lists(
