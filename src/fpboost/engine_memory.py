@@ -19,12 +19,13 @@ The histogram build streams a node's range in blocks of
 min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) samples through
 four buffers, made at first use and never resized: the gathered keys (of
 the key matrix's type), n_features cells a row; the complex128 values
-grad + 1j * hess, one a row; the complex128 weights, n_features cells a row
-for min(WEIGHT_ROWS, block) rows, which the block's samples pass through
-in turn; and the complex128 (n_features, 256) bin sums.  The
-exact_count(frac_bits) bound keeps the float64 real and imaginary sums of
-a block exact; it binds from frac_bits 40 (8,191 samples) up to 48 (31).
-A table longer than n_samples streams in more blocks.
+grad + 1j * hess, one a row; the complex128 weights, n_features cells a
+row, which repeat each value once per feature; and the complex128
+(n_features, 256) bin sums.  The sums go into the int64 histogram once
+every exact_count(frac_bits) // block * block samples, which keeps their
+float64 real and imaginary parts exact: every 536,869,888 samples at the
+default 24 bits (once for any smaller node), every 7,168 at 40, 1,024 at
+42 and 31 at 48, where exact_count also caps the block.
 The split scan's buffers are kept too: two layouts over one allocation,
 each a (2, n_features, 255, sides) int64 block of G and H prefix sums and
 six float64 planes of the candidates' (n_features, 255, sides) shape
@@ -46,20 +47,15 @@ from .fixed_point import FRAC_BITS, exact_count, grad_hess, margin_probability, 
 from .quantizer import MISSING_BIN, QuantizedMatrix
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
-# Samples per histogram accumulation block; it sizes the block buffers.  At
-# 2048, the histogram builds of a warm deep-1e-sized train() (10,048 x 28,
-# 40 depth-6 trees) took a median 0.198 s against 0.185 s at 8192, 8192
-# faster in 9 of 12 alternating in-process pairs, and train() 0.891 s
-# against 0.832 s; a second set gave 0.188 s against 0.182 s, 8 of 12
-# (2-core Xeon under load from other tenants, numpy 2.4).
-HISTOGRAM_BLOCK = 8192
-# Samples whose repeated complex weights one np.add.at pass of the build
-# reads: 458,752 bytes at 28 features, which are still in cache when the
-# pass reads them.  On a 5,024-row root at 28 features the build took a
-# median 464 us against 513 us with the whole block's weights in one pass
-# (11 alternating in-process rounds, 2-core Xeon, numpy 2.4); 512 and 2048
-# rows were in between.
-WEIGHT_ROWS = 1024
+# Samples per histogram block: one gather and one np.add.at pass, whose
+# repeated complex weights take 458,752 bytes at 28 features and are still
+# in cache when the pass reads them.  On a 5,024-row root at 28 features
+# the build took a median 464 us in 1,024-row passes against 513 us with
+# 8,192-row ones, 512 and 2048 rows in between; gathering 1,024 rows at a
+# time too, not 8,192, took 771 against 758 us there and 4,786 against
+# 4,725 us on a 50,000-row root (11 and 61 alternating in-process rounds,
+# 2-core Xeon, numpy 2.4).
+HISTOGRAM_BLOCK = 1024
 
 
 @dataclass
@@ -94,14 +90,13 @@ class EngineMemory:
         """(gathered, weights, values, sums): the histogram build's block
         scratch for blocks of min(HISTOGRAM_BLOCK, n_samples,
         exact_count(frac_bits)) rows.  gathered (of the key matrix's dtype)
-        holds n_features entries a row and values one complex128 a row;
-        weights holds min(WEIGHT_ROWS, rows) rows of n_features complex128
-        entries, and sums is the complex128 (n_features, 256) bin
+        and weights (complex128) hold n_features entries a row, values one
+        complex128 a row, and sums is the complex128 (n_features, 256) bin
         accumulator."""
         rows = min(HISTOGRAM_BLOCK, self.matrix.n_samples, exact_count(self.state.frac_bits))
         n_features = self.matrix.n_features
         return (np.empty((rows, n_features), dtype=self.rows.dtype),
-                np.empty((min(WEIGHT_ROWS, rows), n_features), dtype=np.complex128),
+                np.empty((rows, n_features), dtype=np.complex128),
                 np.empty(rows, dtype=np.complex128),
                 np.empty((n_features, N_BINS), dtype=np.complex128))
 

@@ -9,14 +9,19 @@ from .quantizer import MAX_BINS, QuantizedMatrix, RawDataset, fit_bin_map, trans
 from .splitter import replay_scores
 
 
+def _class_counts(labels) -> tuple:
+    """(positives, negatives) of labels that hold at least one of each."""
+    counts = int(np.count_nonzero(labels == 1)), int(np.count_nonzero(labels == 0))
+    if 0 in counts:
+        raise ValueError("AUC undefined: need at least one positive and one negative label")
+    return counts
+
+
 def auc(scores, labels) -> float:
     """Rank-based AUC with midranks for tied scores."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    n_pos = int(np.count_nonzero(y == 1))
-    n_neg = int(np.count_nonzero(y == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC undefined: need at least one positive and one negative label")
+    n_pos, n_neg = _class_counts(y)
     order = np.argsort(s)
     sorted_scores = s[order]
     if np.isnan(sorted_scores[-1]):       # NaN sorts last
@@ -58,9 +63,11 @@ def train_and_evaluate(train_raw: RawDataset, config: TrainConfig,
     None without a validation set).  A 0-tree model has an empty list.
     """
     bins = fit_bin_map(train_raw, max_bins)
-    # quantized before training, so a validation set that does not fit the
-    # bins fails before the run, not after it
+    # quantized and checked for both classes before training, so a
+    # validation set that cannot be scored fails before the run, not after it
     valid = None if valid_raw is None else transform(valid_raw, bins)
+    if valid is not None and config.n_trees:
+        _class_counts(valid_raw.labels)
     model, log = train(transform(train_raw, bins), train_raw.labels, config)
     history = None if valid is None else []
     # evaluate_per_tree refuses an empty model: it has no max AUC

@@ -152,18 +152,17 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     min(HISTOGRAM_BLOCK, n_samples, exact_count(frac_bits)) samples (see
     engine_memory).  Each block gathers its samples' rows of the memory's
     key matrix, whose cells hold the flat keys bin + 256 * feature already,
-    into a reused buffer.  np.add.at then sums both channels of the block
-    into the zeroed complex (n_features, 256) accumulator, taking the
-    gathered keys as they are, in one pass per WEIGHT_ROWS samples; each
-    pass first repeats its samples' grad + 1j * hess once per feature into
-    a reused complex128 buffer.  A complex addition is two separate float64
-    additions, so the real parts sum G and the imaginary parts H, each exact
-    because the block holds at most exact_count(frac_bits) samples.  Block
-    sums add up in int64, exactly too while n * 2**frac_bits < 2**63, which
-    train() checks; so the order the samples are gathered in cannot change
-    a bin.  The histogram is made
-    without a zero fill: the first block's sums are cast into it, and later
-    blocks add to them.  An empty range gives the zero histogram.
+    and repeats their grad + 1j * hess once per feature; one np.add.at call
+    then sums both channels into the complex (n_features, 256) accumulator.
+    A complex addition is two separate float64 additions, so the real parts
+    sum G and the imaginary parts H, each exact while the accumulator holds
+    at most exact_count(frac_bits) samples.  So it is zeroed, and its sums
+    go into the histogram, once every exact_count(frac_bits) // block * block
+    samples.  Those sums add up in int64, exactly too while
+    n * 2**frac_bits < 2**63, which train() checks; so the order the samples
+    are gathered in cannot change a bin.  The histogram gets no zero fill:
+    the first sums are cast into it, and later ones add to them.  An empty
+    range gives the zero histogram.
     """
     start, end = node_range
     n_features = memory.matrix.n_features
@@ -175,27 +174,25 @@ def build_histogram(memory: EngineMemory, node_range: tuple) -> np.ndarray:
     # sums' real (G) and imaginary (H) parts as a (2, n_features, 256) float64 view
     channels = sums.view(np.float64).reshape(n_features, N_BINS, 2).transpose(2, 0, 1)
     block = len(gathered)           # >= 1: a non-empty range holds a sample id
+    flush = exact_count(memory.state.frac_bits) // block * block
     for lo in range(start, end, block):
         idx = memory.table[lo:min(lo + block, end)]
         m = idx.size
-        block_keys = gathered[:m]
+        if (lo - start) % flush == 0:
+            sums.fill(0)
         # mode="clip" lets take write into out unbuffered; init_index_table keeps
         # every id in range, and grads_raw[idx] below raises on one past the end
-        np.take(memory.rows, idx, axis=0, out=block_keys, mode="clip")
-        block_values = values[:m]
-        block_values.real = memory.state.grads_raw[idx]
-        block_values.imag = memory.state.hess_raw[idx]
-        sums.fill(0)
-        for c in range(0, m, len(weights)):
-            chunk_values = block_values[c:c + len(weights)]
-            chunk_weights = weights[:len(chunk_values)]
-            np.copyto(chunk_weights, chunk_values[:, None])
-            # 1-d keys and weights: numpy's fast ufunc.at path takes no 2-d index
-            np.add.at(flat_sums, block_keys[c:c + len(weights)].ravel(), chunk_weights.ravel())
-        if lo == start:
-            np.copyto(hist, channels, casting="unsafe")
-        else:
-            np.add(hist, channels, out=hist, dtype=np.int64, casting="unsafe")
+        np.take(memory.rows, idx, axis=0, out=gathered[:m], mode="clip")
+        values.real[:m] = memory.state.grads_raw[idx]
+        values.imag[:m] = memory.state.hess_raw[idx]
+        np.copyto(weights[:m], values[:m, None])
+        # 1-d keys and weights: numpy's fast ufunc.at path takes no 2-d index
+        np.add.at(flat_sums, gathered[:m].ravel(), weights[:m].ravel())
+        if lo + m == end or (lo + m - start) % flush == 0:
+            if lo - start < flush:
+                np.copyto(hist, channels, casting="unsafe")
+            else:
+                np.add(hist, channels, out=hist, dtype=np.int64, casting="unsafe")
     return hist
 
 

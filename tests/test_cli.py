@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fpboost import metrics
 from fpboost.cli import build_parser, main
 from fpboost.model_io import load_model
 
@@ -108,6 +109,28 @@ def test_zero_trees_with_validation_writes_an_empty_model(tmp_path, csv_pair, ca
                "--model", str(tmp_path / "model.json")])
     assert rc == 1
     assert capsys.readouterr().err == "error: empty model\n"
+
+
+def test_single_class_validation_file_is_refused_before_training(tmp_path, csv_pair, capsys,
+                                                                  monkeypatch):
+    def no_training(*args):
+        raise AssertionError("trained before the validation labels were checked")
+
+    monkeypatch.setattr(metrics, "train", no_training)
+    train_csv, valid_csv = csv_pair
+    lines = Path(valid_csv).read_text().splitlines()
+    Path(valid_csv).write_text("".join("1" + line[1:] + "\n" for line in lines))
+    rc = main(_train_args(train_csv, valid_csv, tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: AUC undefined: need at least one positive and one negative label\n")
+    assert not any((tmp_path / name).exists() for name in ("model.json", "log.json",
+                                                            "metrics.csv"))
+
+    # with no tree to score, one class is no fault: the empty model is written
+    monkeypatch.undo()
+    assert main(_train_args(train_csv, valid_csv, tmp_path, extra=("--trees", "0"))) == 0
+    assert load_model(str(tmp_path / "model.json")).model.n_trees == 0
 
 
 def test_missing_file_is_single_line_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpboost import boost_controller
-from fpboost.engine_memory import HISTOGRAM_BLOCK, N_BINS, WEIGHT_ROWS, init_index_table, load
+from fpboost.engine_memory import HISTOGRAM_BLOCK, N_BINS, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, exact_count
 from fpboost.node_trainer import TreeNode, TrainConfig
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
@@ -181,16 +181,16 @@ def test_rows_are_the_key_matrix(rng, n_features, dtype):
                              for row in columns.T.tolist()]
 
 
-@pytest.mark.parametrize("frac_bits, rows", [(24, 8192), (40, 8191), (41, 4095), (48, 31)])
+@pytest.mark.parametrize("frac_bits, exact",
+                         [(24, 536870911), (40, 8191), (41, 4095), (42, 2047), (48, 31)])
 @pytest.mark.parametrize("n", [20000, 100])
-def test_block_rows_keep_one_float64_pass_exact(rng, frac_bits, rows, n):
+def test_block_rows_keep_one_float64_pass_exact(rng, frac_bits, exact, n):
     """A histogram block holds min(HISTOGRAM_BLOCK, n_samples,
     exact_count(frac_bits)) samples, so the float64 real and imaginary bin
     sums of its raw values, each at most 2**frac_bits in magnitude, are
-    exact; the complex weights hold at most WEIGHT_ROWS of its samples."""
-    assert min(HISTOGRAM_BLOCK, exact_count(frac_bits)) == rows
+    exact; keys and weights hold one row a sample of the block."""
+    assert exact_count(frac_bits) == exact
     matrix, labels = random_quantized(rng, n, 2)
     buffers = load(matrix, labels, 0.0, frac_bits).block_buffers
-    block = min(rows, n)
-    assert [b.shape for b in buffers] == [
-        (block, 2), (min(WEIGHT_ROWS, block), 2), (block,), (2, N_BINS)]
+    block = min(HISTOGRAM_BLOCK, exact, n)
+    assert [b.shape for b in buffers] == [(block, 2), (block, 2), (block,), (2, N_BINS)]

@@ -8,7 +8,7 @@ from fpboost.fixed_point import sigmoid
 from fpboost import metrics
 from fpboost.metrics import auc, evaluate_per_tree, train_and_evaluate
 from fpboost.node_trainer import TrainConfig, TreeNode
-from fpboost.quantizer import BinMap, fit_bin_map, transform
+from fpboost.quantizer import BinMap, RawDataset, fit_bin_map, transform
 from fpboost.splitter import TreeModel
 from conftest import random_raw
 from reference import pair_count_auc
@@ -155,3 +155,12 @@ class TestTrainAndEvaluate:
         monkeypatch.setattr(metrics, "train", no_training)
         with pytest.raises(ValueError, match="feature count mismatch"):
             train_and_evaluate(random_raw(rng, 50, 3), self.CFG, random_raw(rng, 50, 2))
+
+    def test_single_class_validation_set_fails_before_training(self, rng, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before the validation labels were checked")
+
+        monkeypatch.setattr(metrics, "train", no_training)
+        valid_raw = RawDataset(values=random_raw(rng, 50, 3).values, labels=np.ones(50))
+        with pytest.raises(ValueError, match="need at least one positive and one negative"):
+            train_and_evaluate(random_raw(rng, 50, 3), self.CFG, valid_raw)

@@ -137,22 +137,20 @@ class TestBuildHistogram:
         assert np.array_equal(double, 2 * single)
 
     def test_block_buffers_are_made_once(self, rng):
-        """The memory sizes its block buffers at first use, to
-        min(HISTOGRAM_BLOCK, n_samples) rows (the weights to at most
-        WEIGHT_ROWS of them, the bin accumulator to one complex pair a bin),
-        and every later build streams through the same ones: a short range,
-        the whole table, and a table longer than n_samples."""
-        for n, block, weight_rows in ((50, 16, 5), (50, 64, 1024), (10, 10, 3)):
+        """The memory sizes its block buffers at first use, the keys, weights
+        and values to min(HISTOGRAM_BLOCK, n_samples) rows and the bin
+        accumulator to one complex pair a bin, and every later build streams
+        through the same ones: a short range, the whole table, and a table
+        longer than n_samples."""
+        for n, block in ((50, 16), (50, 64), (10, 10), (10, 3)):
             mem = _memory(rng, n, 4, missing_frac=0.05)
             mem.table = init_index_table(rng.permutation(n))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine_memory, "HISTOGRAM_BLOCK", block)
-                mp.setattr(engine_memory, "WEIGHT_ROWS", weight_rows)
                 build_histogram(mem, (3, 7))
             buffers = mem.block_buffers
             rows = min(block, n)
-            assert [b.shape for b in buffers] == [
-                (rows, 4), (min(weight_rows, rows), 4), (rows,), (4, N_BINS)]
+            assert [b.shape for b in buffers] == [(rows, 4), (rows, 4), (rows,), (4, N_BINS)]
             whole = build_histogram(mem, (0, n))
             mem.table = np.concatenate([mem.table, mem.table, mem.table[:5]])
             assert np.array_equal(build_histogram(mem, (0, n)), whole)
@@ -197,9 +195,9 @@ class TestBuildHistogram:
 
     def test_warm_build_allocates_no_block_keys(self, rng):
         """A root of several blocks gathers its keys into the memory's block
-        buffers: a warm build allocates less than one uint16 copy of a
-        block's keys, a quarter of an intp one."""
-        n, n_features = 2 * engine_memory.HISTOGRAM_BLOCK + 100, 28
+        buffers: a warm build allocates less than one uint16 copy of the
+        node's keys, a quarter of an intp one."""
+        n, n_features = 8 * engine_memory.HISTOGRAM_BLOCK + 100, 28
         mem = _memory(rng, n, n_features)
         build_histogram(mem, (0, n))        # builds rows and the block buffers
         tracemalloc.start()
@@ -208,7 +206,7 @@ class TestBuildHistogram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < engine_memory.HISTOGRAM_BLOCK * n_features * 2
+        assert peak < mem.rows.nbytes      # the node is the whole table
 
     def test_warm_small_build_allocates_one_histogram(self, rng):
         """A build casts its first block's sums from the memory's complex
@@ -239,12 +237,29 @@ class TestBuildHistogram:
 @given(frac_bits=st.integers(1, 48), n=st.integers(1, 3000),
        seed=st.integers(0, 2**32 - 1), extreme=st.booleans(),
        block=st.sampled_from([None, 1, 3, 7]), start=st.integers(0, 9), one_bin=st.booleans())
+# at the default HISTOGRAM_BLOCK the float sums go into the histogram every
+# 31 samples at frac_bits 48, every 1,024 at 42 and every 3,072 at 41; the
+# one_bin examples take n one short of and one past one and two of these
+# intervals, with every sample of feature 0 in bin 0, so that a bin passes
+# exact_count(frac_bits) samples
 @example(frac_bits=48, n=3000, seed=0, extreme=True, block=None, start=0, one_bin=False)   # 96 blocks of 31 and a tail of 24
-@example(frac_bits=42, n=2047, seed=1, extreme=True, block=None, start=0, one_bin=False)   # one full block of 2047
-@example(frac_bits=42, n=2048, seed=1, extreme=True, block=None, start=0, one_bin=False)   # one full block and a tail of one
-@example(frac_bits=48, n=3000, seed=2, extreme=True, block=7, start=5, one_bin=False)     # 428 full blocks and a tail of 4
-@example(frac_bits=30, n=10, seed=3, extreme=False, block=3, start=9, one_bin=False)      # tail of one sample
+@example(frac_bits=42, n=2047, seed=1, extreme=True, block=None, start=0, one_bin=False)   # a block of 1,024 and one of 1,023
+@example(frac_bits=42, n=2048, seed=1, extreme=True, block=None, start=0, one_bin=False)   # two blocks of 1,024
+@example(frac_bits=48, n=3000, seed=2, extreme=True, block=7, start=5, one_bin=False)     # 428 blocks of 7, 4 to a flush, and a tail of 4
+@example(frac_bits=30, n=10, seed=3, extreme=False, block=3, start=9, one_bin=False)      # three blocks of 3 and a tail of one sample
 @example(frac_bits=24, n=1, seed=4, extreme=False, block=1, start=1, one_bin=False)
+@example(frac_bits=48, n=30, seed=5, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=48, n=32, seed=5, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=48, n=61, seed=5, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=48, n=63, seed=5, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=42, n=1023, seed=6, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=42, n=1025, seed=6, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=42, n=2047, seed=6, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=42, n=2049, seed=6, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=41, n=3071, seed=7, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=41, n=3073, seed=7, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=41, n=6143, seed=7, extreme=True, block=None, start=0, one_bin=True)
+@example(frac_bits=41, n=6145, seed=7, extreme=True, block=None, start=0, one_bin=True)
 def test_histogram_exact_at_every_frac_bits(frac_bits, n, seed, extreme, block, start, one_bin):
     """Bin sums equal Python-int sums for any accepted frac_bits, block size
     and node range; the node's samples sit between `start` others and three more.
