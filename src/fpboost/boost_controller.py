@@ -58,12 +58,19 @@ class TrainingLog:
     trees: list = field(default_factory=list)
 
 
-def _mix64(x):
-    """splitmix64 finalizer; elementwise on uint64 arrays."""
-    z = (x + np.uint64(_GOLDEN)) & np.uint64(_MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place on a uint64 array, which it returns.
+
+    Array arithmetic on uint64 wraps mod 2**64 without a mask.
+    """
+    shifted = np.empty_like(z)
+    z += np.uint64(_GOLDEN)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def subsample_indices(seed: int, tree_index: int, n: int, rate: float) -> np.ndarray:
@@ -79,7 +86,9 @@ def subsample_indices(seed: int, tree_index: int, n: int, rate: float) -> np.nda
     # one-element arrays: numpy warns when a uint64 scalar op wraps, not an array op
     words = np.array([seed & _MASK64, tree_index & _MASK64], dtype=np.uint64)
     stream = _mix64(_mix64(words[:1]) ^ words[1:])
-    u = _mix64(stream ^ np.arange(n, dtype=np.uint64))
+    u = np.arange(n, dtype=np.uint64)
+    u ^= stream
+    _mix64(u)
     threshold = int(rate * 2.0 ** 64)
     return np.nonzero(u < np.uint64(threshold))[0].astype(np.int64)
 

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .fixed_point import FRAC_BITS, exact_count, grad_hess, margin_probability, quantize
-from .quantizer import MISSING_BIN, QuantizedMatrix
+from .quantizer import MISSING_BIN, QuantizedMatrix, binary_labels
 
 N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing bin
 # Samples per histogram block: one gather and one np.add.at pass, whose
@@ -130,12 +130,13 @@ def make_scan_buffers(n_features: int) -> tuple:
 def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,
          frac_bits: int = FRAC_BITS) -> EngineMemory:
     """Fill the state memory from labels and a uniform starting margin."""
-    labels = np.asarray(labels, dtype=np.int8)
+    labels = np.asarray(labels)
     if labels.shape != (matrix.n_samples,):
         raise ValueError(
             f"labels length {labels.shape[0] if labels.ndim == 1 else labels.shape} "
             f"!= n_samples {matrix.n_samples}"
         )
+    labels = binary_labels(labels)
     scores = np.full(matrix.n_samples, quantize(base_score, frac_bits), dtype=np.int64)
     grads, hess = grad_hess(margin_probability(scores, frac_bits), labels, frac_bits)
     state = StateMemory(scores, grads, hess, labels, frac_bits)

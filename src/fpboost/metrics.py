@@ -5,35 +5,78 @@ import numpy as np
 from .boost_controller import train
 from .fixed_point import FRAC_BITS
 from .node_trainer import TrainConfig
-from .quantizer import MAX_BINS, QuantizedMatrix, RawDataset, fit_bin_map, transform
+from .quantizer import (MAX_BINS, QuantizedMatrix, RawDataset, binary_labels, fit_bin_map,
+                        transform)
 from .splitter import replay_scores
+
+_EXACT = 1 << 53               # integers up to this size are exact float64 values
 
 
 def _class_counts(labels) -> tuple:
-    """(positives, negatives) of labels that hold at least one of each."""
-    counts = int(np.count_nonzero(labels == 1)), int(np.count_nonzero(labels == 0))
-    if 0 in counts:
+    """(positive mask, positives, negatives) of labels that are each 0 or 1
+    and hold at least one of each."""
+    y = np.asarray(labels)
+    positive = y == 1
+    n_pos, n_neg = int(np.count_nonzero(positive)), int(np.count_nonzero(y == 0))
+    if n_pos + n_neg != y.size:
+        binary_labels(y)                    # raises, naming the first offending row
+    if not n_pos or not n_neg:
         raise ValueError("AUC undefined: need at least one positive and one negative label")
-    return counts
+    return positive, n_pos, n_neg
 
 
 def auc(scores, labels) -> float:
-    """Rank-based AUC with midranks for tied scores."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    n_pos, n_neg = _class_counts(y)
+    """Rank-based AUC with midranks for tied scores.
+
+    Integer scores within 2**53 of zero, as raw margins are, are their own
+    ranks.  Other scores are ranked by a float64 argsort into dense int64
+    ranks: equal floats share a rank, so 2**53 and 2**53 + 1 tie as they
+    always have.  One np.sort of the keys (rank << 1) | positive then orders
+    the rows by score with each tie group's negatives first, and _twice_u
+    counts twice the Mann-Whitney U from it.  That count is an exact
+    integer, so (U2 / 2) / (n_pos * n_neg) is the same float as the midrank
+    sum gave.
+    """
+    s = np.asarray(scores)
+    positive, n_pos, n_neg = _class_counts(labels)
+    if positive.shape != s.shape:
+        raise ValueError("scores and labels differ in length")
+    if s.dtype.kind in "iu" and -_EXACT <= int(s.min()) and int(s.max()) <= _EXACT:
+        key = s.astype(np.int64, copy=False) << 1
+    else:
+        key = _dense_ranks(s) << 1
+    key |= positive
+    key.sort()
+    return (_twice_u(key, n_pos) / 2) / (n_pos * n_neg)
+
+
+def _dense_ranks(scores: np.ndarray) -> np.ndarray:
+    """0-based int64 rank of each float64 score among the distinct scores."""
+    s = scores.astype(np.float64, copy=False)
     order = np.argsort(s)
     sorted_scores = s[order]
-    if np.isnan(sorted_scores[-1]):       # NaN sorts last
+    if np.isnan(sorted_scores[-1]):           # NaN sorts last
         raise ValueError("AUC undefined: NaN score")
-    # runs of equal scores [start, end) share the 1-based midrank
-    # (start + end + 1) / 2, so the order within a tie cannot matter
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], s.size]
-    ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    pos_rank_sum = float(ranks[y == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    ranks = np.empty(s.size, dtype=np.int64)
+    ranks[order] = np.cumsum(np.r_[False, sorted_scores[1:] != sorted_scores[:-1]])
+    return ranks
+
+
+def _twice_u(key: np.ndarray, n_pos: int) -> int:
+    """U2 = sum over tie groups g of pos_g * (2 * neg_before_g + neg_g), from
+    the sorted keys (rank << 1) | positive.
+
+    A group's negatives sort before its positives, so the negatives ahead of
+    each positive's row sum to W = sum_g pos_g * (neg_before_g + neg_g), and
+    U2 = 2W - sum_g pos_g * neg_g.  Only a group that holds both classes adds
+    to the last sum, and it has exactly one negative-to-positive step.
+    """
+    positive = key & 1
+    w = int(positive @ np.arange(key.size)) - n_pos * (n_pos - 1) // 2
+    first_pos = np.flatnonzero((key[1:] ^ key[:-1]) == 1) + 1
+    neg_g = first_pos - np.searchsorted(key, key[first_pos] - 1)
+    pos_g = np.searchsorted(key, key[first_pos], side="right") - first_pos
+    return 2 * w - int(neg_g @ pos_g)
 
 
 def evaluate_per_tree(model, matrix: QuantizedMatrix, labels, eta: float = 1.0,

@@ -76,6 +76,16 @@ class BinMap:
         return [_decision(c, t) for c, t in zip(self.centroids, np.split(thresholds, cuts))]
 
 
+def binary_labels(labels) -> np.ndarray:
+    """labels as int8, refused unless each one is 0 or 1.  The check runs
+    before the cast, which would wrap 257 to 1 and truncate 0.5 to 0."""
+    y = np.asarray(labels)
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        raise ValueError(f"labels must be 0 or 1; offending row {int(np.argmax(bad))}")
+    return y.astype(np.int8)
+
+
 @dataclass
 class RawDataset:
     """Dense real-valued samples with NaN as the missing marker.
@@ -89,14 +99,12 @@ class RawDataset:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
+        self.labels = np.asarray(self.labels)
         if self.values.ndim != 2 or self.values.shape[1] < 1:
             raise ValueError("values must be a 2-d array with at least one feature")
         if self.labels.shape != (self.values.shape[0],):
             raise ValueError("labels length must equal the number of samples")
-        bad = ~np.isin(self.labels, (0, 1))
-        if bad.any():
-            raise ValueError(f"labels must be 0 or 1; offending row {int(np.argmax(bad))}")
+        self.labels = binary_labels(self.labels)
         infinite = np.isinf(self.values)
         if infinite.any():
             row, feature = divmod(int(np.argmax(infinite)), self.values.shape[1])

@@ -7,7 +7,7 @@ the table stays bit-reproducible run to run.
 Routing (route_weights) sends every sample of a bin matrix down a finished
 tree with the same goes_left rule.  The root compares its whole column and
 holds no id array; a split whose children are both leaves picks each of its
-samples' values with one np.where; any other split compresses its samples'
+samples' values from its leaf pair; any other split compresses its samples'
 ids into one array per child.
 """
 
@@ -68,10 +68,12 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
     The tree is walked depth first, each node with the ids of its samples.
     The root holds every sample and carries no id array: it compares its
     whole column and takes its children's ids with flatnonzero.  A split
-    whose children are both leaves writes np.where(go_left, left value,
-    right value) into its samples; any other split compresses its ids into
-    one array per child.  Every sample reaches exactly one leaf, so each
-    entry of the result is written once.
+    whose children are both leaves picks its samples' values from the pair
+    (right value, left value) by go_left: at the root with one np.take
+    straight into the result, below it with np.where, which is the faster of
+    the two on the tens to hundreds of samples a deep node holds.  Any other
+    split compresses its ids into one array per child.  Every sample
+    reaches exactly one leaf, so each entry of the result is written once.
     """
     out = np.empty(columns.shape[1], dtype=np.int64)
     stack = [(0, 0, None)]                  # ids None: every sample, the root
@@ -86,7 +88,12 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
         left, right = (tree.node(*kid) for kid in kids)
         go_left = goes_left(node, columns[node.feature][at])
         if left.is_leaf and right.is_leaf:
-            out[at] = np.where(go_left, leaf_values[kids[0]], leaf_values[kids[1]])
+            if ids is None:
+                pair = np.array([leaf_values[kids[1]], leaf_values[kids[0]]], dtype=np.int64)
+                # mode="clip" lets take write into out unbuffered
+                np.take(pair, go_left.view(np.uint8), out=out, mode="clip")
+            else:
+                out[ids] = np.where(go_left, leaf_values[kids[0]], leaf_values[kids[1]])
             continue
         if ids is None:
             sides = np.flatnonzero(go_left), np.flatnonzero(~go_left)
@@ -96,17 +103,22 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
     return out
 
 
+def leaf_increments(tree: TreeModel, eta: float, frac_bits: int = FRAC_BITS) -> dict:
+    """quantize(eta * leaf weight) of every leaf, keyed by (depth, node_id)."""
+    leaves = {(d, k): node.leaf_weight_raw for d, level in enumerate(tree.levels)
+              for k, node in level.items() if node.is_leaf}
+    w = np.fromiter(leaves.values(), dtype=np.int64, count=len(leaves))
+    increments = quantize(eta * (w.astype(np.float64) / scale(frac_bits)), frac_bits)
+    return dict(zip(leaves, increments.tolist()))
+
+
 def tree_increment(tree: TreeModel, columns: np.ndarray, eta: float,
                    frac_bits: int = FRAC_BITS) -> np.ndarray:
     """Raw score increment per sample: quantize(eta * leaf weight).
 
     quantize is elementwise, so it runs once per leaf, not once per sample.
     """
-    leaves = {(d, k): node.leaf_weight_raw for d, level in enumerate(tree.levels)
-              for k, node in level.items() if node.is_leaf}
-    w = np.fromiter(leaves.values(), dtype=np.int64, count=len(leaves))
-    increments = quantize(eta * (w.astype(np.float64) / scale(frac_bits)), frac_bits)
-    return route_weights(tree, columns, dict(zip(leaves, increments.tolist())))
+    return route_weights(tree, columns, leaf_increments(tree, eta, frac_bits))
 
 
 def add_increment(scores: np.ndarray, increment: np.ndarray, hint: str = "") -> None:
@@ -125,17 +137,32 @@ def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
                   frac_bits: int = FRAC_BITS, after_tree=None) -> np.ndarray:
     """Raw margins of a tree sequence, accumulated in fixed point as in training.
 
-    One score array is updated in place; after_tree, when given, sees it
-    after every tree.  An error in a tree's increment names the tree.
+    One score array is updated in place; after_tree, when given, sees a
+    read-only view of it after every tree.  No margin can exceed |base| plus
+    the sum of each tree's largest |leaf increment|, a bound read from the
+    trees' leaf tables alone.  While it stays below 2**63 no sum can wrap,
+    and the trees are added unchecked; from the tree where it does not,
+    add_increment checks the margins themselves.  An error in a tree's
+    increment names the tree.
     """
-    scores = np.full(columns.shape[1], quantize(base_score, frac_bits), dtype=np.int64)
+    base = quantize(base_score, frac_bits)
+    scores = np.full(columns.shape[1], base, dtype=np.int64)
+    view = scores.view()
+    view.flags.writeable = False
+    bound = abs(int(base))
     for i, tree in enumerate(trees):
         try:
-            add_increment(scores, tree_increment(tree, columns, eta, frac_bits))
+            leaves = leaf_increments(tree, eta, frac_bits)
+            bound += max(map(abs, leaves.values()))
+            increment = route_weights(tree, columns, leaves)
+            if bound < 1 << 63:
+                scores += increment
+            else:
+                add_increment(scores, increment)
         except ValueError as err:
             raise ValueError(f"tree {i}: {err}") from None
         if after_tree is not None:
-            after_tree(scores)
+            after_tree(view)
     return scores
 
 

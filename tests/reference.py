@@ -4,7 +4,7 @@ Everything here recomputes results along a different path than the library:
 bins by one binary search per value (no guess table), splits by direct
 sample partitioning (no histograms, no prefix sums, no index tables),
 sigmoid in arbitrary precision and as two masked passes,
-gain in exact rationals, AUC by pair counting, the subsample generator in
+gain in exact rationals, AUC by pair counting and by midrank sums, the subsample generator in
 pure-Python integers, engine shards by an exact rational ceiling, node
 histograms built engine by engine and merged, and CSV parsing one cell at
 a time through Python's float().
@@ -183,6 +183,28 @@ def pair_count_auc(scores, labels) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def midrank_auc(scores, labels) -> float:
+    """The library's AUC as a float64 argsort and a midrank sum, which its
+    integer tie-group count replaced; kept as it was, as an oracle."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos, n_neg = int(np.count_nonzero(y == 1)), int(np.count_nonzero(y == 0))
+    if 0 in (n_pos, n_neg):
+        raise ValueError("AUC undefined: need at least one positive and one negative label")
+    order = np.argsort(s)
+    sorted_scores = s[order]
+    if np.isnan(sorted_scores[-1]):       # NaN sorts last
+        raise ValueError("AUC undefined: NaN score")
+    # runs of equal scores [start, end) share the 1-based midrank
+    # (start + end + 1) / 2, so the order within a tie cannot matter
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    pos_rank_sum = float(ranks[y == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 # ------------------------------------------- exact-greedy reference trainer

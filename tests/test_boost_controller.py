@@ -60,6 +60,14 @@ class TestTrain:
         assert model.n_trees == 0 and log.trees == []
         assert np.all(predict_raw(model, matrix) == quantize(model.base_score))
 
+    @pytest.mark.parametrize("label", [2, -3, 257])
+    def test_labels_outside_0_1_rejected(self, rng, label):
+        matrix, labels = random_quantized(rng, 30, 2)
+        labels = labels.astype(np.int64)
+        labels[11] = label
+        with pytest.raises(ValueError, match="^labels must be 0 or 1; offending row 11$"):
+            train(matrix, labels, TrainConfig(n_trees=2, n_engines=1))
+
     def test_tree_count_matches_config(self, rng):
         matrix, labels = random_quantized(rng, 60, 2)
         model, log = train(matrix, labels, TrainConfig(n_trees=7, n_engines=3))

@@ -11,7 +11,7 @@ from fpboost.node_trainer import TrainConfig, TreeNode
 from fpboost.quantizer import BinMap, RawDataset, fit_bin_map, transform
 from fpboost.splitter import TreeModel
 from conftest import random_raw
-from reference import pair_count_auc
+from reference import midrank_auc, pair_count_auc
 
 
 class TestAuc:
@@ -55,6 +55,50 @@ class TestAuc:
     def test_nan_score_rejected(self):
         with pytest.raises(ValueError, match="NaN score"):
             auc([0.1, np.nan, 0.8, np.nan], [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("labels, row", [([2, 0, 1], 0), ([0, 1, -3], 2), ([1, 0.5, 0], 1)])
+    def test_labels_outside_0_1_rejected(self, labels, row):
+        with pytest.raises(ValueError, match=f"^labels must be 0 or 1; offending row {row}$"):
+            auc([0.1, 0.2, 0.3], labels)
+        with pytest.raises(ValueError, match=f"^labels must be 0 or 1; offending row {row}$"):
+            auc(np.array([1, 2, 3]), labels)
+
+    def test_integers_past_2_53_still_tie_as_floats(self):
+        assert auc(np.array([2**53, 2**53 + 1]), [0, 1]) == 0.5
+        assert auc(np.array([2**53 - 1, 2**53]), [0, 1]) == 1.0
+        assert auc(np.array([-2**53 - 1, -2**53]), [1, 0]) == 0.5
+
+
+@st.composite
+def _tied_integer_scores(draw):
+    """(int64 scores, labels): a few distinct values, so ties are heavy, near 0,
+    straddling +-2**53 or far past it; int8 or bool labels with both classes,
+    sometimes a single positive."""
+    center = draw(st.sampled_from([0, 2**53, -2**53, 2**62, -(2**62)]))
+    spread = draw(st.sampled_from([3, 1 << 20]))
+    pool = draw(st.lists(st.integers(center - spread, center + spread), min_size=1, max_size=6))
+    n = draw(st.integers(2, 60))
+    scores = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        labels = np.zeros(n, dtype=np.int8)
+    else:
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    negative = draw(st.integers(0, n - 1))
+    labels[negative] = 0
+    labels[(negative + draw(st.integers(1, n - 1))) % n] = 1
+    if draw(st.booleans()):
+        labels = labels.astype(bool)
+    return scores, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_integer_scores())
+def test_integer_auc_equals_midrank_oracle_bit_for_bit(case):
+    scores, labels = case
+    got = auc(scores, labels)
+    assert got == midrank_auc(scores, labels)
+    if np.abs(scores.astype(np.float64)).max() <= 2.0 ** 53:
+        assert got == auc(scores.astype(np.float64), labels)
 
 
 # scores on a 1e-3 grid within [-15, 15]: distinct margins stay distinct
@@ -110,6 +154,21 @@ class TestEvaluatePerTree:
         other = BinMap([np.array([0.0, 1.0])] * 3)
         with pytest.raises(ValueError, match="different bin map"):
             evaluate_per_tree(model, valid, labels, cfg.eta, cfg.frac_bits, bin_map=other)
+
+    def test_raw_margins_are_ranked_without_argsort(self, rng, monkeypatch):
+        model, valid, labels, cfg, bins = self._setup(rng)
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+        history, _ = evaluate_per_tree(model, valid, labels, cfg.eta, cfg.frac_bits)
+        assert len(history) == 5 and calls == []
+
+    def test_labels_outside_0_1_rejected(self, rng):
+        model, valid, labels, cfg, bins = self._setup(rng)
+        labels = labels.astype(np.int64)
+        labels[7] = 2
+        with pytest.raises(ValueError, match="^labels must be 0 or 1; offending row 7$"):
+            evaluate_per_tree(model, valid, labels, cfg.eta, cfg.frac_bits)
 
     def test_matching_bin_map_accepted(self, rng):
         model, valid, labels, cfg, bins = self._setup(rng)

@@ -382,6 +382,14 @@ def test_raw_dataset_rejects_non_finite_values():
         RawDataset(values=values, labels=np.zeros(2, dtype=np.int8))
 
 
+@pytest.mark.parametrize("labels, row", [([257, 256, 1], 0), ([0, 1, 2], 2), ([1, -3, 0], 1),
+                                         ([0.0, 0.5, 1.0], 1)])
+def test_raw_dataset_rejects_labels_outside_0_1_before_the_cast(labels, row):
+    # an int8 cast first would read 257, 256 as 1, 0 and 0.5 as 0
+    with pytest.raises(ValueError, match=f"^labels must be 0 or 1; offending row {row}$"):
+        RawDataset(values=np.zeros((3, 1)), labels=np.array(labels))
+
+
 def test_bin_map_equality():
     a = BinMap([np.array([1.0, 2.0])])
     b = BinMap([np.array([1.0, 2.0])])

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize, sigmoid
 from fpboost.node_trainer import TreeNode
+from fpboost import splitter
 from fpboost.quantizer import BinMap, QuantizedMatrix
 from fpboost.splitter import (
     TreeModel,
@@ -92,6 +93,13 @@ class TestPartition:
             assert list(out[:mid]) == expected_left
             assert list(out[mid:n]) == expected_right
             assert sorted(out[:n]) == sorted(order)
+
+
+def _leaf(weight):
+    """A single-leaf tree."""
+    tree = TreeModel()
+    tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=weight))
+    return tree
 
 
 def _stump(feature=0, threshold=5, missing_left=False, wl=100, wr=-200):
@@ -202,7 +210,8 @@ class TestRouting:
         assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(columns.shape[1])]
 
     def test_stump_allocates_under_20_bytes_per_sample(self, rng):
-        # the result (8 bytes), np.where's values (8) and the go-left mask (1)
+        # the result (8 bytes) and the go-left mask (1): np.take writes the
+        # leaf values straight into the result
         n = 10_048
         tree = _stump(feature=1, threshold=100, missing_left=True)
         columns = rng.integers(0, 256, size=(3, n), dtype=np.uint8)
@@ -281,6 +290,29 @@ class TestApplyTreeUpdate:
         with pytest.raises(ValueError, match="^tree 1: raw margin scores overflow int64$"):
             replay_scores([tree, tree], 0.0, matrix.columns, 1.0)
 
+    def test_replay_bound_past_2_63_with_margins_in_range_is_scored(self, rng, monkeypatch):
+        # margins 3 * 2**60 -> 0 -> 3 * 2**60: the running bound reaches
+        # 9 * 2**60 > 2**63 at the third tree, whose exact check then passes
+        matrix, _ = random_quantized(rng, 8, 2)
+        big = 3 << 60
+        checked, seen = [], []
+        add_increment = splitter.add_increment
+        monkeypatch.setattr(splitter, "add_increment",
+                            lambda *args: checked.append(args) or add_increment(*args))
+        scores = replay_scores([_leaf(big), _leaf(-big), _leaf(big)], 0.0, matrix.columns, 1.0,
+                               after_tree=lambda s: seen.append(int(s[0])))
+        assert seen == [big, 0, big] and np.all(scores == big)
+        assert len(checked) == 1
+
+    def test_after_tree_cannot_write_the_scores(self, rng):
+        matrix, _ = random_quantized(rng, 8, 2)
+
+        def overwrite(scores):
+            scores[:] = (1 << 63) - 1
+
+        with pytest.raises(ValueError, match="read-only"):
+            replay_scores([_leaf(1), _leaf(1)], 0.0, matrix.columns, 1.0, after_tree=overwrite)
+
     def test_largest_in_range_sum_is_added(self, rng):
         matrix, labels = random_quantized(rng, 8, 2)
         mem = load(matrix, labels, 0.0)
@@ -358,3 +390,30 @@ class TestApplyTreeUpdate:
             assert np.all(np.abs(mem.state.grads_raw) <= SCALE)
             assert np.all(mem.state.hess_raw >= 1)
             assert np.all(mem.state.hess_raw <= SCALE // 4)
+
+
+_RAW = st.integers(-(1 << 62), 1 << 62) | st.sampled_from([0, 1, -1, 3 << 60, -(3 << 60)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 255), _RAW, _RAW), min_size=1, max_size=6),
+       st.sampled_from([0.0, 2.0 ** 37, -(2.0 ** 37)]),
+       arrays(np.uint8, st.integers(1, 12)))
+def test_replay_matches_checking_every_tree(stumps, base_score, bins):
+    """replay_scores accepts, refuses and scores exactly as an exact check of
+    every tree's sums would."""
+    columns = bins.reshape(1, -1)
+    trees = [_stump(threshold=t, wl=wl, wr=wr) for t, wl, wr in stumps]
+    margins = [int(quantize(base_score))] * bins.size
+    want = None
+    for i, tree in enumerate(trees):
+        increment = tree_increment(tree, columns, 1.0).tolist()
+        if max(map(abs, margins)) + max(map(abs, increment)) >= 1 << 63:
+            want = f"tree {i}: raw margin scores overflow int64"
+            break
+        margins = [m + d for m, d in zip(margins, increment)]
+    if want is None:
+        assert replay_scores(trees, base_score, columns, 1.0).tolist() == margins
+    else:
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            replay_scores(trees, base_score, columns, 1.0)
