@@ -5,10 +5,9 @@ stable: both sides keep the relative order they had in the parent range, so
 the table stays bit-reproducible run to run.
 
 Routing (route_weights) sends every sample of a bin matrix down a finished
-tree with the same goes_left rule.  The root compares its whole column and
-holds no id array; a split whose children are both leaves picks each of its
-samples' values from its leaf pair; any other split compresses its samples'
-ids into one array per child.
+tree with the same goes_left rule, one level at a time: every split of a
+level compares its whole column, and each sample carries only a small code
+of the node it has reached, one byte while a level has at most 256 nodes.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine_memory import EngineMemory
-from .fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize, scale
+from .fixed_point import FRAC_BITS, INT64_LIMIT, grad_hess, margin_probability, quantize, scale
 from .node_trainer import TreeNode, goes_left
 
 
@@ -65,51 +64,79 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
     """The value leaf_values[depth, node_id] of the leaf that every sample of
     a column-major bin matrix reaches.
 
-    The tree is walked depth first, each node with the ids of its samples.
-    The root holds every sample and carries no id array: it compares its
-    whole column and takes its children's ids with flatnonzero.  A split
-    whose children are both leaves picks its samples' values from the pair
-    (right value, left value) by go_left: at the root with one np.take
-    straight into the result, below it with np.where, which is the faster of
-    the two on the tens to hundreds of samples a deep node holds.  Any other
-    split compresses its ids into one array per child.  Every sample
-    reaches exactly one leaf, so each entry of the result is written once.
+    The tree is walked one level at a time over whole columns.  Each sample
+    carries a code: the index of its node among the level's reachable nodes,
+    a leaf reached higher up counting as a node that holds its samples.  The
+    code is the narrowest unsigned type that numbers the level's nodes, one
+    byte while there are at most 256.  Every split of the level compares its
+    whole column with goes_left, masked below the root to the samples of its
+    code, and the masks are OR'd into one go-left vector.  The next codes are
+    first[code] + go_left: a split's children get two codes, right then left,
+    and a leaf keeps one, where go_left is 0.  At the first level without a
+    split, one take from the leaf values in code order gives the result.
+    Each reachable split's children are looked up, so a missing one raises
+    ValueError even when there are no samples; unreachable nodes are ignored.
     """
-    out = np.empty(columns.shape[1], dtype=np.int64)
-    stack = [(0, 0, None)]                  # ids None: every sample, the root
-    while stack:
-        depth, node_id, ids = stack.pop()
-        node = tree.node(depth, node_id)
-        at = slice(None) if ids is None else ids
-        if node.is_leaf:
-            out[at] = leaf_values[depth, node_id]
-            continue
-        kids = (depth + 1, 2 * node_id), (depth + 1, 2 * node_id + 1)
-        left, right = (tree.node(*kid) for kid in kids)
-        go_left = goes_left(node, columns[node.feature][at])
-        if left.is_leaf and right.is_leaf:
-            if ids is None:
-                pair = np.array([leaf_values[kids[1]], leaf_values[kids[0]]], dtype=np.int64)
-                # mode="clip" lets take write into out unbuffered
-                np.take(pair, go_left.view(np.uint8), out=out, mode="clip")
-            else:
-                out[ids] = np.where(go_left, leaf_values[kids[0]], leaf_values[kids[1]])
-            continue
-        if ids is None:
-            sides = np.flatnonzero(go_left), np.flatnonzero(~go_left)
+    reached = [((0, 0), tree.node(0, 0))]   # (key, node) of the level's codes
+    code = None                             # at the root every sample has code 0
+    while not all(node.is_leaf for _, node in reached):
+        below, first, splits = [], [], []
+        for c, (key, node) in enumerate(reached):
+            first.append(len(below))
+            if node.is_leaf:
+                below.append((key, node))
+                continue
+            splits.append((c, node))
+            depth, node_id = key
+            for kid in (depth + 1, 2 * node_id + 1), (depth + 1, 2 * node_id):
+                below.append((kid, tree.node(*kid)))
+        code = _next_codes(code, first, len(below), splits, columns)
+        reached = below
+    values = np.array([leaf_values[key] for key, _ in reached], dtype=np.int64)
+    return np.full(columns.shape[1], values[0]) if code is None else values.take(code)
+
+
+def _next_codes(code, first: list, n_codes: int, splits: list,
+                columns: np.ndarray) -> np.ndarray:
+    """The next level's codes, first[code] + go_left, in the narrowest
+    unsigned type that holds n_codes codes.
+
+    go_left ORs the goes_left of each (c, node) in splits over its whole
+    column, masked below the root (code None) to the samples of code c.
+    The masks die on return, so none outlives its level.
+    """
+    go_left = None
+    for c, node in splits:
+        hit = goes_left(node, columns[node.feature])
+        if code is not None:
+            hit &= code == c
+        if go_left is None:
+            go_left = hit
         else:
-            sides = ids[go_left], ids[~go_left]
-        stack.extend(kid + (side,) for kid, side in zip(kids, sides))
-    return out
+            go_left |= hit
+    go_left = go_left.view(np.uint8)
+    if code is None:
+        return go_left
+    code = np.array(first, dtype=np.min_scalar_type(n_codes - 1)).take(code)
+    code += go_left
+    return code
 
 
 def leaf_increments(tree: TreeModel, eta: float, frac_bits: int = FRAC_BITS) -> dict:
-    """quantize(eta * leaf weight) of every leaf, keyed by (depth, node_id)."""
-    leaves = {(d, k): node.leaf_weight_raw for d, level in enumerate(tree.levels)
-              for k, node in level.items() if node.is_leaf}
-    w = np.fromiter(leaves.values(), dtype=np.int64, count=len(leaves))
-    increments = quantize(eta * (w.astype(np.float64) / scale(frac_bits)), frac_bits)
-    return dict(zip(leaves, increments.tolist()))
+    """quantize(eta * leaf weight) of every leaf, keyed by (depth, node_id).
+
+    Python floats all the way, as in leaf_weight: the weight is scaled by
+    the same float operations quantize makes, and round() rounds half to
+    even as its rint does.  If any increment is NaN or out of range, all of
+    them go to quantize for its ValueError.
+    """
+    s = scale(frac_bits)
+    leaves = {(d, k): eta * (float(node.leaf_weight_raw) / s)
+              for d, level in enumerate(tree.levels) for k, node in level.items() if node.is_leaf}
+    raws = [value * s for value in leaves.values()]
+    if not all(-INT64_LIMIT <= raw < INT64_LIMIT for raw in raws):   # False for NaN
+        quantize(list(leaves.values()), frac_bits)                  # raises its ValueError
+    return dict(zip(leaves, map(round, raws)))
 
 
 def tree_increment(tree: TreeModel, columns: np.ndarray, eta: float,

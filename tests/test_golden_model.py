@@ -65,6 +65,22 @@ def test_depth5_model_and_log_bytes_are_pinned(tmp_path, train_csv, engines, cap
     assert _sha256(log_out) == LOG_SHA256[engines]
 
 
+# fpboost predict's raw margins of that model over its training file.  Not
+# --proba: the sigmoid's last bits follow numpy's SIMD dispatch
+MARGINS_SHA256 = "9e68d2b4ad22af2f7448929c9366f4f3457aac9a21d0dd27df32a50173e93546"
+
+
+def test_depth5_predict_margins_are_pinned(tmp_path, train_csv, capsys):
+    model_out, margins = tmp_path / "model.json", tmp_path / "margins"
+    rc = main(["train", "--data", str(train_csv), "--format", "csv",
+               "--max-depth", "5", "--trees", "8", "--seed", "3", "--model-out", str(model_out)])
+    assert rc == 0, capsys.readouterr().err
+    assert _sha256(model_out) == MODEL_SHA256
+    assert main(["predict", "--data", str(train_csv), "--format", "csv",
+                 "--model", str(model_out), "--out", str(margins)]) == 0
+    assert _sha256(margins) == MARGINS_SHA256
+
+
 def _train_sha256(tmp_path, data, *options) -> str:
     model_out = tmp_path / "model.json"
     rc = main(["train", "--data", str(data), "--format", "csv",

@@ -134,6 +134,21 @@ def _route_one(tree, sample_bins):
     return int(route_weights(tree, columns, _leaf_weights(tree))[0])
 
 
+def _complete_tree(rng, depth, n_features):
+    """A tree whose every level above depth is all splits.  Level d splits
+    feature d % n_features at random thresholds; the leaf weights are
+    distinct."""
+    tree = TreeModel()
+    for d in range(depth):
+        for k in range(1 << d):
+            tree.put(d, k, TreeNode(is_leaf=False, feature=d % n_features,
+                                    threshold_bin=int(rng.integers(64, 192)),
+                                    missing_left=bool(rng.integers(0, 2))))
+    for k in range(1 << depth):
+        tree.put(depth, k, TreeNode(is_leaf=True, leaf_weight_raw=(k << 50) - (1 << 58)))
+    return tree
+
+
 _BINS = st.sampled_from([0, 254, 255]) | st.integers(0, 255)
 
 
@@ -209,9 +224,62 @@ class TestRouting:
         assert got.dtype == np.int64
         assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(columns.shape[1])]
 
+    def test_complete_depth_9_tree_routes_past_one_byte_codes(self, rng):
+        # level 9 holds 512 leaves, so the last codes need two bytes
+        depth, n_features = 9, 9
+        tree = _complete_tree(rng, depth, n_features)
+        nested = _nested(tree)
+        for n in (0, 4096):
+            columns = rng.integers(0, 256, size=(n_features, n), dtype=np.uint8)
+            got = route_weights(tree, columns, _leaf_weights(tree))
+            assert got.dtype == np.int64
+            assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(n)]
+        assert np.unique(got).size > 256
+
+    def test_70_level_chain_matches_reference(self, rng):
+        # every split keeps about 95% of its samples on the split side, a
+        # random one, so leaves are reached at every depth and the last
+        # split still holds samples
+        depth = 70
+        tree = TreeModel()
+        node_id = 0
+        for d in range(depth):
+            leaf_left = bool(rng.integers(0, 2))
+            tree.put(d, node_id, TreeNode(is_leaf=False, feature=d,
+                                          threshold_bin=12 if leaf_left else 242,
+                                          missing_left=not leaf_left))
+            left, right = 2 * node_id, 2 * node_id + 1
+            leaf_id, node_id = (left, right) if leaf_left else (right, left)
+            tree.put(d + 1, leaf_id, TreeNode(is_leaf=True, leaf_weight_raw=d))
+        tree.put(depth, node_id, TreeNode(is_leaf=True, leaf_weight_raw=depth))
+        nested = _nested(tree)
+        for n in (0, 2000):
+            columns = rng.integers(0, 256, size=(depth, n), dtype=np.uint8)
+            got = route_weights(tree, columns, _leaf_weights(tree))
+            assert got.dtype == np.int64
+            assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(n)]
+        assert depth in got
+
+    def test_complete_depth_6_tree_allocates_under_18_bytes_per_sample(self, rng):
+        # measured 17.2 bytes: the result (8), take's intp copy of the codes
+        # (8) and one-byte codes.  A walk holding int64 id arrays per node
+        # takes 20.1 here and fails
+        n = 10_048
+        tree = _complete_tree(rng, 6, 3)
+        columns = rng.integers(0, 256, size=(3, n), dtype=np.uint8)
+        values = _leaf_weights(tree)
+        route_weights(tree, columns, values)                # warm-up
+        tracemalloc.start()
+        try:
+            route_weights(tree, columns, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * n
+
     def test_stump_allocates_under_20_bytes_per_sample(self, rng):
-        # the result (8 bytes) and the go-left mask (1): np.take writes the
-        # leaf values straight into the result
+        # the result (8 bytes), take's intp copy of the codes (8) and the
+        # go-left mask (1)
         n = 10_048
         tree = _stump(feature=1, threshold=100, missing_left=True)
         columns = rng.integers(0, 256, size=(3, n), dtype=np.uint8)
@@ -254,6 +322,18 @@ class TestRouting:
             per_sample = quantize(eta * (w.astype(np.float64) / float(1 << frac_bits)), frac_bits)
             got = tree_increment(tree, matrix.columns, eta, frac_bits)
             assert np.array_equal(got, per_sample)
+
+    @pytest.mark.parametrize("wl, wr, eta", [
+        (1, (1 << 63) - 1, 1.0),            # the float of 2**63 - 1 is 2**63
+        (-(1 << 62), 1 << 62, 2.5),         # both out of range: quantize names the low one
+        (1, -1, float("nan")),
+    ])
+    def test_out_of_range_increment_raises_quantizes_error(self, wl, wr, eta):
+        with pytest.raises(ValueError, match="does not fit int64") as want:
+            quantize(eta * (np.array([wl, wr], dtype=np.float64) / SCALE))
+        with pytest.raises(ValueError) as got:
+            splitter.leaf_increments(_stump(wl=wl, wr=wr), eta)
+        assert str(got.value) == str(want.value)
 
 
 class TestApplyTreeUpdate:
