@@ -41,7 +41,9 @@ _INT = (is_int, "an integer")
 _NUMBER = (lambda v: is_real(v) and math.isfinite(v), "a finite number")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
-_INT_LIST = (lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers")
+_COUNT = (lambda v: is_int(v) and v >= 0, "a non-negative integer")
+_COUNT_LIST = (lambda v: isinstance(v, list) and all(map(_COUNT[0], v)),
+               "a list of non-negative integers")
 _CHECKED = (lambda v: True, "")           # a value the caller has checked already
 
 # the keys each saved object holds, with the check on each value
@@ -51,9 +53,9 @@ _BIN_MAP = {"centroids": (lambda v: isinstance(v, list) and all(
     isinstance(c, list) and all(map(is_real, c)) for c in v), "a list of lists of numbers")}
 _MODEL = {"frac_bits": _INT, "base_score": _NUMBER, "config": _OBJECT,
           "bin_map": _OBJECT, "trees": _LIST}
-_LOG = {"n_samples": _INT, "n_features": _INT, "config": _OBJECT, "trees": _LIST}
-_LOG_TREE = {"n_subsampled": _INT, "n_leaves": _INT, "train_loss": _NUMBER, "depths": _LIST}
-_LOG_DEPTH = {"trained_sizes": _INT_LIST, "split_sizes": _INT_LIST}
+_LOG = {"n_samples": _COUNT, "n_features": _COUNT, "config": _OBJECT, "trees": _LIST}
+_LOG_TREE = {"n_subsampled": _COUNT, "n_leaves": _COUNT, "train_loss": _NUMBER, "depths": _LIST}
+_LOG_DEPTH = {"trained_sizes": _COUNT_LIST, "split_sizes": _COUNT_LIST}
 _LOG_CONFIG = {f.name: _INT if f.type is int else _NUMBER for f in fields(TrainConfig)}
 # engine count is an execution knob, not a model property: identical models
 # come out of any engine count, so model files omit it and stay byte-comparable

@@ -8,6 +8,11 @@ Routing (route_weights) sends every sample of a bin matrix down a finished
 tree with the same goes_left rule, one level at a time: every split of a
 level compares its whole column, and each sample carries only a small code
 of the node it has reached, one byte while a level has at most 256 nodes.
+
+Training (apply_tree_update) and replay (replay_scores, behind predict and
+eval) add each tree to the scores with one step, add_tree: unchecked while a
+bound on the margins is below 2**63, refused, never wrapped, where a sum
+could leave int64.
 """
 
 from dataclasses import dataclass, field
@@ -139,25 +144,26 @@ def leaf_increments(tree: TreeModel, eta: float, frac_bits: int = FRAC_BITS) -> 
     return dict(zip(leaves, map(round, raws)))
 
 
-def tree_increment(tree: TreeModel, columns: np.ndarray, eta: float,
-                   frac_bits: int = FRAC_BITS) -> np.ndarray:
-    """Raw score increment per sample: quantize(eta * leaf weight).
-
-    quantize is elementwise, so it runs once per leaf, not once per sample.
+def add_tree(scores: np.ndarray, bound: int, tree: TreeModel, columns: np.ndarray,
+             eta: float, frac_bits: int = FRAC_BITS, hint: str = "") -> int:
+    """scores += the tree's raw increment, quantize(eta * leaf weight), in
+    place; returns bound, at least max|scores|, plus the largest |leaf
+    increment|, which bounds every sample's increment.  While that is below
+    2**63 no sum can wrap and the add is unchecked; past it the add is
+    refused with ValueError, hint after the message, whenever max|score|
+    plus max|increment| reaches 2**63, where a sum could leave int64.
     """
-    return route_weights(tree, columns, leaf_increments(tree, eta, frac_bits))
-
-
-def add_increment(scores: np.ndarray, increment: np.ndarray, hint: str = "") -> None:
-    """scores += increment in place, refused with ValueError if a sum could
-    leave int64, where it would wrap silently.  hint follows the message."""
-    if scores.size and _max_abs(scores) + _max_abs(increment) >= 1 << 63:
+    leaves = leaf_increments(tree, eta, frac_bits)
+    bound += max(map(abs, leaves.values()))
+    increment = route_weights(tree, columns, leaves)
+    if bound >= 1 << 63 and _max_abs(scores) + _max_abs(increment) >= 1 << 63:
         raise ValueError("raw margin scores overflow int64" + hint)
     scores += increment
+    return bound
 
 
 def _max_abs(raw: np.ndarray) -> int:
-    return max(-int(raw.min()), int(raw.max()))
+    return max(-int(raw.min()), int(raw.max())) if raw.size else 0
 
 
 def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
@@ -165,11 +171,9 @@ def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
     """Raw margins of a tree sequence, accumulated in fixed point as in training.
 
     One score array is updated in place; after_tree, when given, sees a
-    read-only view of it after every tree.  No margin can exceed |base| plus
-    the sum of each tree's largest |leaf increment|, a bound read from the
-    trees' leaf tables alone.  While it stays below 2**63 no sum can wrap,
-    and the trees are added unchecked; from the tree where it does not,
-    add_increment checks the margins themselves.  An error in a tree's
+    read-only view of it after every tree.  add_tree's bound starts at
+    |base| and is read from the trees' leaf tables alone, so the margins are
+    checked only from the tree where it reaches 2**63.  An error in a tree's
     increment names the tree.
     """
     base = quantize(base_score, frac_bits)
@@ -179,13 +183,7 @@ def replay_scores(trees, base_score: float, columns: np.ndarray, eta: float,
     bound = abs(int(base))
     for i, tree in enumerate(trees):
         try:
-            leaves = leaf_increments(tree, eta, frac_bits)
-            bound += max(map(abs, leaves.values()))
-            increment = route_weights(tree, columns, leaves)
-            if bound < 1 << 63:
-                scores += increment
-            else:
-                add_increment(scores, increment)
+            bound = add_tree(scores, bound, tree, columns, eta, frac_bits)
         except ValueError as err:
             raise ValueError(f"tree {i}: {err}") from None
         if after_tree is not None:
@@ -201,9 +199,8 @@ def apply_tree_update(memory: EngineMemory, tree: TreeModel, eta: float = 1.0) -
     reads too, so they are computed once per tree.
     """
     state = memory.state
-    increment = tree_increment(tree, memory.matrix.columns, eta, state.frac_bits)
-    add_increment(state.scores_raw, increment,
-                  ": lower frac_bits, or raise lambda to bound the leaf weights")
+    add_tree(state.scores_raw, _max_abs(state.scores_raw), tree, memory.matrix.columns, eta,
+             state.frac_bits, ": lower frac_bits, or raise lambda to bound the leaf weights")
     p = margin_probability(state.scores_raw, state.frac_bits)
     state.grads_raw[:], state.hess_raw[:] = grad_hess(p, state.labels, state.frac_bits)
     return p

@@ -321,20 +321,36 @@ def ref_route(node, sample_bins) -> int:
     return node["weight"]
 
 
+def ref_increment(root, columns, eta: float, frac_bits: int) -> np.ndarray:
+    """Raw score increment per sample: quantize(eta * weight) of the leaf
+    that each column of the bin matrix reaches, routed one sample at a time."""
+    w = np.array([ref_route(root, columns[:, i]) for i in range(columns.shape[1])], dtype=np.int64)
+    return quantize(eta * (w.astype(np.float64) / float(1 << frac_bits)), frac_bits)
+
+
+def nested_tree(tree_model, depth=0, node_id=0):
+    """The reference's nested-dict form of a library TreeModel."""
+    node = tree_model.node(depth, node_id)
+    if node.is_leaf:
+        return {"weight": node.leaf_weight_raw}
+    return {"feature": node.feature, "threshold": node.threshold_bin,
+            "missing_left": node.missing_left,
+            "left": nested_tree(tree_model, depth + 1, 2 * node_id),
+            "right": nested_tree(tree_model, depth + 1, 2 * node_id + 1)}
+
+
 def ref_train(columns, labels, cfg):
     """Exact-greedy boosted trainer over all samples (subsample must be 1)."""
     assert cfg.subsample == 1.0
     n = columns.shape[1]
     scores = np.full(n, int(quantize(0.0, cfg.frac_bits)), dtype=np.int64)
     grads, hess = grad_hess(margin_probability(scores, cfg.frac_bits), labels, cfg.frac_bits)
-    sc = float(1 << cfg.frac_bits)
     trees = []
     all_idx = np.arange(n, dtype=np.int64)
     for _ in range(cfg.n_trees):
         root = ref_grow(columns, all_idx, grads, hess, 0, cfg)
         trees.append(root)
-        w = np.array([ref_route(root, columns[:, i]) for i in range(n)], dtype=np.int64)
-        scores += quantize(cfg.eta * (w.astype(np.float64) / sc), cfg.frac_bits)
+        scores += ref_increment(root, columns, cfg.eta, cfg.frac_bits)
         grads, hess = grad_hess(margin_probability(scores, cfg.frac_bits), labels, cfg.frac_bits)
     return trees, scores
 

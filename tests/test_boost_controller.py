@@ -9,9 +9,10 @@ from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, dequantize, grad_hess, margin_probability, quantize
 from fpboost.node_trainer import TrainConfig, leaf_weight, node_totals
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
-from fpboost.splitter import partition, tree_increment
+from fpboost.splitter import apply_tree_update, partition
 from conftest import random_quantized
-from reference import py_subsample, ref_grow, ref_train, assert_trees_match
+from reference import (py_subsample, ref_grow, ref_increment, ref_train, assert_trees_match,
+                       nested_tree)
 
 SCALE = 1 << FRAC_BITS
 
@@ -103,23 +104,22 @@ class TestTrain:
         cfg = TrainConfig(n_trees=60, max_depth=1, subsample=1.0, lam=1.0,
                           gamma=0.0, n_engines=1)
         model, _ = train(matrix, labels, cfg)
-        scores = np.zeros(8, dtype=np.int64)
-        from fpboost.splitter import tree_increment
+        mem = load(matrix, labels, 0.0, cfg.frac_bits)
         for tree in model.trees:
+            scores = mem.state.scores_raw.copy()
             grads, _ = grad_hess(margin_probability(scores), labels)
-            inc = tree_increment(tree, matrix.columns, 1.0, cfg.frac_bits)
+            apply_tree_update(mem, tree, 1.0)
+            inc = mem.state.scores_raw - scores
             if np.any(np.abs(grads) >= 1):
                 assert np.all(inc > 0), "scores must strictly increase while gradients remain"
             else:
                 assert np.all(inc == 0)
-            scores += inc
 
     def test_model_replay_equals_training_scores(self, rng):
         matrix, labels = random_quantized(rng, 150, 4)
         cfg = TrainConfig(n_trees=8, max_depth=2, subsample=0.6, n_engines=4, seed=9)
         base = load(matrix, labels, 0.0)
         model, _ = train(matrix, labels, cfg)
-        from fpboost.splitter import apply_tree_update
         for tree in model.trees:
             apply_tree_update(base, tree, cfg.eta)
         assert np.array_equal(base.state.scores_raw, predict_raw(model, matrix, cfg.eta, cfg.frac_bits))
@@ -310,7 +310,7 @@ def test_matches_reference_trainer_across_config_space(case):
         grads, hess = grad_hess(margin_probability(scores, cfg.frac_bits), labels, cfg.frac_bits)
         ref = ref_grow(matrix.columns, rows, grads, hess, 0, cfg)
         assert_trees_match(tree, ref, cfg.frac_bits, ulp_tol=1)
-        scores = scores + tree_increment(tree, matrix.columns, cfg.eta, cfg.frac_bits)
+        scores = scores + ref_increment(nested_tree(tree), matrix.columns, cfg.eta, cfg.frac_bits)
 
 
 def _rows_reaching_scanned_nodes(tree, columns, rows, max_depth):

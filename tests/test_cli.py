@@ -266,6 +266,23 @@ def test_negative_validation_rows_is_single_line_error(tmp_path, csv_pair, capsy
     assert not (tmp_path / "report.kv").exists()
 
 
+def test_log_with_negative_counts_is_single_line_error(tmp_path, csv_pair, capsys):
+    train_csv, _ = csv_pair
+    log = tmp_path / "log.json"
+    assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
+                 "--model-out", str(tmp_path / "m.json"), "--log-out", str(log)]) == 0
+    capsys.readouterr()
+    doc = json.loads(log.read_text())
+    doc["n_samples"] = -10
+    doc["trees"][0]["depths"][0]["trained_sizes"] = [-1000]
+    log.write_text(json.dumps(doc))
+    rc = main(["cost", "--log", str(log), "--out", str(tmp_path / "report.kv")])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: log: n_samples must be a non-negative integer, got -10\n")
+    assert not (tmp_path / "report.kv").exists()
+
+
 @pytest.mark.parametrize("clock", ["nan", "inf"])
 def test_non_finite_clock_is_single_line_error(tmp_path, csv_pair, capsys, clock):
     train_csv, _ = csv_pair

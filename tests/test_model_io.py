@@ -344,6 +344,8 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
     wrong = {"n_samples": 1.0, "config": [], "trees": {}, "n_engines": None, "lam": "1",
              "n_leaves": "2", "train_loss": None, "depths": 0,
              "trained_sizes": [1.5], "split_sizes": "1"}
+    negative = {"n_samples": -10, "n_features": -1, "n_subsampled": -1, "n_leaves": -2,
+                "trained_sizes": [-1000], "split_sizes": [4, -1]}
     deleted = object()
     cases = []                      # (place, key, new value or deleted, expected error start)
     for where, target in places.items():
@@ -351,6 +353,8 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
             cases.append((where, key, deleted, f"{where}: missing key {key!r}"))
             if key in wrong:
                 cases.append((where, key, wrong[key], f"{where}: {key} must be"))
+            if key in negative:
+                cases.append((where, key, negative[key], f"{where}: {key} must be"))
         cases.append((where, "bogus", 0, f"{where}: unknown key 'bogus'"))
     assert len(cases) > 25
     for where, key, value, expected in cases:

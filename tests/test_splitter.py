@@ -14,13 +14,13 @@ from fpboost.quantizer import BinMap, QuantizedMatrix
 from fpboost.splitter import (
     TreeModel,
     apply_tree_update,
+    leaf_increments,
     partition,
     replay_scores,
     route_weights,
-    tree_increment,
 )
 from conftest import random_quantized
-from reference import mp_grad_hess, ref_route
+from reference import mp_grad_hess, nested_tree, ref_increment, ref_route
 
 SCALE = 1 << FRAC_BITS
 
@@ -111,17 +111,6 @@ def _stump(feature=0, threshold=5, missing_left=False, wl=100, wr=-200):
     return tree
 
 
-def _nested(tree, depth=0, node_id=0):
-    """The reference's nested-dict form of a TreeModel."""
-    node = tree.node(depth, node_id)
-    if node.is_leaf:
-        return {"weight": node.leaf_weight_raw}
-    return {"feature": node.feature, "threshold": node.threshold_bin,
-            "missing_left": node.missing_left,
-            "left": _nested(tree, depth + 1, 2 * node_id),
-            "right": _nested(tree, depth + 1, 2 * node_id + 1)}
-
-
 def _leaf_weights(tree):
     """route_weights' leaf values that route each sample to its leaf weight."""
     return {(d, k): node.leaf_weight_raw for d, level in enumerate(tree.levels)
@@ -181,17 +170,17 @@ class TestRouting:
     def test_single_leaf(self):
         tree = TreeModel()
         tree.put(0, 0, TreeNode(is_leaf=True, leaf_weight_raw=42))
-        assert _route_one(tree, [7, 9]) == ref_route(_nested(tree), [7, 9]) == 42
+        assert _route_one(tree, [7, 9]) == ref_route(nested_tree(tree), [7, 9]) == 42
 
     def test_stump_boundary(self):
         tree = _stump(feature=1, threshold=5)
         for bins, weight in (([0, 5], 100), ([0, 6], -200)):
-            assert _route_one(tree, bins) == ref_route(_nested(tree), bins) == weight
+            assert _route_one(tree, bins) == ref_route(nested_tree(tree), bins) == weight
 
     def test_missing_direction(self):
         for missing_left, weight in ((False, -200), (True, 100)):
             tree = _stump(missing_left=missing_left)
-            assert _route_one(tree, [255]) == ref_route(_nested(tree), [255]) == weight
+            assert _route_one(tree, [255]) == ref_route(nested_tree(tree), [255]) == weight
 
     def test_malformed_tree(self):
         tree = TreeModel()
@@ -220,7 +209,7 @@ class TestRouting:
     def test_route_weights_matches_reference_on_random_trees(self, case):
         tree, columns = case
         got = route_weights(tree, columns, _leaf_weights(tree))
-        nested = _nested(tree)
+        nested = nested_tree(tree)
         assert got.dtype == np.int64
         assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(columns.shape[1])]
 
@@ -228,7 +217,7 @@ class TestRouting:
         # level 9 holds 512 leaves, so the last codes need two bytes
         depth, n_features = 9, 9
         tree = _complete_tree(rng, depth, n_features)
-        nested = _nested(tree)
+        nested = nested_tree(tree)
         for n in (0, 4096):
             columns = rng.integers(0, 256, size=(n_features, n), dtype=np.uint8)
             got = route_weights(tree, columns, _leaf_weights(tree))
@@ -252,7 +241,7 @@ class TestRouting:
             leaf_id, node_id = (left, right) if leaf_left else (right, left)
             tree.put(d + 1, leaf_id, TreeNode(is_leaf=True, leaf_weight_raw=d))
         tree.put(depth, node_id, TreeNode(is_leaf=True, leaf_weight_raw=depth))
-        nested = _nested(tree)
+        nested = nested_tree(tree)
         for n in (0, 2000):
             columns = rng.integers(0, 256, size=(depth, n), dtype=np.uint8)
             got = route_weights(tree, columns, _leaf_weights(tree))
@@ -301,7 +290,7 @@ class TestRouting:
                                                      subsample=1.0, n_engines=1))
         for tree in model.trees:
             vec = route_weights(tree, matrix.columns, _leaf_weights(tree))
-            scalar = [ref_route(_nested(tree), matrix.columns[:, i]) for i in range(150)]
+            scalar = [ref_route(nested_tree(tree), matrix.columns[:, i]) for i in range(150)]
             assert list(vec) == scalar
 
 
@@ -320,7 +309,7 @@ class TestRouting:
                             level[k] = TreeNode(is_leaf=True, leaf_weight_raw=int(big[k % 64]))
             w = route_weights(tree, matrix.columns, _leaf_weights(tree))
             per_sample = quantize(eta * (w.astype(np.float64) / float(1 << frac_bits)), frac_bits)
-            got = tree_increment(tree, matrix.columns, eta, frac_bits)
+            got = route_weights(tree, matrix.columns, leaf_increments(tree, eta, frac_bits))
             assert np.array_equal(got, per_sample)
 
     @pytest.mark.parametrize("wl, wr, eta", [
@@ -372,17 +361,18 @@ class TestApplyTreeUpdate:
 
     def test_replay_bound_past_2_63_with_margins_in_range_is_scored(self, rng, monkeypatch):
         # margins 3 * 2**60 -> 0 -> 3 * 2**60: the running bound reaches
-        # 9 * 2**60 > 2**63 at the third tree, whose exact check then passes
+        # 9 * 2**60 > 2**63 at the third tree, whose exact check then passes;
+        # that check takes max|.| of the scores and of the increment
         matrix, _ = random_quantized(rng, 8, 2)
         big = 3 << 60
         checked, seen = [], []
-        add_increment = splitter.add_increment
-        monkeypatch.setattr(splitter, "add_increment",
-                            lambda *args: checked.append(args) or add_increment(*args))
+        max_abs = splitter._max_abs
+        monkeypatch.setattr(splitter, "_max_abs",
+                            lambda raw: checked.append(raw) or max_abs(raw))
         scores = replay_scores([_leaf(big), _leaf(-big), _leaf(big)], 0.0, matrix.columns, 1.0,
                                after_tree=lambda s: seen.append(int(s[0])))
         assert seen == [big, 0, big] and np.all(scores == big)
-        assert len(checked) == 1
+        assert len(checked) == 2
 
     def test_after_tree_cannot_write_the_scores(self, rng):
         matrix, _ = random_quantized(rng, 8, 2)
@@ -452,7 +442,7 @@ class TestApplyTreeUpdate:
         model, _ = train(matrix, labels, cfg)
         scores = np.zeros(200, dtype=np.int64)
         for tree in model.trees:
-            scores += tree_increment(tree, matrix.columns, cfg.eta, cfg.frac_bits)
+            scores += ref_increment(nested_tree(tree), matrix.columns, cfg.eta, cfg.frac_bits)
         mem = load(matrix, labels, 0.0)
         for tree in model.trees:
             apply_tree_update(mem, tree, cfg.eta)
@@ -476,7 +466,7 @@ _RAW = st.integers(-(1 << 62), 1 << 62) | st.sampled_from([0, 1, -1, 3 << 60, -(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 255), _RAW, _RAW), min_size=1, max_size=6),
+@given(st.lists(st.tuples(st.integers(0, 254), _RAW, _RAW), min_size=1, max_size=6),
        st.sampled_from([0.0, 2.0 ** 37, -(2.0 ** 37)]),
        arrays(np.uint8, st.integers(1, 12)))
 def test_replay_matches_checking_every_tree(stumps, base_score, bins):
@@ -487,7 +477,7 @@ def test_replay_matches_checking_every_tree(stumps, base_score, bins):
     margins = [int(quantize(base_score))] * bins.size
     want = None
     for i, tree in enumerate(trees):
-        increment = tree_increment(tree, columns, 1.0).tolist()
+        increment = ref_increment(nested_tree(tree), columns, 1.0, FRAC_BITS).tolist()
         if max(map(abs, margins)) + max(map(abs, increment)) >= 1 << 63:
             want = f"tree {i}: raw margin scores overflow int64"
             break
@@ -497,3 +487,39 @@ def test_replay_matches_checking_every_tree(stumps, base_score, bins):
     else:
         with pytest.raises(ValueError, match=f"^{want}$"):
             replay_scores(trees, base_score, columns, 1.0)
+
+
+_START = (st.integers(-(1 << 63), (1 << 63) - 1)
+          | st.sampled_from([0, (1 << 62) - 1, 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63)]))
+
+
+@st.composite
+def _update_case(draw):
+    """A stump, the start score of each sample and the bins it is routed by."""
+    stump = draw(st.tuples(st.integers(0, 254), st.booleans(), _RAW, _RAW))
+    n = draw(st.integers(0, 12))
+    starts = draw(st.lists(_START, min_size=n, max_size=n))
+    bins = draw(arrays(np.uint8, n))
+    return stump, starts, bins
+
+
+@settings(max_examples=200, deadline=None)
+@given(_update_case(), st.sampled_from([1.0, 0.3]), st.sampled_from([1, 24, 48]))
+def test_training_update_matches_checking_every_sum(case, eta, frac_bits):
+    """apply_tree_update accepts, refuses and scores exactly as an exact check
+    of the tree's sums would; a refusal gives the training hint and leaves
+    the scores as they were."""
+    (threshold, missing_left, wl, wr), starts, bins = case
+    matrix = QuantizedMatrix(columns=bins.reshape(1, -1), bin_map=BinMap([np.arange(255.0)]))
+    mem = load(matrix, np.zeros(bins.size, dtype=np.int8), 0.0, frac_bits)
+    mem.state.scores_raw[:] = starts
+    tree = _stump(threshold=threshold, missing_left=missing_left, wl=wl, wr=wr)
+    increment = ref_increment(nested_tree(tree), matrix.columns, eta, frac_bits).tolist()
+    if starts and max(map(abs, starts)) + max(map(abs, increment)) >= 1 << 63:
+        with pytest.raises(ValueError, match="^raw margin scores overflow int64: lower frac_bits, "
+                                             "or raise lambda to bound the leaf weights$"):
+            apply_tree_update(mem, tree, eta)
+        assert mem.state.scores_raw.tolist() == starts
+    else:
+        apply_tree_update(mem, tree, eta)
+        assert mem.state.scores_raw.tolist() == [s + d for s, d in zip(starts, increment)]
