@@ -1,5 +1,7 @@
 """Ranking metrics, per-tree evaluation, and the bins -> train -> eval wiring."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .boost_controller import train
@@ -12,9 +14,17 @@ from .splitter import replay_scores
 _EXACT = 1 << 53               # integers up to this size are exact float64 values
 
 
-def _class_counts(labels) -> tuple:
-    """(positive mask, positives, negatives) of labels that are each 0 or 1
-    and hold at least one of each."""
+class _Classes(NamedTuple):
+    """Labels as auc reads them: each row's positive flag as int64 0 or 1,
+    the class counts, and the row numbers 0..n-1."""
+    positive: np.ndarray
+    n_pos: int
+    n_neg: int
+    rows: np.ndarray
+
+
+def _classes(labels) -> _Classes:
+    """The _Classes of labels that are each 0 or 1 and hold at least one of each."""
     y = np.asarray(labels)
     positive = y == 1
     n_pos, n_neg = int(np.count_nonzero(positive)), int(np.count_nonzero(y == 0))
@@ -22,7 +32,7 @@ def _class_counts(labels) -> tuple:
         binary_labels(y)                    # raises, naming the first offending row
     if not n_pos or not n_neg:
         raise ValueError("AUC undefined: need at least one positive and one negative label")
-    return positive, n_pos, n_neg
+    return _Classes(positive.astype(np.int64), n_pos, n_neg, np.arange(y.size))
 
 
 def auc(scores, labels) -> float:
@@ -35,19 +45,20 @@ def auc(scores, labels) -> float:
     the rows by score with each tie group's negatives first, and _twice_u
     counts twice the Mann-Whitney U from it.  That count is an exact
     integer, so (U2 / 2) / (n_pos * n_neg) is the same float as the midrank
-    sum gave.
+    sum gave.  labels may also be their _Classes, which evaluate_per_tree
+    computes once for all its trees.
     """
     s = np.asarray(scores)
-    positive, n_pos, n_neg = _class_counts(labels)
-    if positive.shape != s.shape:
+    classes = labels if isinstance(labels, _Classes) else _classes(labels)
+    if classes.positive.shape != s.shape:
         raise ValueError("scores and labels differ in length")
     if s.dtype.kind in "iu" and -_EXACT <= int(s.min()) and int(s.max()) <= _EXACT:
         key = s.astype(np.int64, copy=False) << 1
     else:
         key = _dense_ranks(s) << 1
-    key |= positive
+    key |= classes.positive
     key.sort()
-    return (_twice_u(key, n_pos) / 2) / (n_pos * n_neg)
+    return (_twice_u(key, classes) / 2) / (classes.n_pos * classes.n_neg)
 
 
 def _dense_ranks(scores: np.ndarray) -> np.ndarray:
@@ -62,7 +73,7 @@ def _dense_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _twice_u(key: np.ndarray, n_pos: int) -> int:
+def _twice_u(key: np.ndarray, classes: _Classes) -> int:
     """U2 = sum over tie groups g of pos_g * (2 * neg_before_g + neg_g), from
     the sorted keys (rank << 1) | positive.
 
@@ -72,7 +83,7 @@ def _twice_u(key: np.ndarray, n_pos: int) -> int:
     to the last sum, and it has exactly one negative-to-positive step.
     """
     positive = key & 1
-    w = int(positive @ np.arange(key.size)) - n_pos * (n_pos - 1) // 2
+    w = int(positive @ classes.rows) - classes.n_pos * (classes.n_pos - 1) // 2
     first_pos = np.flatnonzero((key[1:] ^ key[:-1]) == 1) + 1
     neg_g = first_pos - np.searchsorted(key, key[first_pos] - 1)
     pos_g = np.searchsorted(key, key[first_pos], side="right") - first_pos
@@ -91,9 +102,10 @@ def evaluate_per_tree(model, matrix: QuantizedMatrix, labels, eta: float = 1.0,
         raise ValueError("empty model")
     if bin_map is not None and bin_map != matrix.bin_map:
         raise ValueError("validation data was quantized with a different bin map")
+    classes = _classes(labels)
     history = []
     replay_scores(model.trees, model.base_score, matrix.columns, eta, frac_bits,
-                  after_tree=lambda scores: history.append(auc(scores, labels)))
+                  after_tree=lambda scores: history.append(auc(scores, classes)))
     return history, max(history)
 
 
@@ -110,7 +122,7 @@ def train_and_evaluate(train_raw: RawDataset, config: TrainConfig,
     # validation set that cannot be scored fails before the run, not after it
     valid = None if valid_raw is None else transform(valid_raw, bins)
     if valid is not None and config.n_trees:
-        _class_counts(valid_raw.labels)
+        _classes(valid_raw.labels)
     model, log = train(transform(train_raw, bins), train_raw.labels, config)
     history = None if valid is None else []
     # evaluate_per_tree refuses an empty model: it has no max AUC

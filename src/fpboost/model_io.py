@@ -1,14 +1,17 @@
 """Model and training-log persistence.
 
 Everything is JSON with sorted keys, so a save -> load -> save round trip
-is byte-identical and files are platform-independent.  Centroids are plain
+is byte-identical and files are platform-independent: each file is the text
+json.dump(doc, sort_keys=True, indent=1) gives, then a newline, written as
+ASCII bytes with LF line ends.  Centroids are plain
 floats (shortest round-trip decimal); leaf weights are raw fixed-point
 integers next to the frac_bits that scale them.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -31,10 +34,77 @@ class ModelBundle:
     config: TrainConfig
 
 
-def _dump(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+# The files hold json.dump(doc, sort_keys=True, indent=1) text.  With an
+# indent json runs its pure-Python encoder, several Python calls per value,
+# so the text is spelled here: _encode writes any document as json does,
+# lists of plain numbers in one join, and trees straight from their nodes.
+def _float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _block(brackets: str, items, pad: str) -> str:
+    """Encoded items between brackets, "[]" or "{}", one to a line at indentation pad + 1."""
+    inner = "\n " + pad
+    text = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{text}\n{pad}{brackets[1]}" if text else brackets
+
+
+def _object(members: dict, pad: str) -> str:
+    """A JSON object of encoded values, keys sorted, at indentation pad."""
+    return _block("{}", (f"{_string(k)}: {members[k]}" for k in sorted(members)), pad)
+
+
+def _encode(value, pad: str = "") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=1) spells it at
+    indentation pad, with json's dispatch: bool before int, and int and
+    float subclasses (np.float64) through int.__repr__ and float.__repr__."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds <= {int}:
+            return _block("[]", map(int.__repr__, value), pad)
+        if kinds <= {float} and all(map(math.isfinite, value)):
+            return _block("[]", map(float.__repr__, value), pad)
+        return _block("[]", [_encode(v, pad + " ") for v in value], pad)
+    if isinstance(value, dict):
+        return _object({k: _encode(v, pad + " ") for k, v in value.items()}, pad)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# one node of a tree, as a member of its level in a model file
+_LEAF_TEXT = '"%s": {\n     "is_leaf": true,\n     "leaf_weight_raw": %d\n    }'
+_SPLIT_TEXT = ('"%s": {\n     "feature": %d,\n     "is_leaf": false,\n'
+               '     "missing_left": %s,\n     "threshold_bin": %d\n    }')
+
+
+def _level_text(level: dict) -> str:
+    """One level of a tree in a model file, node ids sorted as strings, as sort_keys sorts them."""
+    return _block("{}", [
+        _LEAF_TEXT % (key, node.leaf_weight_raw) if node.is_leaf else
+        _SPLIT_TEXT % (key, node.feature, "true" if node.missing_left else "false",
+                       node.threshold_bin)
+        for key, node in sorted(zip(map(str, level), level.values()))], "   ")
+
+
+def _tree_text(tree: TreeModel) -> str:
+    return _block("[]", map(_level_text, tree.levels), "  ")
+
+
+def _write(text: str, path: str) -> None:
+    """One ASCII write of the text and a final newline, untouched by newline translation."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("ascii") + b"\n")
 
 
 _INT = (is_int, "an integer")
@@ -101,17 +171,6 @@ def _config_from_dict(doc, schema: dict, where: str) -> TrainConfig:
         raise ValueError(f"{where}: {err}") from None
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"is_leaf": True, "leaf_weight_raw": int(node.leaf_weight_raw)}
-    return {
-        "is_leaf": False,
-        "feature": int(node.feature),
-        "threshold_bin": int(node.threshold_bin),
-        "missing_left": bool(node.missing_left),
-    }
-
-
 _LEAF = {"is_leaf": _CHECKED,
          "leaf_weight_raw": (lambda v: is_int(v) and INT64_MIN <= v <= INT64_MAX,
                              "an int64 integer")}
@@ -130,11 +189,6 @@ def _node_from_dict(doc, where: str, n_features: int) -> TreeNode:
                           f"an integer in [0, {MISSING_BIN - 1}]"),
         "missing_left": (lambda v: isinstance(v, bool), "true or false"),
     }, where))
-
-
-def _tree_to_doc(tree: TreeModel) -> list:
-    return [{str(node_id): _node_to_dict(n) for node_id, n in level.items()}
-            for level in tree.levels]
 
 
 def _tree_from_doc(doc, index: int, n_features: int) -> TreeModel:
@@ -178,16 +232,15 @@ def _tree_from_doc(doc, index: int, n_features: int) -> TreeModel:
 
 
 def save_model(model: Model, bin_map: BinMap, config: TrainConfig, path: str) -> None:
-    doc = {
-        "format": MODEL_FORMAT,
-        "format_version": FORMAT_VERSION,
-        "frac_bits": config.frac_bits,
-        "base_score": float(model.base_score),
-        "config": {k: v for k, v in asdict(config).items() if k in _MODEL_CONFIG},
-        "bin_map": {"centroids": [[float(v) for v in c] for c in bin_map.centroids]},
-        "trees": [_tree_to_doc(t) for t in model.trees],
-    }
-    _dump(doc, path)
+    _write(_object({
+        "format": _encode(MODEL_FORMAT),
+        "format_version": _encode(FORMAT_VERSION),
+        "frac_bits": _encode(config.frac_bits),
+        "base_score": _encode(float(model.base_score)),
+        "config": _encode({k: getattr(config, k) for k in _MODEL_CONFIG}, " "),
+        "bin_map": _encode({"centroids": [c.tolist() for c in bin_map.centroids]}, " "),
+        "trees": _block("[]", map(_tree_text, model.trees), " "),
+    }, ""), path)
 
 
 def load_model(path: str) -> ModelBundle:
@@ -208,16 +261,46 @@ def load_model(path: str) -> ModelBundle:
 
 
 def save_training_log(log: TrainingLog, path: str) -> None:
-    _dump({"format": LOG_FORMAT, "format_version": FORMAT_VERSION, **asdict(log)}, path)
+    _write(_encode({
+        "format": LOG_FORMAT,
+        "format_version": FORMAT_VERSION,
+        "n_samples": log.n_samples,
+        "n_features": log.n_features,
+        "config": {k: getattr(log.config, k) for k in _LOG_CONFIG},
+        "trees": [{"n_subsampled": t.n_subsampled, "n_leaves": t.n_leaves,
+                   "train_loss": t.train_loss,
+                   "depths": [{"trained_sizes": d.trained_sizes, "split_sizes": d.split_sizes}
+                              for d in t.depths]}
+                  for t in log.trees],
+    }), path)
+
+
+def _depth_log(doc, n_subsampled: int, where: str) -> DepthLog:
+    """One depth of a log tree, once its nodes fit in the tree's sample and
+    its split nodes fit in its trained ones."""
+    depth = DepthLog(**_checked(doc, _LOG_DEPTH, where))
+    trained, split = sum(depth.trained_sizes), sum(depth.split_sizes)
+    if trained > n_subsampled:
+        raise ValueError(f"{where}: trained_sizes sum to {trained}, "
+                         f"more than n_subsampled {n_subsampled}")
+    if len(depth.split_sizes) > len(depth.trained_sizes) or split > trained:
+        raise ValueError(f"{where}: split_sizes (n={len(depth.split_sizes)}, sum {split}) exceed "
+                         f"trained_sizes (n={len(depth.trained_sizes)}, sum {trained})")
+    return depth
 
 
 def load_training_log(path: str) -> TrainingLog:
-    """Read a training log; every key save_training_log writes must be there, and no other."""
+    """Read a training log; every key save_training_log writes must be there,
+    and no other, and no count may exceed the one it is part of."""
     doc = _load(path, LOG_FORMAT, _LOG, "log")
     trees = []
     for i, t in enumerate(doc["trees"]):
-        t = _checked(t, _LOG_TREE, f"log tree {i}")
-        depths = [DepthLog(**_checked(d, _LOG_DEPTH, f"log tree {i}, depth {k}"))
+        where = f"log tree {i}"
+        t = _checked(t, _LOG_TREE, where)
+        if t["n_subsampled"] > doc["n_samples"]:
+            raise ValueError(f"{where}: n_subsampled {t['n_subsampled']} is more than "
+                             f"n_samples {doc['n_samples']}")
+        depths = [_depth_log(d, t["n_subsampled"], f"{where}, depth {k}")
                   for k, d in enumerate(t["depths"])]
         trees.append(TreeLog(**{**t, "depths": depths}))
     return TrainingLog(

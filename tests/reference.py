@@ -7,7 +7,8 @@ sigmoid in arbitrary precision and as two masked passes,
 gain in exact rationals, AUC by pair counting and by midrank sums, the subsample generator in
 pure-Python integers, engine shards by an exact rational ceiling, node
 histograms built engine by engine and merged, and CSV parsing one cell at
-a time through Python's float().
+a time through Python's float(), and model and training-log files as the
+dicts that json.dump(doc, sort_keys=True, indent=1) spells.
 Leaf weights are rounded from exact rationals, with their own int64 range
 check.  ref_scan_split is the histogram split scan with the node term
 evaluated per candidate, the form the library skips where it is exact.
@@ -19,6 +20,7 @@ exercise the accumulation and search machinery around it.
 
 import gzip
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -461,3 +463,32 @@ def ref_load_csv(path: str, label_col: int, max_rows, strict_labels: bool):
     if not rows:
         raise ValueError("no samples")
     return np.vstack(rows), np.asarray(labels, dtype=np.int8)
+
+
+# -------------------------------------------------------------- model files
+
+def _node_doc(node) -> dict:
+    if node.is_leaf:
+        return {"is_leaf": True, "leaf_weight_raw": int(node.leaf_weight_raw)}
+    return {"is_leaf": False, "feature": int(node.feature),
+            "threshold_bin": int(node.threshold_bin), "missing_left": bool(node.missing_left)}
+
+
+def ref_model_doc(model, bin_map, config) -> dict:
+    """The document a model file holds: json.dump(doc, sort_keys=True, indent=1)
+    of it, and a newline, are the file's text.  The engine count is left out."""
+    return {
+        "format": "fpboost-model",
+        "format_version": 1,
+        "frac_bits": config.frac_bits,
+        "base_score": float(model.base_score),
+        "config": {k: v for k, v in asdict(config).items() if k != "n_engines"},
+        "bin_map": {"centroids": [[float(v) for v in c] for c in bin_map.centroids]},
+        "trees": [[{str(node_id): _node_doc(n) for node_id, n in level.items()}
+                   for level in tree.levels] for tree in model.trees],
+    }
+
+
+def ref_log_doc(log) -> dict:
+    """The document a training-log file holds, as ref_model_doc's for a model."""
+    return {"format": "fpboost-log", "format_version": 1, **asdict(log)}

@@ -283,6 +283,26 @@ def test_log_with_negative_counts_is_single_line_error(tmp_path, csv_pair, capsy
     assert not (tmp_path / "report.kv").exists()
 
 
+def test_log_with_contradicting_counts_is_single_line_error(tmp_path, csv_pair, capsys):
+    # a tree that sampled more rows than the log has was refused by no check
+    # and cost a billion-row histogram build
+    train_csv, _ = csv_pair
+    log = tmp_path / "log.json"
+    assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
+                 "--model-out", str(tmp_path / "m.json"), "--log-out", str(log)]) == 0
+    capsys.readouterr()
+    doc = json.loads(log.read_text())
+    doc["trees"][0]["n_subsampled"] = 10**9
+    doc["trees"][0]["depths"][0]["trained_sizes"] = [10**9]
+    log.write_text(json.dumps(doc))
+    rc = main(["cost", "--log", str(log), "--out", str(tmp_path / "report.kv")])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: log tree 0: n_subsampled 1000000000 is more than n_samples "
+            f"{doc['n_samples']}\n")
+    assert not (tmp_path / "report.kv").exists()
+
+
 @pytest.mark.parametrize("clock", ["nan", "inf"])
 def test_non_finite_clock_is_single_line_error(tmp_path, csv_pair, capsys, clock):
     train_csv, _ = csv_pair

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpboost.boost_controller import Model, predict_raw, train
+from fpboost.boost_controller import DepthLog, Model, TrainingLog, TreeLog, predict_raw, train
 from fpboost.cost_model import CostParams, estimate
 from fpboost.model_io import load_model, load_training_log, save_model, save_training_log
-from fpboost.node_trainer import TrainConfig
-from fpboost.quantizer import fit_bin_map, transform
+from fpboost.node_trainer import TrainConfig, TreeNode
+from fpboost.quantizer import BinMap, fit_bin_map, transform
+from fpboost.splitter import TreeModel
 from conftest import random_raw
+from reference import ref_log_doc, ref_model_doc
 
 
 def _trained(rng, **cfg_kwargs):
@@ -27,6 +29,107 @@ def _trained(rng, **cfg_kwargs):
     config = TrainConfig(**defaults)
     model, log = train(matrix, raw.labels, config)
     return model, bins, config, matrix, log
+
+
+def _json_text(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("ascii")
+
+
+_INT64_EDGES = st.sampled_from([-(1 << 63), (1 << 63) - 1, 0, -1])
+# -0.0, a subnormal and 1e300, and any other finite value
+_CENTROIDS = st.sampled_from([-0.0, 5e-324, 1e300]) | st.floats(allow_nan=False,
+                                                                  allow_infinity=False)
+
+
+@st.composite
+def _trees(draw, n_features: int):
+    """A tree of depth 0..8, as full or as sparse as drawn: at depth 8 node ids
+    run to 255, so 3-digit ids sort as strings ("100" before "20")."""
+    max_depth = draw(st.integers(0, 8))
+    p_split = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    weights = draw(st.lists(_INT64_EDGES | st.integers(-(1 << 63), (1 << 63) - 1),
+                            min_size=1, max_size=8))
+    tree, frontier = TreeModel(levels=[]), [0]
+    for depth in range(max_depth + 1):
+        level, below = {}, []
+        for node_id in frontier:
+            if depth < max_depth and rnd.random() < p_split:
+                level[node_id] = TreeNode(False, feature=rnd.randrange(n_features),
+                                          threshold_bin=rnd.randrange(255),
+                                          missing_left=rnd.random() < 0.5)
+                below += [2 * node_id, 2 * node_id + 1]
+            else:
+                level[node_id] = TreeNode(True, leaf_weight_raw=rnd.choice(weights))
+        tree.levels.append(level)
+        if not below:
+            break
+        frontier = below
+    return tree
+
+
+# reals as a config may hold them: floats, np.float64s and integers a float holds
+_CONFIGS = st.builds(TrainConfig, lam=st.sampled_from([0.5, np.float64(0.25), np.float64(1.0), 2]),
+                     gamma=st.sampled_from([0, 0.0, np.float64(0.5)]),
+                     max_depth=st.integers(1, 8), n_trees=st.integers(0, 3),
+                     subsample=st.sampled_from([0.5, np.float64(0.25), 1]),
+                     eta=st.sampled_from([1, 0.3, np.float64(0.75)]),
+                     seed=st.sampled_from([0, (1 << 64) - 1]), frac_bits=st.integers(1, 48))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_model_file_is_json_dump_text(tmp_path_factory, data):
+    """save_model writes exactly json.dump(doc, sort_keys=True, indent=1) text
+    and a newline, for the document the reference builds."""
+    features = data.draw(st.lists(st.lists(_CENTROIDS, min_size=1, max_size=6, unique=True),
+                                  min_size=1, max_size=4), label="centroids")
+    bin_map = BinMap([sorted(c) for c in features])
+    trees = data.draw(st.lists(_trees(bin_map.n_features), max_size=3), label="trees")
+    base_score = data.draw(st.floats() | st.floats(width=32).map(np.float64), label="base_score")
+    model, config = Model(trees=trees, base_score=base_score), data.draw(_CONFIGS, label="config")
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(model, bin_map, config, str(path))
+    assert path.read_bytes() == _json_text(ref_model_doc(model, bin_map, config))
+
+
+# lists of one kind take the writer's one-pass joins; mixed ones go value by value
+_COUNTS = (st.lists(st.integers(0, 10**12), max_size=5) | st.lists(st.floats(), max_size=5)
+           | st.lists(st.integers(0, 10**12) | st.booleans() | st.floats(), max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_log_file_is_json_dump_text(tmp_path_factory, data):
+    """save_training_log writes exactly json.dump(doc, sort_keys=True, indent=1)
+    text and a newline, for the document the reference builds, with counts
+    and losses of any JSON number type, booleans and non-finite floats too."""
+    depths = st.builds(DepthLog, trained_sizes=_COUNTS,
+                       split_sizes=st.just([]) | _COUNTS)
+    tree_logs = st.builds(TreeLog, n_subsampled=st.integers(0, 10**12),
+                          depths=st.lists(depths, max_size=8), n_leaves=st.integers(0, 512),
+                          train_loss=st.floats() | st.floats().map(np.float64) | st.integers())
+    log = data.draw(st.builds(TrainingLog, n_samples=st.integers(0, 10**12),
+                              n_features=st.integers(0, 300), config=_CONFIGS,
+                              trees=st.lists(tree_logs, max_size=3)), label="log")
+    path = tmp_path_factory.mktemp("log") / "log.json"
+    save_training_log(log, str(path))
+    assert path.read_bytes() == _json_text(ref_log_doc(log))
+
+
+def test_node_ids_sort_as_strings(tmp_path):
+    """Node ids are object keys, so sort_keys puts "10" before "2"."""
+    tree = TreeModel(levels=[])
+    for depth in range(5):
+        tree.levels.append({i: TreeNode(False, feature=0, threshold_bin=3, missing_left=True)
+                            if depth < 4 else TreeNode(True, leaf_weight_raw=i)
+                            for i in range(1 << depth)})
+    model, bin_map = Model(trees=[tree]), BinMap([[0.0, 1.0]])
+    save_model(model, bin_map, TrainConfig(), str(tmp_path / "m.json"))
+    text = (tmp_path / "m.json").read_text()
+    # the last of each id is in the leaf level, ids 0..15
+    assert text.rindex('"1": {') < text.rindex('"10": {') < text.rindex('"15": {') < text.rindex('"2": {')
+    assert text.encode() == _json_text(ref_model_doc(model, bin_map, TrainConfig()))
 
 
 def test_empty_model_round_trip_bytes(rng, tmp_path):
@@ -356,6 +459,18 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
             if key in negative:
                 cases.append((where, key, negative[key], f"{where}: {key} must be"))
         cases.append((where, "bogus", 0, f"{where}: unknown key 'bogus'"))
+    # well typed, but a count larger than the one it is part of
+    n_subsampled, trained = doc["trees"][1]["n_subsampled"], places["log tree 1, depth 0"](doc)
+    cases += [
+        ("log tree 1", "n_subsampled", doc["n_samples"] + 1,
+         f"log tree 1: n_subsampled {doc['n_samples'] + 1} is more than n_samples"),
+        ("log tree 1, depth 0", "trained_sizes", [n_subsampled, 1],
+         f"log tree 1, depth 0: trained_sizes sum to {n_subsampled + 1}, more than n_subsampled"),
+        ("log tree 1, depth 0", "split_sizes", trained["trained_sizes"] + [0],
+         "log tree 1, depth 0: split_sizes (n=2, "),
+        ("log tree 1, depth 0", "split_sizes", [sum(trained["trained_sizes"]) + 1],
+         f"log tree 1, depth 0: split_sizes (n=1, sum {n_subsampled + 1})"),
+    ]
     assert len(cases) > 25
     for where, key, value, expected in cases:
         mutant = json.loads(json.dumps(doc))
@@ -367,6 +482,13 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
         with pytest.raises(ValueError) as err:
             load_training_log(str(path))
         assert str(err.value).startswith(expected), (expected, str(err.value))
+    # the edges themselves load: every row sampled, all of them split
+    edge = json.loads(json.dumps(doc))
+    edge["n_samples"] = max(t["n_subsampled"] for t in doc["trees"])
+    depth = places["log tree 1, depth 0"](edge)
+    depth["split_sizes"] = list(depth["trained_sizes"])
+    path.write_text(json.dumps(edge))
+    assert load_training_log(str(path)).trees[1].depths[0].split_sizes == depth["trained_sizes"]
 
 
 _FUZZ_VALUES = (None, "x", [], {}, True, 0.5, -1, 2**64, -2**63, 2**53 + 1, math.nan, 10**400)
