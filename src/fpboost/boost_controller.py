@@ -109,7 +109,7 @@ def _children(memory: EngineMemory, parent_id: int, parent_hist: np.ndarray,
     bins hold integer sums.  Nothing reads the parent's histogram once its
     children exist, so the subtraction overwrites it with the sibling's.
     """
-    ids = (2 * parent_id, 2 * parent_id + 1)
+    ids = TreeModel.children(parent_id)
     (s0, e0), (s1, e1) = child_ranges
     small = 0 if e0 - s0 <= e1 - s1 else 1
     built = build_histogram(memory, child_ranges[small])
@@ -151,7 +151,7 @@ def _grow_tree(memory: EngineMemory, config: TrainConfig, tree_log_depths: list)
             # children at the depth limit are leaves weighed from the left sums
             # the scan already holds (never empty: see node_trainer); nothing
             # reads their ranges, so this node's range is not partitioned
-            for child, totals in zip((2 * node_id, 2 * node_id + 1), node.child_totals):
+            for child, totals in zip(tree.children(node_id), node.child_totals):
                 tree.put(d + 1, child, node_leaf(totals, config.lam, config.frac_bits))
         tree_log_depths.append(DepthLog(trained_sizes, split_sizes))
         if not parents:

@@ -10,6 +10,7 @@ integers next to the frac_bits that scale them.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _string
 
@@ -133,10 +134,32 @@ _LOG_CONFIG = {f.name: _INT if f.type is int else _NUMBER for f in fields(TrainC
 _MODEL_CONFIG = {k: v for k, v in _LOG_CONFIG.items() if k != "n_engines"}
 
 
+class _Repeated(dict):
+    """A JSON object whose text holds .key more than once.  json keeps the
+    last value, so every check that reaches the object refuses it."""
+
+
+def _from_pairs(pairs: list) -> dict:
+    """json.load's object_pairs_hook: the object as a dict, a _Repeated one
+    if a key repeats."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        doc = _Repeated(doc)
+        doc.key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+    return doc
+
+
+def _unique(doc: dict, where: str) -> None:
+    if isinstance(doc, _Repeated):
+        raise ValueError(f"{where}: duplicate key {doc.key!r}")
+
+
 def _checked(doc, schema: dict, where: str) -> dict:
-    """doc, once it holds exactly the schema's keys and each value passes its check."""
+    """doc, once it holds exactly the schema's keys, each once, and each
+    value passes its check."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {type(doc).__name__}")
+    _unique(doc, where)
     unknown = sorted(doc.keys() - schema.keys())
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
@@ -151,7 +174,7 @@ def _checked(doc, schema: dict, where: str) -> dict:
 def _load(path: str, expected_format: str, schema: dict, where: str) -> dict:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_from_pairs)
         except json.JSONDecodeError as err:
             raise ValueError(f"malformed document: {err}") from err
     found = doc.get("format") if isinstance(doc, dict) else None
@@ -192,15 +215,21 @@ def _node_from_dict(doc, where: str, n_features: int) -> TreeNode:
 
 
 def _tree_from_doc(doc, index: int, n_features: int) -> TreeModel:
-    """Rebuild one tree, checking that every sample can be routed through it:
-    the root is node 0, each split has both children one level down, and
-    each node below the root hangs off a split."""
+    """Rebuild one tree, checking that every sample can be routed through it,
+    in one walk down its levels.  The walk carries the ids the level above
+    expects, each with its parent: the root at depth 0, then both children
+    (TreeModel.children) of every split.  A node that is not expected is an
+    orphan and is refused at once, as is a bad node.  An expected id that is
+    missing is a split without that child; the first, by depth and by file
+    order within a depth, is refused after the walk, so an orphan or a bad
+    node anywhere in the tree is reported before it."""
     if not isinstance(doc, list) or not doc or not isinstance(doc[0], dict) or "0" not in doc[0]:
         raise ValueError(f"tree {index}: expected a list of levels starting with root node 0")
-    tree = TreeModel(levels=[])
-    for depth, level in enumerate(doc):
+    levels, expected, missing = [], {0: None}, []
+    for depth, level in enumerate([*doc, {}]):     # the last splits' children are in no level
         if not isinstance(level, dict):
             raise ValueError(f"tree {index}, depth {depth}: expected an object of nodes")
+        _unique(level, f"tree {index}, depth {depth}")
         nodes = {}
         for key, node_doc in level.items():
             where = f"tree {index}, depth {depth}, node {key}"
@@ -208,27 +237,20 @@ def _tree_from_doc(doc, index: int, n_features: int) -> TreeModel:
                 node_id = int(key)
             except ValueError:
                 raise ValueError(f"{where}: node id is not an integer") from None
-            if depth == 0:
-                orphan = node_id != 0
-            else:
-                parent = tree.levels[depth - 1].get(node_id // 2)
-                orphan = parent is None or parent.is_leaf
-            if orphan:
+            if key != str(node_id):     # one spelling per id, the one save_model writes
+                raise ValueError(f"{where}: node id must be written {node_id}, got {key!r}")
+            if node_id not in expected:
                 raise ValueError(f"{where}: orphan node, no split above it")
             nodes[node_id] = _node_from_dict(node_doc, where, n_features)
-        tree.levels.append(nodes)
-    for depth, level in enumerate(tree.levels):
-        below = tree.levels[depth + 1] if depth + 1 < len(tree.levels) else {}
-        for node_id, node in level.items():
-            if node.is_leaf:
-                continue
-            for child in (2 * node_id, 2 * node_id + 1):
-                if child not in below:
-                    raise ValueError(
-                        f"tree {index}, depth {depth}, node {node_id}: "
-                        f"split without child {child} at depth {depth + 1}"
-                    )
-    return tree
+        missing += [(depth, kid, parent) for kid, parent in expected.items() if kid not in nodes]
+        expected = {kid: node_id for node_id, node in nodes.items() if not node.is_leaf
+                    for kid in TreeModel.children(node_id)}
+        levels.append(nodes)
+    if missing:
+        depth, kid, parent = missing[0]
+        raise ValueError(f"tree {index}, depth {depth - 1}, node {parent}: "
+                         f"split without child {kid} at depth {depth}")
+    return TreeModel(levels=levels[:-1])
 
 
 def save_model(model: Model, bin_map: BinMap, config: TrainConfig, path: str) -> None:
@@ -275,14 +297,22 @@ def save_training_log(log: TrainingLog, path: str) -> None:
     }), path)
 
 
-def _depth_log(doc, n_subsampled: int, where: str) -> DepthLog:
-    """One depth of a log tree, once its nodes fit in the tree's sample and
-    its split nodes fit in its trained ones."""
+def _depth_log(doc, n_subsampled: int, above, where: str) -> DepthLog:
+    """One depth of a log tree, once its nodes fit in the tree's sample and,
+    below depth 0, are no more than the children of the depth above's
+    splits, two per split and their samples, and its split nodes fit in its
+    trained ones.  The trainer's own logs meet the rule on the depth above
+    with equality."""
     depth = DepthLog(**_checked(doc, _LOG_DEPTH, where))
     trained, split = sum(depth.trained_sizes), sum(depth.split_sizes)
     if trained > n_subsampled:
         raise ValueError(f"{where}: trained_sizes sum to {trained}, "
                          f"more than n_subsampled {n_subsampled}")
+    if above is not None and (len(depth.trained_sizes) > 2 * len(above.split_sizes)
+                              or trained > sum(above.split_sizes)):
+        raise ValueError(f"{where}: trained_sizes (n={len(depth.trained_sizes)}, sum {trained}) "
+                         f"exceed the children of the split_sizes above "
+                         f"(n={len(above.split_sizes)}, sum {sum(above.split_sizes)})")
     if len(depth.split_sizes) > len(depth.trained_sizes) or split > trained:
         raise ValueError(f"{where}: split_sizes (n={len(depth.split_sizes)}, sum {split}) exceed "
                          f"trained_sizes (n={len(depth.trained_sizes)}, sum {trained})")
@@ -291,8 +321,10 @@ def _depth_log(doc, n_subsampled: int, where: str) -> DepthLog:
 
 def load_training_log(path: str) -> TrainingLog:
     """Read a training log; every key save_training_log writes must be there,
-    and no other, and no count may exceed the one it is part of."""
+    and no other, no tree may have more depths than the config's max_depth,
+    and no count may exceed the one it is part of."""
     doc = _load(path, LOG_FORMAT, _LOG, "log")
+    config = _config_from_dict(doc["config"], _LOG_CONFIG, "log config")
     trees = []
     for i, t in enumerate(doc["trees"]):
         where = f"log tree {i}"
@@ -300,12 +332,17 @@ def load_training_log(path: str) -> TrainingLog:
         if t["n_subsampled"] > doc["n_samples"]:
             raise ValueError(f"{where}: n_subsampled {t['n_subsampled']} is more than "
                              f"n_samples {doc['n_samples']}")
-        depths = [_depth_log(d, t["n_subsampled"], f"{where}, depth {k}")
-                  for k, d in enumerate(t["depths"])]
+        if len(t["depths"]) > config.max_depth:
+            raise ValueError(f"{where}: {len(t['depths'])} depths, more than "
+                             f"max_depth {config.max_depth}")
+        depths = []
+        for k, d in enumerate(t["depths"]):
+            depths.append(_depth_log(d, t["n_subsampled"], depths[-1] if depths else None,
+                                     f"{where}, depth {k}"))
         trees.append(TreeLog(**{**t, "depths": depths}))
     return TrainingLog(
         n_samples=doc["n_samples"],
         n_features=doc["n_features"],
-        config=_config_from_dict(doc["config"], _LOG_CONFIG, "log config"),
+        config=config,
         trees=trees,
     )

@@ -29,7 +29,9 @@ class TreeModel:
     """One decision tree as per-depth node tables keyed by heap-style ids.
 
     The root is node 0 at depth 0; the children of node k sit at ids 2k and
-    2k+1 one level down.
+    2k+1 one level down.  This class holds that rule: the trainer, the router
+    and the model loader get child ids from children(), and leaves() walks
+    every leaf.
     """
 
     levels: list = field(default_factory=lambda: [{}])
@@ -44,8 +46,18 @@ class TreeModel:
             self.levels.append({})
         self.levels[depth][node_id] = node
 
+    @staticmethod
+    def children(node_id: int) -> tuple:
+        """The ids of node node_id's left and right child, one level down."""
+        return 2 * node_id, 2 * node_id + 1
+
+    def leaves(self):
+        """((depth, node_id), node) of every leaf, level by level."""
+        return (((depth, node_id), node) for depth, level in enumerate(self.levels)
+                for node_id, node in level.items() if node.is_leaf)
+
     def n_leaves(self) -> int:
-        return sum(1 for level in self.levels for n in level.values() if n.is_leaf)
+        return sum(1 for _ in self.leaves())
 
 
 def partition(memory: EngineMemory, node_range: tuple, node: TreeNode) -> int:
@@ -76,11 +88,12 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
     byte while there are at most 256.  Every split of the level compares its
     whole column with goes_left, masked below the root to the samples of its
     code, and the masks are OR'd into one go-left vector.  The next codes are
-    first[code] + go_left: a split's children get two codes, right then left,
-    and a leaf keeps one, where go_left is 0.  At the first level without a
-    split, one take from the leaf values in code order gives the result.
-    Each reachable split's children are looked up, so a missing one raises
-    ValueError even when there are no samples; unreachable nodes are ignored.
+    first[code] + go_left: a split's children, from TreeModel.children, get
+    two codes, right then left, and a leaf keeps one, where go_left is 0.
+    At the first level without a split, one take from the leaf values in
+    code order gives the result.  Each reachable split's children are looked
+    up, so a missing one raises ValueError even when there are no samples;
+    unreachable nodes are ignored.
     """
     reached = [((0, 0), tree.node(0, 0))]   # (key, node) of the level's codes
     code = None                             # at the root every sample has code 0
@@ -93,8 +106,8 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
                 continue
             splits.append((c, node))
             depth, node_id = key
-            for kid in (depth + 1, 2 * node_id + 1), (depth + 1, 2 * node_id):
-                below.append((kid, tree.node(*kid)))
+            for kid in reversed(tree.children(node_id)):
+                below.append(((depth + 1, kid), tree.node(depth + 1, kid)))
         code = _next_codes(code, first, len(below), splits, columns)
         reached = below
     values = np.array([leaf_values[key] for key, _ in reached], dtype=np.int64)
@@ -136,8 +149,7 @@ def leaf_increments(tree: TreeModel, eta: float, frac_bits: int = FRAC_BITS) -> 
     them go to quantize for its ValueError.
     """
     s = scale(frac_bits)
-    leaves = {(d, k): eta * (float(node.leaf_weight_raw) / s)
-              for d, level in enumerate(tree.levels) for k, node in level.items() if node.is_leaf}
+    leaves = {key: eta * (float(node.leaf_weight_raw) / s) for key, node in tree.leaves()}
     raws = [value * s for value in leaves.values()]
     if not all(-INT64_LIMIT <= raw < INT64_LIMIT for raw in raws):   # False for NaN
         quantize(list(leaves.values()), frac_bits)                  # raises its ValueError

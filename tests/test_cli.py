@@ -284,23 +284,34 @@ def test_log_with_negative_counts_is_single_line_error(tmp_path, csv_pair, capsy
 
 
 def test_log_with_contradicting_counts_is_single_line_error(tmp_path, csv_pair, capsys):
-    # a tree that sampled more rows than the log has was refused by no check
-    # and cost a billion-row histogram build
+    # a tree that sampled more rows than the log has, or a root leaf with 20
+    # depths below it, was refused by no check and priced as if it had trained
     train_csv, _ = csv_pair
     log = tmp_path / "log.json"
     assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
-                 "--model-out", str(tmp_path / "m.json"), "--log-out", str(log)]) == 0
+                 "--max-depth", "2", "--model-out", str(tmp_path / "m.json"),
+                 "--log-out", str(log)]) == 0
     capsys.readouterr()
-    doc = json.loads(log.read_text())
-    doc["trees"][0]["n_subsampled"] = 10**9
-    doc["trees"][0]["depths"][0]["trained_sizes"] = [10**9]
-    log.write_text(json.dumps(doc))
-    rc = main(["cost", "--log", str(log), "--out", str(tmp_path / "report.kv")])
-    assert rc == 1
-    assert capsys.readouterr() == (
-        "", f"error: log tree 0: n_subsampled 1000000000 is more than n_samples "
-            f"{doc['n_samples']}\n")
-    assert not (tmp_path / "report.kv").exists()
+    saved = json.loads(log.read_text())
+    n = saved["trees"][0]["n_subsampled"]
+    deep = ([{"trained_sizes": [n], "split_sizes": []}]
+            + [{"trained_sizes": [n], "split_sizes": [n]}] * 20)
+    cases = [
+        ({"n_subsampled": 10**9, "depths": [{"trained_sizes": [10**9], "split_sizes": []}]}, 2,
+         f"log tree 0: n_subsampled 1000000000 is more than n_samples {saved['n_samples']}"),
+        ({"depths": deep}, 2, "log tree 0: 21 depths, more than max_depth 2"),
+        ({"depths": deep}, 21, f"log tree 0, depth 1: trained_sizes (n=1, sum {n}) exceed the "
+                               "children of the split_sizes above (n=0, sum 0)"),
+    ]
+    for tree_edit, max_depth, expected in cases:
+        doc = json.loads(json.dumps(saved))
+        doc["trees"][0].update(tree_edit)
+        doc["config"]["max_depth"] = max_depth
+        log.write_text(json.dumps(doc))
+        rc = main(["cost", "--log", str(log), "--out", str(tmp_path / "report.kv")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
+        assert not (tmp_path / "report.kv").exists()
 
 
 @pytest.mark.parametrize("clock", ["nan", "inf"])
@@ -416,6 +427,30 @@ def test_malformed_model_file_is_single_line_error(tmp_path, csv_pair, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert err == expected + "\n"
+
+
+def test_respelled_or_repeated_key_in_model_is_single_line_error(tmp_path, csv_pair, capsys):
+    # json.load read "01" as node 1 and kept the last of two "base_score"s
+    train_csv, valid_csv = csv_pair
+    model_path, out = tmp_path / "m.json", tmp_path / "p.txt"
+    assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
+                 "--model-out", str(model_path)]) == 0
+    text = model_path.read_text()
+    assert text.count('\n    "1": {') == 2          # each stump's right leaf
+    edits = {
+        "error: tree 0, depth 1, node 01: node id must be written 1, got '01'":
+            text.replace('\n    "1": {', '\n    "01": {', 1),
+        "error: model: duplicate key 'base_score'":
+            text.replace(' "base_score": ', ' "base_score": 1.5,\n "base_score": ', 1),
+    }
+    for expected, body in edits.items():
+        model_path.write_text(body)
+        capsys.readouterr()
+        rc = main(["predict", "--data", valid_csv, "--format", "csv",
+                   "--model", str(model_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", expected + "\n")
+        assert not out.exists()
 
 
 def test_predict_without_labels(tmp_path, csv_pair, capsys):

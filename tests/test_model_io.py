@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +337,84 @@ def test_out_of_range_seed_fails_at_load(rng, tmp_path, kind, seed):
         load_with(seed)
 
 
+_LEAF_DOC = {"is_leaf": True, "leaf_weight_raw": 1}
+_SPLIT_DOC = {"feature": 0, "is_leaf": False, "missing_left": False, "threshold_bin": 0}
+_L, _S = _LEAF_DOC, _SPLIT_DOC
+_NO_ROOT = "tree 1: expected a list of levels starting with root node 0"
+# tree 1 of a model whose tree 0 is a single leaf, and the exact load error
+_TREE_SHAPE_REFUSALS = {
+    "no levels": ([], _NO_ROOT),
+    "no root": ([{"1": _L}], _NO_ROOT),
+    "a depth 0 that is not an object": ([[_L]], _NO_ROOT),
+    "a node other than 0 at depth 0": (
+        [{"0": _L, "1": _L}], "tree 1, depth 0, node 1: orphan node, no split above it"),
+    "an orphan under a leaf": (
+        [{"0": _S}, {"0": _L, "1": _L}, {"1": _L}],
+        "tree 1, depth 2, node 1: orphan node, no split above it"),
+    "an orphan under a missing parent": (
+        [{"0": _S}, {"0": _S, "1": _L}, {"0": _L, "1": _L, "6": _L}],
+        "tree 1, depth 2, node 6: orphan node, no split above it"),
+    "a missing child at a middle depth": (
+        [{"0": _S}, {"1": _S}, {"2": _L, "3": _L}],
+        "tree 1, depth 0, node 0: split without child 0 at depth 1"),
+    "a missing child at the last depth": (
+        [{"0": _S}, {"0": _S, "1": _L}, {"1": _L}],
+        "tree 1, depth 1, node 0: split without child 0 at depth 2"),
+    "a split on the last level": (
+        [{"0": _S}, {"0": _L, "1": _S}],
+        "tree 1, depth 1, node 1: split without child 2 at depth 2"),
+    "a level that is not an object": (
+        [{"0": _S}, [_L, _L]], "tree 1, depth 1: expected an object of nodes"),
+    "a non-integer id": (
+        [{"0": _S}, {"0": _L, "x": _L}], "tree 1, depth 1, node x: node id is not an integer"),
+    # two faults: the orphans of a missing split come first, then any bad
+    # node, and of the missing children the shallowest, in file order
+    "a missing split and its orphaned children": (
+        [{"0": _S}, {"0": _L}, {"2": _L, "3": _L}],
+        "tree 1, depth 2, node 2: orphan node, no split above it"),
+    "a missing child and a bad node below it": (
+        [{"0": _S}, {"0": _S}, {"0": _L, "1": {"is_leaf": True}}],
+        "tree 1, depth 2, node 1: missing key 'leaf_weight_raw'"),
+    "two missing children": (
+        [{"0": _S}, {"0": _S}, {}],
+        "tree 1, depth 0, node 0: split without child 1 at depth 1"),
+    "two splits missing children, the first in file order": (
+        [{"0": _S}, {"1": _S, "0": _S}, {"0": _L, "1": _L}],
+        "tree 1, depth 1, node 1: split without child 2 at depth 2"),
+}
+
+
+def _model_with_tree(tmp_path, tree_doc) -> str:
+    """A saved one-feature model with tree_doc as its tree 1, written in the
+    tree's own key order; returns the path."""
+    path = tmp_path / "shape.json"
+    save_model(Model(trees=[TreeModel(levels=[{0: TreeNode(True, leaf_weight_raw=0)}])]),
+               BinMap([[0.0, 1.0]]), TrainConfig(), str(path))
+    doc = json.loads(path.read_text())
+    doc["trees"].append(tree_doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(_TREE_SHAPE_REFUSALS))
+def test_tree_shape_refusals(tmp_path, case):
+    tree_doc, message = _TREE_SHAPE_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        load_model(_model_with_tree(tmp_path, tree_doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tree_doc", [[{"0": _L}, {}], [{"0": _S}, {"0": _L, "1": _L}, {}]])
+def test_empty_trailing_level_loads_and_saves_back(tmp_path, tree_doc):
+    path = _model_with_tree(tmp_path, tree_doc)
+    text = json.dumps(json.loads(Path(path).read_text()), sort_keys=True, indent=1) + "\n"
+    Path(path).write_text(text)
+    bundle = load_model(path)
+    assert bundle.model.trees[1].levels[-1] == {}
+    save_model(bundle.model, bundle.bin_map, bundle.config, path)
+    assert Path(path).read_text() == text
+
+
 _SPLIT_FIELD_MUTATIONS = {
     "feature": [-1, "n_features", 1.5, "0", None, True],
     "threshold_bin": [-1, 255, 300, 2.0, None],
@@ -381,6 +460,32 @@ def _one_field_mutants(doc, n_features):
         mutant = json.loads(json.dumps(doc))
         mutant["trees"][t][0]["1"] = {"is_leaf": True, "leaf_weight_raw": 0}
         yield mutant, f"tree {t}, depth 0, node 1: orphan"
+        for d, level in enumerate(tree):
+            if "1" not in level:
+                continue
+            # int() reads each of these as 1, and json.load keeps only one of two "1"s
+            for spelling in ("01", " 1", "+1", "\u0661"):
+                mutant = json.loads(json.dumps(doc))
+                mutant["trees"][t][d][spelling] = mutant["trees"][t][d].pop("1")
+                yield mutant, f"tree {t}, depth {d}, node {spelling}: node id must be written 1"
+            mutant = json.loads(json.dumps(doc))
+            mutant["trees"][t][d]["01"] = dict(level["1"])
+            yield mutant, f"tree {t}, depth {d}, node 01: node id must be written 1"
+            mutant = json.loads(json.dumps(doc))
+            mutant["trees"][t][d][_TWIN] = dict(level["1"])
+            yield _twin_text(mutant, "1"), f"tree {t}, depth {d}: duplicate key '1'"
+            mutant = json.loads(json.dumps(doc))
+            mutant["trees"][t][d]["1"][_TWIN] = level["1"]["is_leaf"]
+            yield _twin_text(mutant, "is_leaf"), f"tree {t}, depth {d}, node 1: duplicate key"
+
+
+# a key that json.dumps writes once and _twin_text respells as a second copy of another key
+_TWIN = "twin-key"
+
+
+def _twin_text(doc, key: str) -> str:
+    """doc's JSON text with its _TWIN key spelled key, so that key appears twice in one object."""
+    return json.dumps(doc, sort_keys=True).replace(f'"{_TWIN}"', json.dumps(key))
 
 
 _TOP_LEVEL_TYPE_MUTATIONS = {
@@ -416,6 +521,9 @@ def _top_level_mutants(doc):
                        f"{where}: {key} must be")
     # well typed but out of range: TrainConfig's own check, under the section name
     yield _edited(doc, "config", lambda d: d.__setitem__("eta", 0.0)), "model config: eta must be"
+    for section, key in ((None, "base_score"), ("config", "lam"), ("bin_map", "centroids")):
+        mutant = _edited(doc, section, lambda d: d.__setitem__(_TWIN, d[key]))
+        yield _twin_text(mutant, key), f"{_SECTION_NAMES[section]}: duplicate key {key!r}"
 
 
 def test_one_field_mutations_fail_at_load(rng, tmp_path):
@@ -428,7 +536,7 @@ def test_one_field_mutations_fail_at_load(rng, tmp_path):
         assert any(not n["is_leaf"] for tree in doc["trees"] for n in tree[0].values())
         mutants = [*_one_field_mutants(doc, bins.n_features), *_top_level_mutants(doc)]
         for mutant, where in mutants:
-            path.write_text(json.dumps(mutant, sort_keys=True))
+            path.write_text(mutant if isinstance(mutant, str) else json.dumps(mutant, sort_keys=True))
             with pytest.raises(ValueError) as err:
                 load_model(str(path))
             assert str(err.value).startswith(where), (where, str(err.value))
@@ -482,13 +590,52 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
         with pytest.raises(ValueError) as err:
             load_training_log(str(path))
         assert str(err.value).startswith(expected), (expected, str(err.value))
-    # the edges themselves load: every row sampled, all of them split
+    # depths that contradict the depth above: more of them than max_depth, more
+    # nodes than two per split above, or more samples than the splits above held
+    n = n_subsampled
+    root_leaf = {"trained_sizes": [n], "split_sizes": []}
+    deep = [{"trained_sizes": [n], "split_sizes": [n]}] * 20
+    depth_cases = [
+        ({}, [root_leaf] + deep, "log tree 1: 21 depths, more than max_depth 2"),
+        ({}, deep[:2] + [root_leaf], "log tree 1: 3 depths, more than max_depth 2"),
+        ({"max_depth": 21}, [root_leaf] + deep,
+         f"log tree 1, depth 1: trained_sizes (n=1, sum {n}) exceed the children of the "
+         f"split_sizes above (n=0, sum 0)"),
+        ({}, [{"trained_sizes": [n], "split_sizes": [n]},
+              {"trained_sizes": [n, 0, 0], "split_sizes": []}],
+         f"log tree 1, depth 1: trained_sizes (n=3, sum {n}) exceed"),
+        ({}, [{"trained_sizes": [n], "split_sizes": [n - 1]},
+              {"trained_sizes": [n - 1, 1], "split_sizes": []}],
+         f"log tree 1, depth 1: trained_sizes (n=2, sum {n}) exceed"),
+    ]
+    for config, depths, expected in depth_cases:
+        mutant = json.loads(json.dumps(doc))
+        mutant["config"].update(config)
+        mutant["trees"][1]["depths"] = depths
+        path.write_text(json.dumps(mutant))
+        with pytest.raises(ValueError) as err:
+            load_training_log(str(path))
+        assert str(err.value).startswith(expected), (expected, str(err.value))
+    # a key spelled twice in one object, anywhere in the file
+    for where, target in places.items():
+        key = min(set(target(doc)) - {"format", "format_version"})
+        mutant = json.loads(json.dumps(doc))
+        target(mutant)[_TWIN] = target(mutant)[key]
+        path.write_text(_twin_text(mutant, key))
+        with pytest.raises(ValueError, match=f"^{where}: duplicate key {key!r}$"):
+            load_training_log(str(path))
+    # the edges themselves load: every row sampled, all of them split, and
+    # two children of each split holding all its samples
     edge = json.loads(json.dumps(doc))
     edge["n_samples"] = max(t["n_subsampled"] for t in doc["trees"])
     depth = places["log tree 1, depth 0"](edge)
     depth["split_sizes"] = list(depth["trained_sizes"])
     path.write_text(json.dumps(edge))
     assert load_training_log(str(path)).trees[1].depths[0].split_sizes == depth["trained_sizes"]
+    edge["trees"][1]["depths"] = [{"trained_sizes": [n], "split_sizes": [n]},
+                                  {"trained_sizes": [n - 1, 1], "split_sizes": []}]
+    path.write_text(json.dumps(edge))
+    assert load_training_log(str(path)).trees[1].depths[1].trained_sizes == [n - 1, 1]
 
 
 _FUZZ_VALUES = (None, "x", [], {}, True, 0.5, -1, 2**64, -2**63, 2**53 + 1, math.nan, 10**400)
