@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine_memory import EngineMemory, init_index_table, load
+from .engine_memory import EngineMemory, SampleScratch, StateMemory, init_index_table, load
 from .fixed_point import FRAC_BITS
 from .node_trainer import TrainConfig, build_histogram, find_best_split, node_leaf
 from .quantizer import QuantizedMatrix
@@ -58,12 +58,13 @@ class TrainingLog:
     trees: list = field(default_factory=list)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, in place on a uint64 array, which it returns.
+def _mix64(z: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, in place on a uint64 array, which it returns;
+    shifted, when given, is a uint64 array of z's shape that it writes over.
 
     Array arithmetic on uint64 wraps mod 2**64 without a mask.
     """
-    shifted = np.empty_like(z)
+    shifted = np.empty_like(z) if shifted is None else shifted
     z += np.uint64(_GOLDEN)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -73,31 +74,47 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def subsample_indices(seed: int, tree_index: int, n: int, rate: float) -> np.ndarray:
+def subsample_indices(seed: int, tree_index: int, n: int, rate: float,
+                      scratch: SampleScratch | None = None) -> np.ndarray:
     """Bernoulli row sample from a stateless counter-based generator.
 
     Membership of sample i depends only on (seed, tree_index, i), so the
     draw is identical under any sharding or engine count.  Output ascending.
+    scratch, when given, is a state memory's: the hash writes over its x and
+    ex, viewed as uint64, and its mask.
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
     if rate == 1.0:
         return np.arange(n, dtype=np.int64)
+    if scratch is None:
+        scratch = SampleScratch.empty(n)
     # one-element arrays: numpy warns when a uint64 scalar op wraps, not an array op
     words = np.array([seed & _MASK64, tree_index & _MASK64], dtype=np.uint64)
     stream = _mix64(_mix64(words[:1]) ^ words[1:])
-    u = np.arange(n, dtype=np.uint64)
-    u ^= stream
-    _mix64(u)
-    threshold = int(rate * 2.0 ** 64)
-    return np.nonzero(u < np.uint64(threshold))[0].astype(np.int64)
+    u = scratch.x.view(np.uint64)
+    np.bitwise_xor(np.arange(n, dtype=np.uint64), stream, out=u)
+    _mix64(u, scratch.ex.view(np.uint64))
+    np.less(u, np.uint64(int(rate * 2.0 ** 64)), out=scratch.mask)
+    return np.flatnonzero(scratch.mask)
 
 
-def _log_loss(p, labels) -> float:
-    """Mean cross-entropy of probabilities p, clipped away from 0 and 1."""
-    p = np.clip(p, 1e-15, 1.0 - 1e-15)
-    y = np.asarray(labels, dtype=np.float64)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+def _log_loss(p, state: StateMemory) -> float:
+    """Mean cross-entropy of probabilities p, clipped away from 0 and 1, in
+    the state memory's scratch: -mean(y * log(p) + (1 - y) * log1p(-p)),
+    each product and the sum over the same values in the same order as
+    with fresh arrays.  It writes over the scratch's x and ex, so p must be
+    neither: the p that refresh() returns is the scratch's p."""
+    clipped, logs = state.scratch.x, state.scratch.ex
+    y, not_y = state.targets
+    np.clip(p, 1e-15, 1.0 - 1e-15, out=clipped)
+    np.log(clipped, out=logs)
+    np.multiply(y, logs, out=logs)
+    np.negative(clipped, out=clipped)
+    np.log1p(clipped, out=clipped)
+    np.multiply(not_y, clipped, out=clipped)
+    np.add(logs, clipped, out=logs)
+    return float(-np.mean(logs))
 
 
 def _children(memory: EngineMemory, parent_id: int, parent_hist: np.ndarray,
@@ -175,7 +192,8 @@ def train(matrix: QuantizedMatrix, labels, config: TrainConfig) -> tuple:
     log = TrainingLog(n_samples=matrix.n_samples, n_features=matrix.n_features, config=config)
 
     for t in range(config.n_trees):
-        active = subsample_indices(config.seed, t, matrix.n_samples, config.subsample)
+        active = subsample_indices(config.seed, t, matrix.n_samples, config.subsample,
+                                   memory.state.scratch)
         memory.table = init_index_table(active, matrix.n_samples)
         depths = []
         try:
@@ -188,7 +206,7 @@ def train(matrix: QuantizedMatrix, labels, config: TrainConfig) -> tuple:
             n_subsampled=int(active.size),
             depths=depths,
             n_leaves=tree.n_leaves(),
-            train_loss=_log_loss(p, memory.state.labels),
+            train_loss=_log_loss(p, memory.state),
         ))
     return model, log
 

@@ -36,10 +36,20 @@ Every node's scan writes over them, and the tree keeps only the TreeNode
 each scan returns.  All of these are made on
 first use, so a memory that never builds a histogram or scans one never
 holds them.
+
+The state memory's per-sample pass, which ends every tree, runs in place
+too.  It keeps the labels as float64 y and 1 - y, made once per memory
+(16 bytes a sample), and one scratch set of three float64 arrays and one
+bool array of n (25 bytes a sample, 251,200 bytes at 10,048 samples), made
+at first use (SampleScratch).  refresh() turns the scores into p, the
+gradients and the hessians through it; the training loss and the next
+tree's subsample write over its other arrays.  Only refresh() writes p, so
+the p it returns is valid until the next refresh.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +68,21 @@ N_BINS = MISSING_BIN + 1      # bins 0..254 are value bins, 255 is the missing b
 HISTOGRAM_BLOCK = 1024
 
 
+class SampleScratch(NamedTuple):
+    """The per-sample pass's arrays, each of n_samples.  refresh() writes
+    them all and leaves p in p; the training loss writes x and ex, the
+    subsample x and ex viewed as uint64, and mask."""
+
+    x: np.ndarray       # float64
+    p: np.ndarray       # float64
+    ex: np.ndarray      # float64
+    mask: np.ndarray    # bool
+
+    @classmethod
+    def empty(cls, n: int) -> "SampleScratch":
+        return cls(np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+
+
 @dataclass
 class StateMemory:
     """Per-sample margin scores, gradients, hessians (raw fixed point) and labels."""
@@ -67,6 +92,25 @@ class StateMemory:
     hess_raw: np.ndarray        # (n,) int64
     labels: np.ndarray          # (n,) int8
     frac_bits: int = FRAC_BITS
+
+    @cached_property
+    def targets(self) -> tuple:
+        """(y, 1 - y): the labels as float64."""
+        y = self.labels.astype(np.float64)
+        return y, 1.0 - y
+
+    @cached_property
+    def scratch(self) -> SampleScratch:
+        """The per-sample pass's arrays, reused for every tree."""
+        return SampleScratch.empty(self.scores_raw.shape[0])
+
+    def refresh(self) -> np.ndarray:
+        """Scores to p, gradients and hessians, in place; returns p, the
+        scratch's p, which holds until the next refresh."""
+        s = self.scratch
+        margin_probability(self.scores_raw, self.frac_bits, s.p, (s.x, s.ex, s.mask))
+        grad_hess(s.p, self.targets[0], self.frac_bits, (self.grads_raw, self.hess_raw), s.x)
+        return s.p
 
 
 @dataclass
@@ -138,8 +182,8 @@ def load(matrix: QuantizedMatrix, labels, base_score: float = 0.0,
         )
     labels = binary_labels(labels)
     scores = np.full(matrix.n_samples, quantize(base_score, frac_bits), dtype=np.int64)
-    grads, hess = grad_hess(margin_probability(scores, frac_bits), labels, frac_bits)
-    state = StateMemory(scores, grads, hess, labels, frac_bits)
+    state = StateMemory(scores, np.empty_like(scores), np.empty_like(scores), labels, frac_bits)
+    state.refresh()
     return EngineMemory(matrix=matrix, state=state)
 
 

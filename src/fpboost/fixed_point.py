@@ -61,7 +61,7 @@ def dequantize(raw, frac_bits: int = FRAC_BITS):
     return np.asarray(raw, dtype=np.float64) / scale(frac_bits) if np.ndim(raw) else float(raw) / scale(frac_bits)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None, scratch=None):
     """Numerically stable logistic function, elementwise.
 
     With ex = exp(-|x|), 1 / (1 + ex) for x >= 0 and ex / (1 + ex) below:
@@ -69,27 +69,80 @@ def sigmoid(x):
     -|x| that keeps a NaN's sign and payload, as exp(x) does.  Some of
     numpy's exp kernels flag a signalling NaN as invalid; the NaN still
     comes back, so that flag is ignored.
+
+    The numerator, 1.0 where x >= 0 and ex elsewhere, is selected as
+    maximum(ex, x >= 0): ex lies in [0, 1], so the maximum with 1.0 is 1.0
+    and the maximum with 0.0 is ex itself, NaN included, bit for bit what
+    a where() gives, at about a quarter of its time (8.5 against 32 us
+    over 10,048 values, compare included).  x >= 0 is copied into the
+    numerator first, so no ufunc casts a bool operand: a cast takes a
+    buffer of its own, up to 64 KiB, on every call.
+
+    out, when given, receives the result (a float64 array of x's shape);
+    scratch, when given, is (ex, nonneg): a float64 and a bool array of x's
+    shape.  With both, nothing of x's size is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
+    ex, nonneg = (np.empty_like(x), np.empty(x.shape, dtype=bool)) if scratch is None else scratch
+    out = np.empty_like(x) if out is None else out
+    np.negative(x, out=ex)
+    np.minimum(x, ex, out=ex)
     with np.errstate(invalid="ignore"):
-        ex = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+        np.exp(ex, out=ex)
+    np.greater_equal(x, 0.0, out=nonneg)
+    np.copyto(out, nonneg)
+    np.maximum(ex, out, out=out)
+    np.add(ex, 1.0, out=ex)
+    np.divide(out, ex, out=out)
     return float(out) if out.ndim == 0 else out
 
 
-def margin_probability(scores_raw, frac_bits: int = FRAC_BITS) -> np.ndarray:
-    """p = sigmoid of the dequantized margins, in double precision."""
-    return sigmoid(np.asarray(scores_raw, dtype=np.float64) / scale(frac_bits))
+def margin_probability(scores_raw, frac_bits: int = FRAC_BITS, out=None,
+                       scratch=None) -> np.ndarray:
+    """p = sigmoid of the dequantized margins, in double precision.
+
+    The margins are scores_raw * 2**-frac_bits, which equals the division by
+    2**frac_bits bit for bit: both scale by a power of two, exactly.  out is
+    sigmoid's; scratch, when given, is (x, ex, nonneg): x a float64 array of
+    the scores' shape for the margins, then sigmoid's scratch.
+    """
+    if scratch is None:
+        x, rest = np.empty(np.shape(scores_raw)), None
+    else:
+        x, *rest = scratch
+    np.copyto(x, scores_raw)        # int64 to float64 outside a ufunc, which would buffer it
+    np.multiply(x, 1.0 / scale(frac_bits), out=x)
+    return sigmoid(x, out, rest)
 
 
-def grad_hess(p, labels, frac_bits: int = FRAC_BITS):
+def grad_hess(p, labels, frac_bits: int = FRAC_BITS, out=None, scratch=None):
     """Quantized grad = p - y and hess = p * (1 - p) from probabilities p.
 
     The hessian is floored at one fixed-point step before quantization so it
     can never round to zero; every stored hessian is therefore >= 1 raw unit.
+    Each is rounded as quantize rounds, rint of the value times 2**frac_bits,
+    without its range check: for p in [0, 1], as margin_probability gives,
+    and labels 0 or 1, both lie in [-1, 1] and fit int64 at any frac_bits
+    below 63.
+    out, when given, is the (grads, hess) pair of int64 arrays to fill;
+    scratch, when given, a float64 array of p's shape.  With both, and
+    labels already float64, nothing of p's size is allocated.
     """
     y = np.asarray(labels, dtype=np.float64)
-    ulp = 1.0 / scale(frac_bits)
-    grad = quantize(p - y, frac_bits)
-    hess = quantize(np.maximum(p * (1.0 - p), ulp), frac_bits)
-    return grad, hess
+    grads, hess = (np.empty(np.shape(p), dtype=np.int64) for _ in range(2)) if out is None else out
+    work = np.empty(np.shape(p)) if scratch is None else scratch
+    s = scale(frac_bits)
+    np.subtract(p, y, out=work)
+    _round_into(work, s, grads)
+    np.subtract(1.0, p, out=work)
+    np.multiply(p, work, out=work)
+    np.maximum(work, 1.0 / s, out=work)
+    _round_into(work, s, hess)
+    return grads, hess
+
+
+def _round_into(values: np.ndarray, s: float, out: np.ndarray) -> None:
+    """out = rint(values * s), through values, which it overwrites."""
+    np.multiply(values, s, out=values)
+    np.rint(values, out=values)
+    np.copyto(out, values, casting="unsafe")

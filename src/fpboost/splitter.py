@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine_memory import EngineMemory
-from .fixed_point import FRAC_BITS, INT64_LIMIT, grad_hess, margin_probability, quantize, scale
+from .fixed_point import FRAC_BITS, INT64_LIMIT, quantize, scale
 from .node_trainer import TreeNode, goes_left
 
 
@@ -208,11 +208,10 @@ def apply_tree_update(memory: EngineMemory, tree: TreeModel, eta: float = 1.0) -
     and refresh gradients and hessians from the new margins.
 
     Returns the probabilities of the new margins, which the training loss
-    reads too, so they are computed once per tree.
+    reads too, so they are computed once per tree; they live in the state
+    memory's scratch (see StateMemory.refresh).
     """
     state = memory.state
     add_tree(state.scores_raw, _max_abs(state.scores_raw), tree, memory.matrix.columns, eta,
              state.frac_bits, ": lower frac_bits, or raise lambda to bound the leaf weights")
-    p = margin_probability(state.scores_raw, state.frac_bits)
-    state.grads_raw[:], state.hess_raw[:] = grad_hess(p, state.labels, state.frac_bits)
-    return p
+    return state.refresh()

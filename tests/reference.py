@@ -3,7 +3,8 @@
 Everything here recomputes results along a different path than the library:
 bins by one binary search per value (no guess table), splits by direct
 sample partitioning (no histograms, no prefix sums, no index tables),
-sigmoid in arbitrary precision and as two masked passes,
+sigmoid in arbitrary precision and as two masked passes, the per-sample
+pass and the training loss with a fresh array per operation,
 gain in exact rationals, AUC by pair counting and by midrank sums, the subsample generator in
 pure-Python integers, engine shards by an exact rational ceiling, node
 histograms built engine by engine and merged, and CSV parsing one cell at
@@ -13,9 +14,10 @@ Leaf weights are rounded from exact rationals, with their own int64 range
 check.  ref_scan_split is the histogram split scan with the node term
 evaluated per candidate, the form the library skips where it is exact.
 ref_gain spells the gain formula out in the library's IEEE operation order,
-so that oracle and library can agree on every split bit for bit.  The
-fixed-point state update is shared with the library on purpose: the oracles
-exercise the accumulation and search machinery around it.
+so that oracle and library can agree on every split bit for bit.
+ref_train shares the fixed-point state update with the library on purpose:
+it exercises the accumulation and search machinery around it, and
+ref_refresh checks that update on its own.
 """
 
 import gzip
@@ -131,6 +133,25 @@ def masked_sigmoid(x):
         ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def ref_refresh(scores_raw, labels, frac_bits: int) -> tuple:
+    """(p, grads, hess) of raw margins, as the library spelled its per-sample
+    pass with a fresh array per operation: the division by 2**frac_bits,
+    where() for the sigmoid's numerator, and quantize for both rounds."""
+    x = np.asarray(scores_raw, dtype=np.float64) / float(1 << frac_bits)
+    ex = np.exp(np.minimum(x, -x))
+    p = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    y = np.asarray(labels, dtype=np.float64)
+    ulp = 1.0 / float(1 << frac_bits)
+    return p, quantize(p - y, frac_bits), quantize(np.maximum(p * (1.0 - p), ulp), frac_bits)
+
+
+def ref_log_loss(p, labels) -> float:
+    """Mean cross-entropy of p clipped away from 0 and 1, with fresh arrays."""
+    p = np.clip(p, 1e-15, 1.0 - 1e-15)
+    y = np.asarray(labels, dtype=np.float64)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
 def ref_gain(gl, hl, gr, hr, lam, gamma):

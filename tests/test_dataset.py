@@ -348,6 +348,28 @@ def test_rows_fill_one_array_cut_to_size(tmp_path, suffix, max_rows):
     _assert_one_features_by_rows_buffer(got.values, got.n_samples)
 
 
+@pytest.mark.parametrize("bad_line", [None, 2 * CSV_CHUNK_LINES + 9])
+def test_gzip_members_load_as_the_plain_file(tmp_path, bad_line):
+    """One- and two-member gzip files load the plain file's values and
+    labels, or its first error line."""
+    lines = [line + "\n" for line in _rows(4 * CSV_CHUNK_LINES + 5)]
+    if bad_line:
+        lines[bad_line - 1] = "1,0.5,oops,\n"
+    plain = tmp_path / "d.csv"
+    plain.write_text("".join(lines))
+    paths = [plain]
+    for parts in ([lines], [lines[:2500], lines[2500:]]):
+        paths.append(tmp_path / f"d{len(parts)}.csv.gz")
+        paths[-1].write_bytes(b"".join(gzip.compress("".join(part).encode()) for part in parts))
+    loads = [_outcome(lambda: load_dataset(str(path), "csv")) for path in paths]
+    for got in loads[1:]:
+        _assert_same(got, loads[0])
+    if bad_line:
+        assert loads[0] == f"error: line {bad_line}: bad value 'oops'"
+    else:
+        assert loads[0].n_samples == len(lines)
+
+
 def test_rows_beyond_the_size_prediction_grow_the_buffer(tmp_path):
     # the first chunk's long rows predict about a third of the rows the file holds
     long = [f"{i % 2},{i / 7:.17g},{-i / 3:.17g},{i / 9:.17g}" for i in range(CSV_CHUNK_LINES)]

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpboost import boost_controller
-from fpboost.engine_memory import HISTOGRAM_BLOCK, N_BINS, init_index_table, load
+from fpboost.engine_memory import HISTOGRAM_BLOCK, N_BINS, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, exact_count
 from fpboost.node_trainer import TreeNode, TrainConfig
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
 from fpboost.splitter import partition
 from conftest import random_quantized
+from reference import ref_log_loss, ref_refresh
 
 SCALE = 1 << FRAC_BITS
 
@@ -194,3 +199,70 @@ def test_block_rows_keep_one_float64_pass_exact(rng, frac_bits, exact, n):
     buffers = load(matrix, labels, 0.0, frac_bits).block_buffers
     block = min(HISTOGRAM_BLOCK, exact, n)
     assert [b.shape for b in buffers] == [(block, 2), (block, 2), (block,), (2, N_BINS)]
+
+
+_INT64 = (-(1 << 63), (1 << 63) - 1)
+_SCORE_POINTS = [0, 1, -1, 1 << 62, -(1 << 62), *_INT64]
+
+
+@st.composite
+def _pass_inputs(draw):
+    """(frac_bits, scores, labels): n is 1 or 2-70, mostly not a multiple
+    of a SIMD width; scores at 0, +-1, +-2**62 and the int64 ends among
+    others; labels all 0, all 1 or mixed."""
+    frac_bits = draw(st.integers(1, 48))
+    n = draw(st.one_of(st.just(1), st.integers(2, 70)))
+    score = st.one_of(st.sampled_from(_SCORE_POINTS), st.integers(*_INT64),
+                      st.integers(-(40 << frac_bits), 40 << frac_bits))
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    labels = draw(st.one_of(st.just([0] * n), st.just([1] * n),
+                            st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return frac_bits, scores, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pass_inputs())
+@example((48, _SCORE_POINTS, [1] * len(_SCORE_POINTS)))
+@example((1, _SCORE_POINTS, [0] * len(_SCORE_POINTS)))
+def test_refresh_and_loss_equal_the_fresh_array_oracle(inputs):
+    """The per-sample pass in the reused scratch gives p, grads, hess and the
+    training loss bit for bit as the fresh-array spelling, and the loss and
+    a subsample in the same scratch leave p as it was."""
+    frac_bits, scores, labels = inputs
+    scores = np.array(scores, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int8)
+    state = StateMemory(*(np.empty(labels.size, dtype=np.int64) for _ in range(3)), labels,
+                        frac_bits)
+    for raw in (scores, scores[::-1]):     # the second pass runs over used scratch
+        state.scores_raw[:] = raw
+        p = state.refresh()
+        want_p, want_g, want_h = ref_refresh(raw, labels, frac_bits)
+        assert np.array_equal(p.view(np.int64), want_p.view(np.int64))
+        assert np.array_equal(state.grads_raw, want_g)
+        assert np.array_equal(state.hess_raw, want_h)
+        loss = boost_controller._log_loss(p, state)
+        assert np.float64(loss).view(np.int64) == np.float64(ref_log_loss(want_p, labels)).view(np.int64)
+        drawn = boost_controller.subsample_indices(frac_bits, 1, labels.size, 0.5, state.scratch)
+        assert np.array_equal(drawn, boost_controller.subsample_indices(frac_bits, 1, labels.size, 0.5))
+        assert np.array_equal(p.view(np.int64), want_p.view(np.int64))   # neither writes p
+
+
+def test_warm_sample_pass_allocates_nothing_of_its_size(rng):
+    """One warm refresh plus the training loss on a 100k-sample memory
+    allocate less than 4 KiB: both run in the state memory's scratch."""
+    n = 100_000
+    state = StateMemory(rng.integers(-(3 << 24), 3 << 24, size=n), np.empty(n, dtype=np.int64),
+                        np.empty(n, dtype=np.int64), rng.integers(0, 2, size=n).astype(np.int8))
+    boost_controller._log_loss(state.refresh(), state)     # makes the scratch and targets
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        boost_controller._log_loss(state.refresh(), state)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4096

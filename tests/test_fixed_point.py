@@ -106,6 +106,10 @@ def test_sigmoid_is_bit_equal_to_the_masked_reference(values, nan_bits, negative
     got, want = sigmoid(x), masked_sigmoid(x)
     assert got.dtype == np.float64 and got.shape == x.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # into out through scratch that holds a previous call's values
+    out, scratch = np.full_like(x, np.nan), (np.full_like(x, -1.0), np.ones(x.shape, dtype=bool))
+    assert sigmoid(x, out, scratch) is out
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
     for v, w in zip(x.tolist(), want.tolist()):
         s = sigmoid(v)
         assert type(s) is float
