@@ -298,16 +298,17 @@ def save_training_log(log: TrainingLog, path: str) -> None:
 
 
 def _depth_log(doc, n_subsampled: int, above, where: str) -> DepthLog:
-    """One depth of a log tree, once its nodes fit in the tree's sample and,
-    below depth 0, are no more than the children of the depth above's
-    splits, two per split and their samples, and its split nodes fit in its
-    trained ones.  The trainer's own logs meet the rule on the depth above
-    with equality."""
+    """One depth of a log tree, once depth 0 is the one root node over the
+    tree's whole sample, a depth below it has no more nodes than the
+    children of the depth above's splits, two per split and their samples,
+    and its split nodes fit in its trained ones.  So no depth holds more
+    than the sample.  The trainer's own logs meet the rule on the depth
+    above with equality."""
     depth = DepthLog(**_checked(doc, _LOG_DEPTH, where))
     trained, split = sum(depth.trained_sizes), sum(depth.split_sizes)
-    if trained > n_subsampled:
-        raise ValueError(f"{where}: trained_sizes sum to {trained}, "
-                         f"more than n_subsampled {n_subsampled}")
+    if above is None and depth.trained_sizes != [n_subsampled]:
+        raise ValueError(f"{where}: trained_sizes must be [{n_subsampled}], the root over "
+                         f"all n_subsampled samples, got {depth.trained_sizes}")
     if above is not None and (len(depth.trained_sizes) > 2 * len(above.split_sizes)
                               or trained > sum(above.split_sizes)):
         raise ValueError(f"{where}: trained_sizes (n={len(depth.trained_sizes)}, sum {trained}) "
@@ -321,8 +322,8 @@ def _depth_log(doc, n_subsampled: int, above, where: str) -> DepthLog:
 
 def load_training_log(path: str) -> TrainingLog:
     """Read a training log; every key save_training_log writes must be there,
-    and no other, no tree may have more depths than the config's max_depth,
-    and no count may exceed the one it is part of."""
+    and no other, every tree must have a depth 0 and no more depths than the
+    config's max_depth, and no count may exceed the one it is part of."""
     doc = _load(path, LOG_FORMAT, _LOG, "log")
     config = _config_from_dict(doc["config"], _LOG_CONFIG, "log config")
     trees = []
@@ -332,6 +333,8 @@ def load_training_log(path: str) -> TrainingLog:
         if t["n_subsampled"] > doc["n_samples"]:
             raise ValueError(f"{where}: n_subsampled {t['n_subsampled']} is more than "
                              f"n_samples {doc['n_samples']}")
+        if not t["depths"]:
+            raise ValueError(f"{where}: no depths, but every tree trains its root")
         if len(t["depths"]) > config.max_depth:
             raise ValueError(f"{where}: {len(t['depths'])} depths, more than "
                              f"max_depth {config.max_depth}")

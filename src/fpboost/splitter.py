@@ -8,6 +8,8 @@ Routing (route_weights) sends every sample of a bin matrix down a finished
 tree with the same goes_left rule, one level at a time: every split of a
 level compares its whole column, and each sample carries only a small code
 of the node it has reached, one byte while a level has at most 256 nodes.
+Below a level of splits only, the next code is 2 * code + go_left, computed
+in place; a level that holds a leaf looks its next codes up in a table.
 
 Training (apply_tree_update) and replay (replay_scores, behind predict and
 eval) add each tree to the scores with one step, add_tree: unchecked while a
@@ -90,6 +92,8 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
     code, and the masks are OR'd into one go-left vector.  The next codes are
     first[code] + go_left: a split's children, from TreeModel.children, get
     two codes, right then left, and a leaf keeps one, where go_left is 0.
+    On a level of splits only first[code] is 2 * code, so the codes are
+    doubled in place and no table is read.
     At the first level without a split, one take from the leaf values in
     code order gives the result.  Each reachable split's children are looked
     up, so a missing one raises ValueError even when there are no samples;
@@ -121,6 +125,9 @@ def _next_codes(code, first: list, n_codes: int, splits: list,
 
     go_left ORs the goes_left of each (c, node) in splits over its whole
     column, masked below the root (code None) to the samples of code c.
+    When every code's node is a split, first[c] is 2c, and the codes become
+    2 * code + go_left in place, first widened by astype only when n_codes
+    outgrows their type; otherwise first[code] is one take from the table.
     The masks die on return, so none outlives its level.
     """
     go_left = None
@@ -135,7 +142,12 @@ def _next_codes(code, first: list, n_codes: int, splits: list,
     go_left = go_left.view(np.uint8)
     if code is None:
         return go_left
-    code = np.array(first, dtype=np.min_scalar_type(n_codes - 1)).take(code)
+    dtype = np.min_scalar_type(n_codes - 1)
+    if len(splits) < len(first):                # a leaf holds a code: look it up
+        code = np.array(first, dtype=dtype).take(code)
+    else:                                       # all splits: first[c] == 2c
+        code = code.astype(dtype, copy=False)
+        code *= 2
     code += go_left
     return code
 

@@ -284,8 +284,10 @@ def test_log_with_negative_counts_is_single_line_error(tmp_path, csv_pair, capsy
 
 
 def test_log_with_contradicting_counts_is_single_line_error(tmp_path, csv_pair, capsys):
-    # a tree that sampled more rows than the log has, or a root leaf with 20
-    # depths below it, was refused by no check and priced as if it had trained
+    # a tree that sampled more rows than the log has, a root leaf with 20
+    # depths below it, or a depth 0 of two half-sample splits with four
+    # quarter-sample leaves below, was refused by no check and priced as if
+    # it had trained
     train_csv, _ = csv_pair
     log = tmp_path / "log.json"
     assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
@@ -296,12 +298,17 @@ def test_log_with_contradicting_counts_is_single_line_error(tmp_path, csv_pair, 
     n = saved["trees"][0]["n_subsampled"]
     deep = ([{"trained_sizes": [n], "split_sizes": []}]
             + [{"trained_sizes": [n], "split_sizes": [n]}] * 20)
+    half, quarter = n // 2, n // 4
+    two_roots = [{"trained_sizes": [half, half], "split_sizes": [half, half]},
+                 {"trained_sizes": [quarter] * 4, "split_sizes": []}]
     cases = [
         ({"n_subsampled": 10**9, "depths": [{"trained_sizes": [10**9], "split_sizes": []}]}, 2,
          f"log tree 0: n_subsampled 1000000000 is more than n_samples {saved['n_samples']}"),
         ({"depths": deep}, 2, "log tree 0: 21 depths, more than max_depth 2"),
         ({"depths": deep}, 21, f"log tree 0, depth 1: trained_sizes (n=1, sum {n}) exceed the "
                                "children of the split_sizes above (n=0, sum 0)"),
+        ({"depths": two_roots}, 2, f"log tree 0, depth 0: trained_sizes must be [{n}], the root "
+                                   f"over all n_subsampled samples, got [{half}, {half}]"),
     ]
     for tree_edit, max_depth, expected in cases:
         doc = json.loads(json.dumps(saved))

@@ -573,7 +573,8 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
         ("log tree 1", "n_subsampled", doc["n_samples"] + 1,
          f"log tree 1: n_subsampled {doc['n_samples'] + 1} is more than n_samples"),
         ("log tree 1, depth 0", "trained_sizes", [n_subsampled, 1],
-         f"log tree 1, depth 0: trained_sizes sum to {n_subsampled + 1}, more than n_subsampled"),
+         f"log tree 1, depth 0: trained_sizes must be [{n_subsampled}], the root over all "
+         f"n_subsampled samples, got [{n_subsampled}, 1]"),
         ("log tree 1, depth 0", "split_sizes", trained["trained_sizes"] + [0],
          "log tree 1, depth 0: split_sizes (n=2, "),
         ("log tree 1, depth 0", "split_sizes", [sum(trained["trained_sizes"]) + 1],
@@ -591,11 +592,20 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
             load_training_log(str(path))
         assert str(err.value).startswith(expected), (expected, str(err.value))
     # depths that contradict the depth above: more of them than max_depth, more
-    # nodes than two per split above, or more samples than the splits above held
+    # nodes than two per split above, or more samples than the splits above
+    # held; no depth, or a depth 0 that is not one root over the whole sample
     n = n_subsampled
     root_leaf = {"trained_sizes": [n], "split_sizes": []}
     deep = [{"trained_sizes": [n], "split_sizes": [n]}] * 20
+    half, quarter = n // 2, n // 4
     depth_cases = [
+        ({}, [], "log tree 1: no depths, but every tree trains its root"),
+        ({}, [{"trained_sizes": [half, half], "split_sizes": [half, half]},
+              {"trained_sizes": [quarter] * 4, "split_sizes": []}],
+         f"log tree 1, depth 0: trained_sizes must be [{n}], the root over all n_subsampled "
+         f"samples, got [{half}, {half}]"),
+        ({}, [{"trained_sizes": [n - 1], "split_sizes": []}],
+         f"log tree 1, depth 0: trained_sizes must be [{n}]"),
         ({}, [root_leaf] + deep, "log tree 1: 21 depths, more than max_depth 2"),
         ({}, deep[:2] + [root_leaf], "log tree 1: 3 depths, more than max_depth 2"),
         ({"max_depth": 21}, [root_leaf] + deep,
@@ -636,6 +646,11 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
                                   {"trained_sizes": [n - 1, 1], "split_sizes": []}]
     path.write_text(json.dumps(edge))
     assert load_training_log(str(path)).trees[1].depths[1].trained_sizes == [n - 1, 1]
+    # a tree whose subsample drew no row still trains its empty root
+    edge["trees"][1].update(n_subsampled=0, n_leaves=1,
+                            depths=[{"trained_sizes": [0], "split_sizes": []}])
+    path.write_text(json.dumps(edge))
+    assert load_training_log(str(path)).trees[1].depths[0].trained_sizes == [0]
 
 
 _FUZZ_VALUES = (None, "x", [], {}, True, 0.5, -1, 2**64, -2**63, 2**53 + 1, math.nan, 10**400)

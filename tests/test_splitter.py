@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -123,18 +124,28 @@ def _route_one(tree, sample_bins):
     return int(route_weights(tree, columns, _leaf_weights(tree))[0])
 
 
-def _complete_tree(rng, depth, n_features):
-    """A tree whose every level above depth is all splits.  Level d splits
-    feature d % n_features at random thresholds; the leaf weights are
-    distinct."""
+def _complete_tree(rng, depth, n_features, full_depth=None):
+    """A tree whose every level above full_depth (default depth) is all
+    splits; from full_depth down to depth each node is a split or a leaf at
+    random, and level depth is all leaves.  Level d splits feature
+    d % n_features at random thresholds; the leaf weights are distinct."""
+    full_depth = depth if full_depth is None else full_depth
+    weights = ((i << 50) - (1 << 58) for i in itertools.count())
     tree = TreeModel()
+    ids = [0]
     for d in range(depth):
-        for k in range(1 << d):
+        below = []
+        for k in ids:
+            if d >= full_depth and rng.integers(0, 2):
+                tree.put(d, k, TreeNode(is_leaf=True, leaf_weight_raw=next(weights)))
+                continue
             tree.put(d, k, TreeNode(is_leaf=False, feature=d % n_features,
                                     threshold_bin=int(rng.integers(64, 192)),
                                     missing_left=bool(rng.integers(0, 2))))
-    for k in range(1 << depth):
-        tree.put(depth, k, TreeNode(is_leaf=True, leaf_weight_raw=(k << 50) - (1 << 58)))
+            below += tree.children(k)
+        ids = below
+    for k in ids:
+        tree.put(depth, k, TreeNode(is_leaf=True, leaf_weight_raw=next(weights)))
     return tree
 
 
@@ -145,16 +156,18 @@ _BINS = st.sampled_from([0, 254, 255]) | st.integers(0, 255)
 def _routing_case(draw):
     """A random tree of depth 0-7 over 1-4 features, and 0-200 samples of bins.
 
-    Every split draws each child as a leaf or a split, so leaves appear at
-    every depth and splits have two, one or no leaf children."""
+    Every node above a drawn full depth, 0-2, is a split, so those levels
+    are all splits; from it down each node is a leaf or a split, so leaves
+    appear at every depth and splits have two, one or no leaf children."""
     n_features = draw(st.integers(1, 4))
     max_depth = draw(st.integers(1, 7))
+    full_depth = draw(st.integers(0, min(max_depth, 2)))
     tree = TreeModel()
     weights = st.integers(-(1 << 63), (1 << 63) - 1)
     pending = [(0, 0)]
     while pending:
         depth, node_id = pending.pop()
-        if depth == max_depth or draw(st.integers(0, 3)) == 0:
+        if depth == max_depth or depth >= full_depth and draw(st.integers(0, 3)) == 0:
             tree.put(depth, node_id, TreeNode(is_leaf=True, leaf_weight_raw=draw(weights)))
             continue
         tree.put(depth, node_id, TreeNode(
@@ -214,16 +227,33 @@ class TestRouting:
         assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(columns.shape[1])]
 
     def test_complete_depth_9_tree_routes_past_one_byte_codes(self, rng):
-        # level 9 holds 512 leaves, so the last codes need two bytes
+        # level 9 holds 512 leaves, so the last codes need two bytes: the
+        # full levels' 2 * code + go_left widens them.  10,048 rows are more
+        # than numpy's 8,192-element ufunc buffer
         depth, n_features = 9, 9
         tree = _complete_tree(rng, depth, n_features)
         nested = nested_tree(tree)
-        for n in (0, 4096):
+        for n in (0, 4096, 10_048):
             columns = rng.integers(0, 256, size=(n_features, n), dtype=np.uint8)
             got = route_weights(tree, columns, _leaf_weights(tree))
             assert got.dtype == np.int64
             assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(n)]
         assert np.unique(got).size > 256
+
+    @pytest.mark.parametrize("full_depth, depth", [(2, 5), (8, 11)])
+    def test_full_levels_above_leafy_ones_match_reference(self, rng, full_depth, depth):
+        # levels above full_depth route by arithmetic, the ones below carry
+        # leaves and look their codes up; (8, 11) reaches 256 one-byte codes
+        # on the last full level and two-byte ones below it
+        n_features = 5
+        tree = _complete_tree(rng, depth, n_features, full_depth)
+        assert any(node.is_leaf for node in tree.levels[full_depth].values())
+        nested = nested_tree(tree)
+        for n in (0, 10_048):
+            columns = rng.integers(0, 256, size=(n_features, n), dtype=np.uint8)
+            got = route_weights(tree, columns, _leaf_weights(tree))
+            assert got.dtype == np.int64
+            assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(n)]
 
     def test_70_level_chain_matches_reference(self, rng):
         # every split keeps about 95% of its samples on the split side, a
