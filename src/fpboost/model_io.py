@@ -275,10 +275,8 @@ def load_model(path: str) -> ModelBundle:
         )
     centroids = _checked(doc["bin_map"], _BIN_MAP, "model bin_map")["centroids"]
     bin_map = BinMap([np.asarray(c, dtype=np.float64) for c in centroids])
-    model = Model(
-        trees=[_tree_from_doc(t, i, bin_map.n_features) for i, t in enumerate(doc["trees"])],
-        base_score=float(doc["base_score"]),
-    )
+    trees = [_tree_from_doc(t, i, bin_map.n_features) for i, t in enumerate(doc["trees"])]
+    model = Model(trees=trees, base_score=float(doc["base_score"]))
     return ModelBundle(model=model, bin_map=bin_map, config=config)
 
 
@@ -297,55 +295,67 @@ def save_training_log(log: TrainingLog, path: str) -> None:
     }), path)
 
 
-def _depth_log(doc, n_subsampled: int, above, where: str) -> DepthLog:
-    """One depth of a log tree, once depth 0 is the one root node over the
-    tree's whole sample, a depth below it has no more nodes than the
-    children of the depth above's splits, two per split and their samples,
-    and its split nodes fit in its trained ones.  So no depth holds more
-    than the sample.  The trainer's own logs meet the rule on the depth
-    above with equality."""
-    depth = DepthLog(**_checked(doc, _LOG_DEPTH, where))
-    trained, split = sum(depth.trained_sizes), sum(depth.split_sizes)
-    if above is None and depth.trained_sizes != [n_subsampled]:
-        raise ValueError(f"{where}: trained_sizes must be [{n_subsampled}], the root over "
-                         f"all n_subsampled samples, got {depth.trained_sizes}")
-    if above is not None and (len(depth.trained_sizes) > 2 * len(above.split_sizes)
-                              or trained > sum(above.split_sizes)):
-        raise ValueError(f"{where}: trained_sizes (n={len(depth.trained_sizes)}, sum {trained}) "
-                         f"exceed the children of the split_sizes above "
-                         f"(n={len(above.split_sizes)}, sum {sum(above.split_sizes)})")
-    if len(depth.split_sizes) > len(depth.trained_sizes) or split > trained:
-        raise ValueError(f"{where}: split_sizes (n={len(depth.split_sizes)}, sum {split}) exceed "
-                         f"trained_sizes (n={len(depth.trained_sizes)}, sum {trained})")
-    return depth
+def _tree_log(doc, n_samples: int, max_depth: int, where: str) -> TreeLog:
+    """One log tree, once its counts are those of a tree the trainer grows
+    over n_subsampled <= n_samples rows.  One walk down the depths carries
+    the sizes the depth above split, the root's [n_subsampled] above depth
+    0, and refuses the first depth that breaks one of rules 1-4; rule 5 is
+    checked after the walk:
+      1. depth 0 trains the root: trained_sizes is [n_subsampled];
+      2. split_sizes is an in-order subsequence of trained_sizes, each at
+         least 2, as a split has two non-empty sides;
+      3. below the splits of a depth that is not the last, the next depth
+         trains their children, two positive counts per split, in split
+         order, that sum to the split's count;
+      4. a depth is the last if and only if it splits nothing or is depth
+         max_depth - 1;
+      5. n_leaves counts the nodes that did not split, and two leaves below
+         each split at depth max_depth - 1, whose children train no more."""
+    t = _checked(doc, _LOG_TREE, where)
+    if t["n_subsampled"] > n_samples:
+        raise ValueError(f"{where}: n_subsampled {t['n_subsampled']} is more than "
+                         f"n_samples {n_samples}")
+    depths, above = [], [t["n_subsampled"]]
+    for k, d in enumerate(t["depths"]):
+        at = f"{where}, depth {k}"
+        if not above:
+            raise ValueError(f"{at}: below the last depth, as depth {k - 1} splits nothing "
+                             f"or max_depth is {max_depth} (rule 4)")
+        depth = DepthLog(**_checked(d, _LOG_DEPTH, at))
+        trained, split = depth.trained_sizes, depth.split_sizes
+        if k == 0 and trained != above:
+            raise ValueError(f"{at}: trained_sizes must be {above}, the root over all "
+                             f"n_subsampled rows, got {trained} (rule 1)")
+        if k > 0 and (len(trained) != 2 * len(above) or 0 in trained
+                      or [a + b for a, b in zip(trained[::2], trained[1::2])] != above):
+            raise ValueError(f"{at}: trained_sizes {trained} must be two positive children "
+                             f"of each split above, {above}, summing to it (rule 3)")
+        rest = iter(trained)
+        if not all(s >= 2 and s in rest for s in split):
+            raise ValueError(f"{at}: split_sizes {split} must be an in-order subsequence of "
+                             f"trained_sizes {trained}, each at least 2 (rule 2)")
+        depths.append(depth)
+        above = split if k + 1 < max_depth else []
+    if above:
+        raise ValueError(f"{where}, depth {len(depths)}: missing, but depth {len(depths) - 1} "
+                         f"splits {above} and max_depth is {max_depth} (rule 4)" if depths else
+                         f"{where}: no depths, but every tree trains its root (rule 1)")
+    # split is the last depth's: empty, or at depth max_depth - 1 with two leaves per split
+    leaves = sum(len(d.trained_sizes) - len(d.split_sizes) for d in depths) + 2 * len(split)
+    if t["n_leaves"] != leaves:
+        raise ValueError(f"{where}: n_leaves must be {leaves}, the unsplit nodes and two below "
+                         f"each split at depth max_depth - 1, got {t['n_leaves']} (rule 5)")
+    return TreeLog(**{**t, "depths": depths})
 
 
 def load_training_log(path: str) -> TrainingLog:
     """Read a training log; every key save_training_log writes must be there,
-    and no other, every tree must have a depth 0 and no more depths than the
-    config's max_depth, and no count may exceed the one it is part of."""
+    and no other, it must hold the config's n_trees trees, and each tree the
+    counts of a tree the trainer grows (_tree_log)."""
     doc = _load(path, LOG_FORMAT, _LOG, "log")
     config = _config_from_dict(doc["config"], _LOG_CONFIG, "log config")
-    trees = []
-    for i, t in enumerate(doc["trees"]):
-        where = f"log tree {i}"
-        t = _checked(t, _LOG_TREE, where)
-        if t["n_subsampled"] > doc["n_samples"]:
-            raise ValueError(f"{where}: n_subsampled {t['n_subsampled']} is more than "
-                             f"n_samples {doc['n_samples']}")
-        if not t["depths"]:
-            raise ValueError(f"{where}: no depths, but every tree trains its root")
-        if len(t["depths"]) > config.max_depth:
-            raise ValueError(f"{where}: {len(t['depths'])} depths, more than "
-                             f"max_depth {config.max_depth}")
-        depths = []
-        for k, d in enumerate(t["depths"]):
-            depths.append(_depth_log(d, t["n_subsampled"], depths[-1] if depths else None,
-                                     f"{where}, depth {k}"))
-        trees.append(TreeLog(**{**t, "depths": depths}))
-    return TrainingLog(
-        n_samples=doc["n_samples"],
-        n_features=doc["n_features"],
-        config=config,
-        trees=trees,
-    )
+    if len(doc["trees"]) != config.n_trees:
+        raise ValueError(f"log: len(trees) is {len(doc['trees'])}, but n_trees is {config.n_trees}")
+    trees = [_tree_log(t, doc["n_samples"], config.max_depth, f"log tree {i}")
+             for i, t in enumerate(doc["trees"])]
+    return TrainingLog(doc["n_samples"], doc["n_features"], config, trees)

@@ -513,3 +513,36 @@ def ref_model_doc(model, bin_map, config) -> dict:
 def ref_log_doc(log) -> dict:
     """The document a training-log file holds, as ref_model_doc's for a model."""
     return {"format": "fpboost-log", "format_version": 1, **asdict(log)}
+
+
+# ------------------------------------------------------------ training logs
+
+def _ref_tree_shapes(n: int, depth: int, max_depth: int):
+    """Every tree over n rows from a node at depth: (n, None, None) for a
+    leaf, and above max_depth also (n, left, right) for each split of the
+    rows into a left and a right side of at least one row each."""
+    yield (n, None, None)
+    if depth < max_depth:
+        for n_left in range(1, n):
+            for left in _ref_tree_shapes(n_left, depth + 1, max_depth):
+                for right in _ref_tree_shapes(n - n_left, depth + 1, max_depth):
+                    yield (n, left, right)
+
+
+def ref_logs(n: int, max_depth: int):
+    """(depths, n_leaves) of every tree over n rows with max_depth levels of
+    splits, one per tree, by enumeration.  depths holds, for each depth
+    above max_depth that any node reaches, the pair (trained_sizes,
+    split_sizes) as tuples: the row counts of its nodes, then of its splits,
+    left to right, children in their parent's order.  n_leaves counts every
+    node without children, those at depth max_depth too."""
+    for root in _ref_tree_shapes(n, 0, max_depth):
+        depths, level, n_leaves = [], [root], 0
+        for depth in range(max_depth + 1):
+            splits = [node for node in level if node[1] is not None]
+            n_leaves += len(level) - len(splits)
+            if level and depth < max_depth:
+                depths.append((tuple(node[0] for node in level),
+                               tuple(node[0] for node in splits)))
+            level = [child for _, left, right in splits for child in (left, right)]
+        yield tuple(depths), n_leaves

@@ -7,6 +7,7 @@ from fpboost import boost_controller
 from fpboost.boost_controller import BASE_SCORE, predict_raw, subsample_indices, train
 from fpboost.engine_memory import EngineMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, dequantize, grad_hess, margin_probability, quantize
+from fpboost.model_io import load_training_log, save_training_log
 from fpboost.node_trainer import TrainConfig, leaf_weight, node_totals
 from fpboost.quantizer import MISSING_BIN, BinMap, QuantizedMatrix
 from fpboost.splitter import apply_tree_update, partition
@@ -283,11 +284,18 @@ def _config_space_case(draw):
     return cfg, matrix, labels
 
 
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    """One file for a test's examples to save a training log to and load it back from."""
+    return tmp_path_factory.mktemp("log") / "log.json"
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=_config_space_case())
-def test_matches_reference_trainer_across_config_space(case):
+def test_matches_reference_trainer_across_config_space(log_path, case):
     """At every corner of the accepted config space, train either grows the
-    oracle's trees or refuses the input with ValueError as the oracle does.
+    oracle's trees, and writes a log that loads back, or refuses the input
+    with ValueError as the oracle does.
 
     Each oracle tree grows from the scores the library's earlier trees
     reached.  Splits must match exactly.  A leaf may sit one raw unit off
@@ -298,12 +306,14 @@ def test_matches_reference_trainer_across_config_space(case):
     """
     cfg, matrix, labels = case
     try:
-        model, _ = train(matrix, labels, cfg)
+        model, log = train(matrix, labels, cfg)
     except ValueError:
         with pytest.raises(ValueError):
             ref_train(matrix.columns, labels, cfg)
         return
     assert model.n_trees == cfg.n_trees
+    save_training_log(log, str(log_path))
+    assert load_training_log(str(log_path)) == log
     rows = np.arange(matrix.n_samples)
     scores = np.full(matrix.n_samples, quantize(BASE_SCORE, cfg.frac_bits), dtype=np.int64)
     for tree in model.trees:

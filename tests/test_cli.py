@@ -285,9 +285,10 @@ def test_log_with_negative_counts_is_single_line_error(tmp_path, csv_pair, capsy
 
 def test_log_with_contradicting_counts_is_single_line_error(tmp_path, csv_pair, capsys):
     # a tree that sampled more rows than the log has, a root leaf with 20
-    # depths below it, or a depth 0 of two half-sample splits with four
-    # quarter-sample leaves below, was refused by no check and priced as if
-    # it had trained
+    # depths below it, a depth 0 of two half-sample splits with four
+    # quarter-sample leaves below, one child under the root split, a root
+    # split with no depth below, a wrong n_leaves, or the trees listed 50
+    # times over, was each refused by no check and priced as if it had trained
     train_csv, _ = csv_pair
     log = tmp_path / "log.json"
     assert main(["train", "--data", train_csv, "--format", "csv", "--trees", "2",
@@ -295,25 +296,34 @@ def test_log_with_contradicting_counts_is_single_line_error(tmp_path, csv_pair, 
                  "--log-out", str(log)]) == 0
     capsys.readouterr()
     saved = json.loads(log.read_text())
-    n = saved["trees"][0]["n_subsampled"]
-    deep = ([{"trained_sizes": [n], "split_sizes": []}]
-            + [{"trained_sizes": [n], "split_sizes": [n]}] * 20)
+    n, n_leaves = saved["trees"][0]["n_subsampled"], saved["trees"][0]["n_leaves"]
+    root_split = {"trained_sizes": [n], "split_sizes": [n]}
+    deep = [{"trained_sizes": [n], "split_sizes": []}] + [root_split] * 20
     half, quarter = n // 2, n // 4
     two_roots = [{"trained_sizes": [half, half], "split_sizes": [half, half]},
                  {"trained_sizes": [quarter] * 4, "split_sizes": []}]
+    after_leaf = "log tree 0, depth 1: below the last depth, as depth 0 splits nothing"
     cases = [
-        ({"n_subsampled": 10**9, "depths": [{"trained_sizes": [10**9], "split_sizes": []}]}, 2,
+        ({"n_subsampled": 10**9, "depths": [{"trained_sizes": [10**9], "split_sizes": []}]},
          f"log tree 0: n_subsampled 1000000000 is more than n_samples {saved['n_samples']}"),
-        ({"depths": deep}, 2, "log tree 0: 21 depths, more than max_depth 2"),
-        ({"depths": deep}, 21, f"log tree 0, depth 1: trained_sizes (n=1, sum {n}) exceed the "
-                               "children of the split_sizes above (n=0, sum 0)"),
-        ({"depths": two_roots}, 2, f"log tree 0, depth 0: trained_sizes must be [{n}], the root "
-                                   f"over all n_subsampled samples, got [{half}, {half}]"),
+        ({"depths": deep}, f"{after_leaf} or max_depth is 2 (rule 4)"),
+        ({"depths": deep, "max_depth": 21}, f"{after_leaf} or max_depth is 21 (rule 4)"),
+        ({"depths": two_roots}, f"log tree 0, depth 0: trained_sizes must be [{n}], the root "
+                                f"over all n_subsampled rows, got [{half}, {half}] (rule 1)"),
+        ({"depths": [root_split, {"trained_sizes": [n], "split_sizes": []}]},
+         f"log tree 0, depth 1: trained_sizes [{n}] must be two positive children of each "
+         f"split above, [{n}], summing to it (rule 3)"),
+        ({"depths": [root_split]},
+         f"log tree 0, depth 1: missing, but depth 0 splits [{n}] and max_depth is 2 (rule 4)"),
+        ({"n_leaves": 10**6}, f"log tree 0: n_leaves must be {n_leaves}, the unsplit nodes and "
+                              f"two below each split at depth max_depth - 1, got 1000000 (rule 5)"),
+        ({"times": 50}, "log: len(trees) is 100, but n_trees is 2"),
     ]
-    for tree_edit, max_depth, expected in cases:
-        doc = json.loads(json.dumps(saved))
-        doc["trees"][0].update(tree_edit)
-        doc["config"]["max_depth"] = max_depth
+    for case, expected in cases:
+        doc, edit = json.loads(json.dumps(saved)), dict(case)
+        doc["config"]["max_depth"] = edit.pop("max_depth", 2)
+        doc["trees"] *= edit.pop("times", 1)
+        doc["trees"][0].update(edit)
         log.write_text(json.dumps(doc))
         rc = main(["cost", "--log", str(log), "--out", str(tmp_path / "report.kv")])
         assert rc == 1

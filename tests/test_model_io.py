@@ -16,7 +16,7 @@ from fpboost.node_trainer import TrainConfig, TreeNode
 from fpboost.quantizer import BinMap, fit_bin_map, transform
 from fpboost.splitter import TreeModel
 from conftest import random_raw
-from reference import ref_log_doc, ref_model_doc
+from reference import ref_log_doc, ref_logs, ref_model_doc
 
 
 def _trained(rng, **cfg_kwargs):
@@ -567,18 +567,27 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
             if key in negative:
                 cases.append((where, key, negative[key], f"{where}: {key} must be"))
         cases.append((where, "bogus", 0, f"{where}: unknown key 'bogus'"))
-    # well typed, but a count larger than the one it is part of
+    # well typed, but a count that contradicts the counts it is part of
     n_subsampled, trained = doc["trees"][1]["n_subsampled"], places["log tree 1, depth 0"](doc)
+    n_leaves = doc["trees"][1]["n_leaves"]
     cases += [
         ("log tree 1", "n_subsampled", doc["n_samples"] + 1,
          f"log tree 1: n_subsampled {doc['n_samples'] + 1} is more than n_samples"),
         ("log tree 1, depth 0", "trained_sizes", [n_subsampled, 1],
          f"log tree 1, depth 0: trained_sizes must be [{n_subsampled}], the root over all "
-         f"n_subsampled samples, got [{n_subsampled}, 1]"),
+         f"n_subsampled rows, got [{n_subsampled}, 1] (rule 1)"),
         ("log tree 1, depth 0", "split_sizes", trained["trained_sizes"] + [0],
-         "log tree 1, depth 0: split_sizes (n=2, "),
+         f"log tree 1, depth 0: split_sizes [{n_subsampled}, 0] must be an in-order "
+         f"subsequence of trained_sizes [{n_subsampled}], each at least 2 (rule 2)"),
         ("log tree 1, depth 0", "split_sizes", [sum(trained["trained_sizes"]) + 1],
-         f"log tree 1, depth 0: split_sizes (n=1, sum {n_subsampled + 1})"),
+         f"log tree 1, depth 0: split_sizes [{n_subsampled + 1}] must be"),
+        ("log tree 1", "n_leaves", 10**6,
+         f"log tree 1: n_leaves must be {n_leaves}, the unsplit nodes and two below each split "
+         f"at depth max_depth - 1, got 1000000 (rule 5)"),
+        ("log tree 1", "n_leaves", n_leaves - 1, f"log tree 1: n_leaves must be {n_leaves}, "),
+        ("log", "trees", doc["trees"] * 50, "log: len(trees) is 100, but n_trees is 2"),
+        ("log", "trees", doc["trees"][:1], "log: len(trees) is 1, but n_trees is 2"),
+        ("log config", "n_trees", 3, "log: len(trees) is 2, but n_trees is 3"),
     ]
     assert len(cases) > 25
     for where, key, value, expected in cases:
@@ -591,36 +600,67 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
         with pytest.raises(ValueError) as err:
             load_training_log(str(path))
         assert str(err.value).startswith(expected), (expected, str(err.value))
-    # depths that contradict the depth above: more of them than max_depth, more
-    # nodes than two per split above, or more samples than the splits above
-    # held; no depth, or a depth 0 that is not one root over the whole sample
+    # depths that break a rule of the trainer's: no depth, or a depth 0 that is
+    # not one root over the whole sample (rule 1); splits that are not trained
+    # nodes, in order, of at least 2 rows (rule 2); a depth that is not two
+    # positive children per split above, in split order, summing to it (rule
+    # 3); a depth below one that splits nothing or is depth max_depth - 1, or
+    # none below the splits above it (rule 4)
     n = n_subsampled
     root_leaf = {"trained_sizes": [n], "split_sizes": []}
-    deep = [{"trained_sizes": [n], "split_sizes": [n]}] * 20
-    half, quarter = n // 2, n // 4
+    root_split = {"trained_sizes": [n], "split_sizes": [n]}
+    deep = [root_split] * 20
+    half, quarter, big, small = n // 2, n // 4, n - 47, 47
+    after_leaf = "log tree 1, depth 1: below the last depth, as depth 0 splits nothing or max_depth"
     depth_cases = [
-        ({}, [], "log tree 1: no depths, but every tree trains its root"),
+        ({}, [], "log tree 1: no depths, but every tree trains its root (rule 1)"),
         ({}, [{"trained_sizes": [half, half], "split_sizes": [half, half]},
               {"trained_sizes": [quarter] * 4, "split_sizes": []}],
          f"log tree 1, depth 0: trained_sizes must be [{n}], the root over all n_subsampled "
-         f"samples, got [{half}, {half}]"),
+         f"rows, got [{half}, {half}] (rule 1)"),
         ({}, [{"trained_sizes": [n - 1], "split_sizes": []}],
          f"log tree 1, depth 0: trained_sizes must be [{n}]"),
-        ({}, [root_leaf] + deep, "log tree 1: 21 depths, more than max_depth 2"),
-        ({}, deep[:2] + [root_leaf], "log tree 1: 3 depths, more than max_depth 2"),
-        ({"max_depth": 21}, [root_leaf] + deep,
-         f"log tree 1, depth 1: trained_sizes (n=1, sum {n}) exceed the children of the "
-         f"split_sizes above (n=0, sum 0)"),
-        ({}, [{"trained_sizes": [n], "split_sizes": [n]},
-              {"trained_sizes": [n, 0, 0], "split_sizes": []}],
-         f"log tree 1, depth 1: trained_sizes (n=3, sum {n}) exceed"),
+        ({}, [root_leaf] + deep, f"{after_leaf} is 2 (rule 4)"),
+        ({}, deep[:2] + [root_leaf],
+         f"log tree 1, depth 1: trained_sizes [{n}] must be two positive children of each "
+         f"split above, [{n}], summing to it (rule 3)"),
+        ({"max_depth": 21}, [root_leaf] + deep, f"{after_leaf} is 21 (rule 4)"),
+        ({}, [root_split, {"trained_sizes": [n, 0, 0], "split_sizes": []}],
+         f"log tree 1, depth 1: trained_sizes [{n}, 0, 0] must be two positive children"),
+        ({}, [root_split, {"trained_sizes": [0, n], "split_sizes": []}],
+         f"log tree 1, depth 1: trained_sizes [0, {n}] must be two positive children"),
+        ({}, [root_split, {"trained_sizes": [n - 1, 1, 1], "split_sizes": []}],
+         f"log tree 1, depth 1: trained_sizes [{n - 1}, 1, 1] must be two positive children"),
         ({}, [{"trained_sizes": [n], "split_sizes": [n - 1]},
               {"trained_sizes": [n - 1, 1], "split_sizes": []}],
-         f"log tree 1, depth 1: trained_sizes (n=2, sum {n}) exceed"),
+         f"log tree 1, depth 0: split_sizes [{n - 1}] must be an in-order subsequence"),
+        # one child under the root split, and no depth below it
+        ({}, [root_split, root_leaf], f"log tree 1, depth 1: trained_sizes [{n}] must be two"),
+        ({}, [root_split],
+         f"log tree 1, depth 1: missing, but depth 0 splits [{n}] and max_depth is 2 (rule 4)"),
+        ({}, [root_split, {"trained_sizes": [big, small], "split_sizes": [small, big]},
+              {"trained_sizes": [small - 1, 1, big - 1, 1], "split_sizes": []}],
+         f"log tree 1, depth 1: split_sizes [{small}, {big}] must be an in-order subsequence"),
+        ({}, [root_split, {"trained_sizes": [n - 1, 1], "split_sizes": [1]}],
+         f"log tree 1, depth 1: split_sizes [1] must be an in-order subsequence of "
+         f"trained_sizes [{n - 1}, 1], each at least 2 (rule 2)"),
+        ({}, [root_split, {"trained_sizes": [n - 2, 1], "split_sizes": []}],
+         f"log tree 1, depth 1: trained_sizes [{n - 2}, 1] must be two positive children"),
+        ({}, [root_split, {"trained_sizes": [n - 2, 2], "split_sizes": [2]},
+              {"trained_sizes": [1, 1], "split_sizes": []}],
+         "log tree 1, depth 2: below the last depth, as depth 1 splits nothing or max_depth "
+         "is 2 (rule 4)"),
+        ({"max_depth": 3}, [root_split, {"trained_sizes": [big, small], "split_sizes": [big, small]},
+                            {"trained_sizes": [small - 1, 1, big - 1, 1], "split_sizes": []}],
+         f"log tree 1, depth 2: trained_sizes [{small - 1}, 1, {big - 1}, 1] must be two "
+         f"positive children of each split above, [{big}, {small}], summing to it (rule 3)"),
     ]
     for config, depths, expected in depth_cases:
         mutant = json.loads(json.dumps(doc))
         mutant["config"].update(config)
+        tree_0 = mutant["trees"][0]         # a root leaf, a tree at any max_depth
+        tree_0.update(n_leaves=1, depths=[{"trained_sizes": [tree_0["n_subsampled"]],
+                                           "split_sizes": []}])
         mutant["trees"][1]["depths"] = depths
         path.write_text(json.dumps(mutant))
         with pytest.raises(ValueError) as err:
@@ -635,22 +675,90 @@ def test_log_key_mutations_fail_at_load(rng, tmp_path):
         with pytest.raises(ValueError, match=f"^{where}: duplicate key {key!r}$"):
             load_training_log(str(path))
     # the edges themselves load: every row sampled, all of them split, and
-    # two children of each split holding all its samples
+    # the most lopsided split, its one-row child a leaf, its other one a leaf
+    # or split at the last depth into two leaves
     edge = json.loads(json.dumps(doc))
     edge["n_samples"] = max(t["n_subsampled"] for t in doc["trees"])
     depth = places["log tree 1, depth 0"](edge)
     depth["split_sizes"] = list(depth["trained_sizes"])
     path.write_text(json.dumps(edge))
     assert load_training_log(str(path)).trees[1].depths[0].split_sizes == depth["trained_sizes"]
-    edge["trees"][1]["depths"] = [{"trained_sizes": [n], "split_sizes": [n]},
-                                  {"trained_sizes": [n - 1, 1], "split_sizes": []}]
-    path.write_text(json.dumps(edge))
-    assert load_training_log(str(path)).trees[1].depths[1].trained_sizes == [n - 1, 1]
+    for split, leaves in (([], 2), ([n - 1], 3)):
+        edge["trees"][1].update(n_leaves=leaves, depths=[
+            root_split, {"trained_sizes": [n - 1, 1], "split_sizes": split}])
+        path.write_text(json.dumps(edge))
+        assert load_training_log(str(path)).trees[1].depths[1].split_sizes == split
     # a tree whose subsample drew no row still trains its empty root
     edge["trees"][1].update(n_subsampled=0, n_leaves=1,
                             depths=[{"trained_sizes": [0], "split_sizes": []}])
     path.write_text(json.dumps(edge))
     assert load_training_log(str(path)).trees[1].depths[0].trained_sizes == [0]
+
+
+def _list_changes(sizes: tuple, values) -> set:
+    """Every list one entry away from sizes: one entry +1 or -1, removed,
+    or moved, or one of values added anywhere; and one row moved from an
+    entry to its neighbour, which keeps the sum."""
+    changed = set()
+    for i, size in enumerate(sizes):
+        rest = sizes[:i] + sizes[i + 1:]
+        changed |= {sizes[:i] + (size + step,) + sizes[i + 1:] for step in (-1, 1)}
+        changed |= {rest[:j] + (size,) + rest[j:] for j in range(len(sizes))}
+        changed |= {sizes[:i] + (size + step, sizes[i + 1] - step) + sizes[i + 2:]
+                    for step in (-1, 1) if i + 1 < len(sizes)}
+    return changed | {sizes[:i] + (v,) + sizes[i:] for i in range(len(sizes) + 1) for v in values}
+
+
+def _log_changes(n_subsampled: int, depths: tuple, n_leaves: int) -> set:
+    """(n_subsampled, depths, n_leaves) of every log tree one entry away from
+    the one given, depths as ref_logs gives them: n_subsampled or n_leaves
+    +1 or -1, one list of one depth changed by _list_changes (adding 1 or
+    a size the depth trains), a depth dropped, or one added anywhere: an
+    empty one, a copy of a neighbour, or leaves below the last depth's splits."""
+    changed = {(n_subsampled + step, depths, n_leaves) for step in (-1, 1)}
+    changed |= {(n_subsampled, depths, n_leaves + step) for step in (-1, 1)}
+    for k, (trained, split) in enumerate(depths):
+        values, before, after = set(trained) | {1}, depths[:k], depths[k + 1:]
+        changed |= {(n_subsampled, before + ((t, split),) + after, n_leaves)
+                    for t in _list_changes(trained, values)}
+        changed |= {(n_subsampled, before + ((trained, s),) + after, n_leaves)
+                    for s in _list_changes(split, values)}
+        changed.add((n_subsampled, before + after, n_leaves))
+    below = (tuple(c for s in depths[-1][1] for c in (s - 1, 1)), ())
+    for k in range(len(depths) + 1):
+        for added in ((), ()), depths[max(k - 1, 0)], below:
+            changed.add((n_subsampled, depths[:k] + (added,) + depths[k:], n_leaves))
+    return changed
+
+
+def test_one_entry_changes_load_only_as_the_log_of_a_tree(tmp_path):
+    """A log tree one entry away from the log of a tree over n <= 6 rows
+    loads if and only if it is the log of some tree, by brute force over
+    every tree shape (ref_logs); a refusal names the tree."""
+    n_samples, n_loaded, n_changed = 7, 0, 0
+    for max_depth in (1, 2, 3):
+        logs = {n: set(ref_logs(n, max_depth)) for n in range(n_samples + 1)}
+        changed = set().union(*(_log_changes(n, depths, n_leaves) for n in range(7)
+                                for depths, n_leaves in logs[n]))
+        config = dataclasses.asdict(TrainConfig(max_depth=max_depth, n_trees=1))
+        for i, (n, depths, n_leaves) in enumerate(sorted(changed)):
+            path = tmp_path / f"{max_depth}-{i}.json"
+            path.write_bytes(json.dumps({
+                "format": "fpboost-log", "format_version": 1, "n_samples": n_samples,
+                "n_features": 1, "config": config,
+                "trees": [{"n_subsampled": n, "n_leaves": n_leaves, "train_loss": 0.5,
+                           "depths": [{"trained_sizes": list(t), "split_sizes": list(s)}
+                                      for t, s in depths]}]}).encode())
+            is_log = (depths, n_leaves) in logs.get(n, ())
+            try:
+                load_training_log(str(path))
+            except ValueError as err:
+                assert not is_log and str(err).startswith("log tree 0"), (path.name, str(err))
+                continue
+            assert is_log, (n, depths, n_leaves)
+            n_loaded += 1
+        n_changed += len(changed)
+    assert n_changed > 8000 and n_loaded > 100
 
 
 _FUZZ_VALUES = (None, "x", [], {}, True, 0.5, -1, 2**64, -2**63, 2**53 + 1, math.nan, 10**400)

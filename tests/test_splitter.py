@@ -150,6 +150,7 @@ def _complete_tree(rng, depth, n_features, full_depth=None):
 
 
 _BINS = st.sampled_from([0, 254, 255]) | st.integers(0, 255)
+_WEIGHTS = st.integers(-(1 << 63), (1 << 63) - 1)
 
 
 @st.composite
@@ -157,25 +158,39 @@ def _routing_case(draw):
     """A random tree of depth 0-7 over 1-4 features, and 0-200 samples of bins.
 
     Every node above a drawn full depth, 0-2, is a split, so those levels
-    are all splits; from it down each node is a leaf or a split, so leaves
-    appear at every depth and splits have two, one or no leaf children."""
-    n_features = draw(st.integers(1, 4))
+    are all splits; from it down each node is a leaf one time in four, so
+    leaves appear at every depth and splits have two, one or no leaf
+    children.  A split's feature is any of them, its threshold 0 or 254
+    half of the time and else any bin, and its missing side either.  Those
+    choices come a level at a time from a generator seeded by one draw, and
+    each level's leaf weights from one list draw: a tree costs a few draws,
+    not one per node field."""
+    n_features, n = draw(st.integers(1, 4)), draw(st.integers(0, 200))
     max_depth = draw(st.integers(1, 7))
     full_depth = draw(st.integers(0, min(max_depth, 2)))
-    tree = TreeModel()
-    weights = st.integers(-(1 << 63), (1 << 63) - 1)
-    pending = [(0, 0)]
-    while pending:
-        depth, node_id = pending.pop()
-        if depth == max_depth or depth >= full_depth and draw(st.integers(0, 3)) == 0:
-            tree.put(depth, node_id, TreeNode(is_leaf=True, leaf_weight_raw=draw(weights)))
-            continue
-        tree.put(depth, node_id, TreeNode(
-            is_leaf=False, feature=draw(st.integers(0, n_features - 1)),
-            threshold_bin=draw(st.sampled_from([0, 254]) | st.integers(0, 254)),
-            missing_left=draw(st.booleans())))
-        pending += [(depth + 1, 2 * node_id), (depth + 1, 2 * node_id + 1)]
-    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    tree, ids = TreeModel(), [0]
+    for depth in range(max_depth + 1):
+        size = len(ids)
+        leaf = (depth == max_depth) | (depth >= full_depth) & (rng.integers(0, 4, size) == 0)
+        features = rng.integers(0, n_features, size).tolist()
+        thresholds = np.where(rng.integers(0, 2, size) == 1, rng.choice([0, 254], size),
+                              rng.integers(0, 255, size)).tolist()
+        missing_left = (rng.integers(0, 2, size) == 1).tolist()
+        n_leaves = int(np.count_nonzero(leaf))
+        weights = iter(draw(st.lists(_WEIGHTS, min_size=n_leaves, max_size=n_leaves)))
+        below = []
+        for k, node_id in enumerate(ids):
+            if leaf[k]:
+                tree.put(depth, node_id, TreeNode(is_leaf=True, leaf_weight_raw=next(weights)))
+                continue
+            tree.put(depth, node_id, TreeNode(is_leaf=False, feature=features[k],
+                                              threshold_bin=thresholds[k],
+                                              missing_left=missing_left[k]))
+            below += tree.children(node_id)
+        ids = below
+        if not ids:
+            break
     return tree, draw(arrays(np.uint8, (n_features, n), elements=_BINS))
 
 
