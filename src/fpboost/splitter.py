@@ -5,11 +5,15 @@ stable: both sides keep the relative order they had in the parent range, so
 the table stays bit-reproducible run to run.
 
 Routing (route_weights) sends every sample of a bin matrix down a finished
-tree with the same goes_left rule, one level at a time: every split of a
-level compares its whole column, and each sample carries only a small code
-of the node it has reached, one byte while a level has at most 256 nodes.
-Below a level of splits only, the next code is 2 * code + go_left, computed
-in place; a level that holds a leaf looks its next codes up in a table.
+tree with the same goes_left rule, one level at a time, and each sample
+carries only a small code of the node it has reached, one byte while a
+level has at most 256 nodes.  A narrow level compares each split's whole
+column and masks it to the split's code; a wide one, of one-byte codes and
+more than n / ROWS_PER_SPLIT splits, gathers each sample's bin of its
+node's feature and reads its go-left bit from one table of the level's
+splits.  Below a level of splits only, the next code is 2 * code + go_left,
+computed in place; a level that holds a leaf looks its next codes up in a
+table.
 
 Training (apply_tree_update) and replay (replay_scores, behind predict and
 eval) add each tree to the scores with one step, add_tree: unchecked while a
@@ -21,9 +25,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine_memory import EngineMemory
+from .engine_memory import N_BINS, EngineMemory
 from .fixed_point import FRAC_BITS, INT64_LIMIT, quantize, scale
 from .node_trainer import TreeNode, goes_left
+from .quantizer import MISSING_BIN
+
+# The masks cost 4-6 ufunc calls over n per split, the gather the same
+# eight over n however many splits.  scripts/route_costs.py, two runs at
+# 10,048 rows on a 2-core AVX-512 host: masks 19-21 / 29-33 / 48-53 /
+# 60-70 us for 4 / 8 / 12 / 16 splits, gather 38-49 us from 4 to 32, so
+# the gather wins from 12-16 splits, at 628-837 rows a split.  At 100,000
+# rows it wins only from 16-24 splits (4,166-6,250 rows a split), so 700
+# keeps large inputs on the masks up to 142 splits.
+ROWS_PER_SPLIT = 700
+
+_BINS_UP_TO = np.arange(N_BINS) < np.arange(N_BINS + 1)[:, None]   # row k: bin < k
+_BINS_UP_TO.flags.writeable = False
 
 
 @dataclass
@@ -87,9 +104,11 @@ def route_weights(tree: TreeModel, columns: np.ndarray, leaf_values: dict) -> np
     carries a code: the index of its node among the level's reachable nodes,
     a leaf reached higher up counting as a node that holds its samples.  The
     code is the narrowest unsigned type that numbers the level's nodes, one
-    byte while there are at most 256.  Every split of the level compares its
-    whole column with goes_left, masked below the root to the samples of its
-    code, and the masks are OR'd into one go-left vector.  The next codes are
+    byte while there are at most 256.  Each sample's go-left bit comes from
+    goes_left's rule in one of two ways (_next_codes): every split of a
+    narrow level compares its whole column, masked below the root to the
+    samples of its code, and the masks are OR'd; a wide level gathers each
+    sample's bin and looks its bit up in one go-left table.  The next codes are
     first[code] + go_left: a split's children, from TreeModel.children, get
     two codes, right then left, and a leaf keeps one, where go_left is 0.
     On a level of splits only first[code] is 2 * code, so the codes are
@@ -123,25 +142,25 @@ def _next_codes(code, first: list, n_codes: int, splits: list,
     """The next level's codes, first[code] + go_left, in the narrowest
     unsigned type that holds n_codes codes.
 
-    go_left ORs the goes_left of each (c, node) in splits over its whole
-    column, masked below the root (code None) to the samples of code c.
+    At the root (code None) go_left is its one goes_left and is the codes.
+    Below it go_left comes one of two ways that give the same bits, picked
+    by the level's width.  A wide level, with codes that fit one byte and
+    more than n / ROWS_PER_SPLIT splits, gathers it in a fixed number of
+    passes (_gathered_go_left); every other level ORs one mask per split
+    (_masked_go_left).
     When every code's node is a split, first[c] is 2c, and the codes become
     2 * code + go_left in place, first widened by astype only when n_codes
     outgrows their type; otherwise first[code] is one take from the table.
-    The masks die on return, so none outlives its level.
+    The masks, indices and tables die on return, so none outlives its level.
     """
-    go_left = None
-    for c, node in splits:
-        hit = goes_left(node, columns[node.feature])
-        if code is not None:
-            hit &= code == c
-        if go_left is None:
-            go_left = hit
-        else:
-            go_left |= hit
+    if code is None:                            # the root: one split, every sample
+        (_, root), = splits
+        return goes_left(root, columns[root.feature]).view(np.uint8)
+    if code.dtype == np.uint8 and len(splits) * ROWS_PER_SPLIT > code.size:
+        go_left = _gathered_go_left(code, len(first), splits, columns)
+    else:
+        go_left = _masked_go_left(code, splits, columns)
     go_left = go_left.view(np.uint8)
-    if code is None:
-        return go_left
     dtype = np.min_scalar_type(n_codes - 1)
     if len(splits) < len(first):                # a leaf holds a code: look it up
         code = np.array(first, dtype=dtype).take(code)
@@ -150,6 +169,67 @@ def _next_codes(code, first: list, n_codes: int, splits: list,
         code *= 2
     code += go_left
     return code
+
+
+def _masked_go_left(code: np.ndarray, splits: list, columns: np.ndarray) -> np.ndarray:
+    """The OR of each (c, node) in splits' goes_left over its whole column,
+    masked to the samples of code c: 4-6 ufunc passes over n per split."""
+    go_left = None
+    for c, node in splits:
+        hit = goes_left(node, columns[node.feature])
+        hit &= code == c
+        if go_left is None:
+            go_left = hit
+        else:
+            go_left |= hit
+    return go_left
+
+
+def _gathered_go_left(code: np.ndarray, n_level: int, splits: list,
+                      columns: np.ndarray) -> np.ndarray:
+    """Every sample's go-left bit on a level of n_level one-byte codes, in
+    the same eight numpy calls over n whatever the number of splits.
+
+    Sample i reads its bin at feature[code[i]]·n + i of columns.ravel(), a
+    view of a QuantizedMatrix's C-contiguous columns, and then its bit at
+    row code[i], column bin of _go_left_table, code·N_BINS + bin of its
+    ravel; a leaf's code reads feature 0 and an all-False row.  The peak is
+    the intp index plus take's intp copy of the codes, 16 bytes a sample,
+    as in route_weights' final take: the two-byte keys and the table are
+    made only once the index is freed.
+    """
+    n = code.size
+    offset = [0] * n_level
+    for c, node in splits:
+        offset[c] = node.feature * n
+    index = np.array(offset, dtype=np.intp).take(code)
+    index += np.arange(n)
+    bins = columns.ravel().take(index)
+    del index
+    key = code.astype(np.uint16)                # code·N_BINS + bin <= 65,535
+    key *= N_BINS
+    key += bins
+    return _go_left_table(n_level, splits).ravel().take(key)
+
+
+def _go_left_table(n_level: int, splits: list) -> np.ndarray:
+    """A (n_level, N_BINS) bool table whose row c is goes_left(node, every bin)
+    for each (c, node) in splits, and all False for the other codes.
+
+    Row t + 1 of _BINS_UP_TO holds bin <= t, and a take clipped to its rows
+    gives that for every int t: row 0 (no bin) for leaves and t < 0, the
+    last row (every bin) for t >= MISSING_BIN.  The missing bin then goes
+    left too where missing_left.  A broadcast comparison would take the
+    same bits through ufunc buffers of over 100 KB.
+    """
+    row = [0] * n_level
+    missing_left = [False] * n_level
+    for c, node in splits:
+        row[c] = node.threshold_bin + 1
+        missing_left[c] = node.missing_left
+    table = _BINS_UP_TO.take(row, axis=0, mode="clip")
+    table[:, MISSING_BIN] |= missing_left
+    return table
 
 
 def leaf_increments(tree: TreeModel, eta: float, frac_bits: int = FRAC_BITS) -> dict:

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from fpboost.engine_memory import EngineMemory, StateMemory, init_index_table, load
 from fpboost.fixed_point import FRAC_BITS, grad_hess, margin_probability, quantize, sigmoid
-from fpboost.node_trainer import TreeNode
+from fpboost.node_trainer import TreeNode, goes_left
 from fpboost import splitter
 from fpboost.quantizer import BinMap, QuantizedMatrix
 from fpboost.splitter import (
@@ -124,12 +124,15 @@ def _route_one(tree, sample_bins):
     return int(route_weights(tree, columns, _leaf_weights(tree))[0])
 
 
-def _complete_tree(rng, depth, n_features, full_depth=None):
+def _complete_tree(rng, depth, n_features, full_depth=None, edges=False):
     """A tree whose every level above full_depth (default depth) is all
     splits; from full_depth down to depth each node is a split or a leaf at
     random, and level depth is all leaves.  Level d splits feature
-    d % n_features at random thresholds; the leaf weights are distinct."""
+    d % n_features at random thresholds (with edges, 0, 254 or random, one
+    time in three each) and either missing side; the leaf weights are
+    distinct."""
     full_depth = depth if full_depth is None else full_depth
+    edge_thresholds = (0, 254) if edges else ()
     weights = ((i << 50) - (1 << 58) for i in itertools.count())
     tree = TreeModel()
     ids = [0]
@@ -139,14 +142,47 @@ def _complete_tree(rng, depth, n_features, full_depth=None):
             if d >= full_depth and rng.integers(0, 2):
                 tree.put(d, k, TreeNode(is_leaf=True, leaf_weight_raw=next(weights)))
                 continue
+            threshold = int(rng.integers(64, 192))
+            if edge_thresholds:
+                threshold = int(rng.choice([threshold, *edge_thresholds]))
             tree.put(d, k, TreeNode(is_leaf=False, feature=d % n_features,
-                                    threshold_bin=int(rng.integers(64, 192)),
+                                    threshold_bin=threshold,
                                     missing_left=bool(rng.integers(0, 2))))
             below += tree.children(k)
         ids = below
     for k in ids:
         tree.put(depth, k, TreeNode(is_leaf=True, leaf_weight_raw=next(weights)))
     return tree
+
+
+def _edge_columns(rng, n_features, n):
+    """Random bins, a quarter of them 0, 1, 253, 254 or missing (255): the
+    bins on both sides of thresholds 0 and 254 and the missing bin."""
+    columns = rng.integers(0, 256, size=(n_features, n), dtype=np.uint8)
+    edge = rng.random(columns.shape) < 0.25
+    edge_bins = np.array([0, 1, 253, 254, 255], dtype=np.uint8)
+    columns[edge] = rng.choice(edge_bins, np.count_nonzero(edge))
+    return columns
+
+
+@pytest.fixture
+def route_log(monkeypatch):
+    """(way, code width in bytes, splits) of every level that route_weights
+    routes below the root, way "masks" or "gather"."""
+    log = []
+    masked, gathered = splitter._masked_go_left, splitter._gathered_go_left
+
+    def masks(code, splits, columns):
+        log.append(("masks", code.itemsize, len(splits)))
+        return masked(code, splits, columns)
+
+    def gather(code, n_level, splits, columns):
+        log.append(("gather", code.itemsize, len(splits)))
+        return gathered(code, n_level, splits, columns)
+
+    monkeypatch.setattr(splitter, "_masked_go_left", masks)
+    monkeypatch.setattr(splitter, "_gathered_go_left", gather)
+    return log
 
 
 _BINS = st.sampled_from([0, 254, 255]) | st.integers(0, 255)
@@ -241,25 +277,30 @@ class TestRouting:
         assert got.dtype == np.int64
         assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(columns.shape[1])]
 
-    def test_complete_depth_9_tree_routes_past_one_byte_codes(self, rng):
+    def test_complete_depth_9_tree_routes_past_one_byte_codes(self, rng, route_log):
         # level 9 holds 512 leaves, so the last codes need two bytes: the
         # full levels' 2 * code + go_left widens them.  10,048 rows are more
-        # than numpy's 8,192-element ufunc buffer
+        # than numpy's 8,192-element ufunc buffer.  Level 8's 256 one-byte
+        # codes take the gather
         depth, n_features = 9, 9
         tree = _complete_tree(rng, depth, n_features)
         nested = nested_tree(tree)
         for n in (0, 4096, 10_048):
             columns = rng.integers(0, 256, size=(n_features, n), dtype=np.uint8)
+            route_log.clear()
             got = route_weights(tree, columns, _leaf_weights(tree))
             assert got.dtype == np.int64
             assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(n)]
+            assert route_log[-1] == ("gather", 1, 256)
         assert np.unique(got).size > 256
 
     @pytest.mark.parametrize("full_depth, depth", [(2, 5), (8, 11)])
-    def test_full_levels_above_leafy_ones_match_reference(self, rng, full_depth, depth):
+    def test_full_levels_above_leafy_ones_match_reference(self, rng, route_log,
+                                                          full_depth, depth):
         # levels above full_depth route by arithmetic, the ones below carry
         # leaves and look their codes up; (8, 11) reaches 256 one-byte codes
-        # on the last full level and two-byte ones below it
+        # on the last full level and two-byte ones below it, whose splits,
+        # however many, keep the masks
         n_features = 5
         tree = _complete_tree(rng, depth, n_features, full_depth)
         assert any(node.is_leaf for node in tree.levels[full_depth].values())
@@ -269,6 +310,47 @@ class TestRouting:
             got = route_weights(tree, columns, _leaf_weights(tree))
             assert got.dtype == np.int64
             assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(n)]
+        assert {way for way, width, _ in route_log if width > 1} <= {"masks"}
+        if depth == 11:
+            assert ("masks", 2) in {(way, width) for way, width, _ in route_log}
+
+    @pytest.mark.parametrize("depth, full_depth", [(5, 5), (6, 6), (7, 7), (8, 8), (8, 5)])
+    def test_wide_levels_match_reference(self, rng, route_log, depth, full_depth):
+        # every level below the root is wide at 0 and 1 rows, and at 10,048
+        # the widest are.  (8, 5) puts leaves on wide levels
+        n_features = 5
+        tree = _complete_tree(rng, depth, n_features, full_depth, edges=True)
+        nested = nested_tree(tree)
+        for n in (0, 1, 10_048):
+            columns = _edge_columns(rng, n_features, n)
+            route_log.clear()
+            got = route_weights(tree, columns, _leaf_weights(tree))
+            assert got.tolist() == [ref_route(nested, columns[:, i]) for i in range(n)]
+            wide = [way == "gather" for way, _, splits in route_log]
+            assert wide == [splits * splitter.ROWS_PER_SPLIT > n for _, _, splits in route_log]
+        assert any(wide)            # at 10,048 rows
+        if full_depth < depth:      # route_log[d - 1] is level d, which holds the leaves above it
+            leafy = [any(node.is_leaf for level in tree.levels[:d + 1] for node in level.values())
+                     for d in range(1, len(route_log) + 1)]
+            assert any(w and leaf for w, leaf in zip(wide, leafy))
+
+    @pytest.mark.parametrize("n, way", [(10_048, "gather"), (100_000, "masks")])
+    def test_32_splits_take_the_gather_at_10048_rows_only(self, rng, route_log, n, way):
+        # the rule: splits * ROWS_PER_SPLIT > n; 32 * 700 lies between
+        tree = _complete_tree(rng, 6, 3)
+        columns = rng.integers(0, 256, size=(3, n), dtype=np.uint8)
+        route_weights(tree, columns, _leaf_weights(tree))
+        assert route_log[-1] == (way, 1, 32)
+
+    def test_go_left_table_rows_are_goes_left_of_every_bin(self):
+        nodes = [TreeNode(is_leaf=False, feature=0, threshold_bin=t, missing_left=m)
+                 for t in (-5, -1, 0, 1, 100, 253, 254, 255, 300) for m in (False, True)]
+        splits = [(2 * k + 1, node) for k, node in enumerate(nodes)]   # leaves between
+        table = splitter._go_left_table(2 * len(nodes) + 1, splits)
+        assert table.shape == (2 * len(nodes) + 1, 256) and table.dtype == bool
+        for c, node in splits:
+            assert np.array_equal(table[c], goes_left(node, np.arange(256)))
+        assert not table[::2].any()
 
     def test_70_level_chain_matches_reference(self, rng):
         # every split keeps about 95% of its samples on the split side, a
